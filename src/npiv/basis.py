@@ -20,6 +20,9 @@ SQRT2 = math.sqrt(2.0)
 # downstream ratios harmlessly overflow to inf.
 _TINY = np.nextafter(0.0, 1.0)
 
+# Values per row block of ``trig_columns``: the block's temporaries stay in cache.
+_BLOCK_VALUES = 1 << 15
+
 _PARAM_KINDS = ("sobolev", "derivative", "polynomial_decay", "exponential_decay")
 _ALL_KINDS = ("constant", "custom") + _PARAM_KINDS
 
@@ -53,18 +56,23 @@ def trig_columns(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     idx = np.asarray(indices, dtype=int)
+    bad = idx[idx < 1]
+    if bad.size:
+        raise ValueError(f"basis index must be >= 1, got {bad[0]}")
     out = np.empty((pts.size, idx.size))
-    # Column-at-a-time so each column's arithmetic is independent of which
-    # other columns were requested; prefixes of larger designs then match
-    # smaller designs bit for bit.
-    for pos, j in enumerate(idx):
-        if j < 1:
-            raise ValueError(f"basis index must be >= 1, got {j}")
-        if j == 1:
-            out[:, pos] = 1.0
-        else:
-            ang = (2.0 * math.pi * (j // 2)) * pts
-            out[:, pos] = SQRT2 * (np.cos(ang) if j % 2 == 0 else np.sin(ang))
+    # Each entry is 1 (j = 1) or SQRT2 * cos or sin of (2*pi*f) * point: it
+    # depends only on its point and index, so any subset or prefix of a
+    # design, in whatever row blocks, matches the full design bit for bit.
+    cos_pos = np.flatnonzero(idx % 2 == 0)
+    sin_pos = np.flatnonzero((idx % 2 == 1) & (idx > 1))
+    cos_freq = (2.0 * math.pi) * (idx[cos_pos] // 2)
+    sin_freq = (2.0 * math.pi) * (idx[sin_pos] // 2)
+    rows = max(1, _BLOCK_VALUES // max(1, idx.size))
+    for lo in range(0, pts.size, rows):
+        block = pts[lo : lo + rows, None]
+        out[lo : lo + rows, cos_pos] = SQRT2 * np.cos(block * cos_freq)
+        out[lo : lo + rows, sin_pos] = SQRT2 * np.sin(block * sin_freq)
+    out[:, idx == 1] = 1.0
     return out
 
 

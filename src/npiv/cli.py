@@ -63,23 +63,34 @@ class InternalError(Exception):
 
 # -- config handling ------------------------------------------------------
 
+# The keys each config section accepts, with the JSON type of each value.
 _SECTION_KEYS = {
-    "structural": {"profile", "smoothness", "radius", "truncation", "coeffs"},
-    "operator": {"decay", "a", "truncation"},
-    "noise": {"sigma", "snr"},
-    "selection": {"derivative_order", "penalty_const"},
-    "study": {"n_grid", "replications", "seed", "k_max"},
+    "structural": {"profile": "string", "smoothness": "number", "radius": "number",
+                   "truncation": "integer", "coeffs": "list"},
+    "operator": {"decay": "string", "a": "number", "truncation": "integer"},
+    "noise": {"sigma": "number", "snr": "number"},
+    "selection": {"derivative_order": "integer", "penalty_const": "number"},
+    "study": {"n_grid": "list", "replications": "integer", "seed": "integer", "k_max": "integer"},
 }
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": (int, float), "list": list}
 
 
 def _check_keys(section: str, obj: dict) -> None:
+    """Reject unknown keys and mistyped values; integral floats become ints."""
     if not isinstance(obj, dict):
         raise UsageError(f"config section {section!r} must be an object")
-    unknown = set(obj) - _SECTION_KEYS[section]
+    unknown = obj.keys() - _SECTION_KEYS[section]
     if unknown:
         raise UsageError(
             f"config section {section!r} has unknown keys: {', '.join(sorted(unknown))}"
         )
+    for key, value in obj.items():
+        kind = _SECTION_KEYS[section][key]
+        ok = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+        if not ok or (kind == "integer" and value % 1 != 0):
+            raise UsageError(f"{section}.{key} must be a JSON {kind}, got {json.dumps(value)}")
+        if kind == "integer":
+            obj[key] = int(value)
 
 
 def load_config(path) -> dict:
@@ -154,12 +165,12 @@ def selection_from_config(cfg: dict) -> tuple[int, float]:
     sec = cfg.get("selection", {})
     _check_keys("selection", sec)
     s = sec.get("derivative_order", 0)
-    if int(s) != s or s < 0:
+    if s < 0:
         raise UsageError(f"derivative_order must be a nonnegative integer, got {s}")
     const = float(sec.get("penalty_const", 540.0))
     if not const > 0:
         raise UsageError(f"penalty_const must be positive, got {const}")
-    return int(s), const
+    return s, const
 
 
 # -- small helpers --------------------------------------------------------

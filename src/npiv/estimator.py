@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class Sample:
     @property
     def n(self) -> int:
         return self.y.size
+
+    @cached_property
+    def _diagonal(self) -> tuple[list, list]:
+        """The (t, g) diagonal prefix, grown in place by ``empirical_diagonal``."""
+        return [], []
 
 
 CSV_HEADER = ("y", "z", "w")
@@ -143,33 +149,32 @@ def empirical_rhs(sample: Sample, k: int) -> np.ndarray:
 
 
 def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal operator entries and moment vector, computed column-wise.
+    """Diagonal operator entries and moment vector for indices 1..k.
 
     Returns (t, g) with t_j = mean psi_j(w_i) psi_j(z_i) and
-    g_j = mean y_i psi_j(w_i).  Each column is reduced on its own
-    contiguous product so the entry at index j does not depend on how many
-    other columns were requested; prefixes for smaller k are then bitwise
-    identical, which the nesting and selection-trace properties rely on.
+    g_j = mean y_i psi_j(w_i).  The sample keeps one prefix of these
+    entries, and a larger k evaluates only the missing columns.  Each entry
+    is reduced on its own contiguous column product, so prefixes are bitwise
+    identical however they grew, as nesting and selection traces require.
     """
-    pw = trig_design(sample.w, k)
-    pz = trig_design(sample.z, k)
-    tdiag = np.empty(k)
-    ghat = np.empty(k)
-    for j in range(k):
-        tdiag[j] = (pw[:, j] * pz[:, j]).mean()
-        ghat[j] = (pw[:, j] * sample.y).mean()
-    return tdiag, ghat
+    if k < 1:
+        raise ValueError(f"design width must be >= 1, got {k}")
+    tdiag, ghat = sample._diagonal
+    if k > len(tdiag):
+        idx = np.arange(len(tdiag) + 1, k + 1)
+        pw = trig_columns(sample.w, idx)
+        pz = trig_columns(sample.z, idx)
+        for pos in range(idx.size):
+            tdiag.append((pw[:, pos] * pz[:, pos]).mean())
+            ghat.append((pw[:, pos] * sample.y).mean())
+    return np.array(tdiag[:k]), np.array(ghat[:k])
 
 
 def diagonal_block(sample: Sample, j_lo: int, j_hi: int) -> np.ndarray:
-    """Diagonal operator entries for indices j_lo..j_hi without the full design."""
-    idx = np.arange(j_lo, j_hi + 1)
-    pw = trig_columns(sample.w, idx)
-    pz = trig_columns(sample.z, idx)
-    out = np.empty(idx.size)
-    for pos in range(idx.size):
-        out[pos] = (pw[:, pos] * pz[:, pos]).mean()
-    return out
+    """Diagonal operator entries for indices j_lo..j_hi, read from the shared prefix."""
+    if j_lo < 1:
+        raise ValueError(f"basis index must be >= 1, got {j_lo}")
+    return empirical_diagonal(sample, j_hi)[0][j_lo - 1 :]
 
 
 # -- estimators -----------------------------------------------------------

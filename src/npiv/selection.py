@@ -22,7 +22,7 @@ from .estimator import (
     empirical_diagonal,
 )
 
-_SCAN_BLOCK = 64
+_SCAN_START = 8
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,10 @@ def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> 
     Walks the diagonal of the empirical operator matrix until the squared
     entries, relative to index and risk weight, fall below log(n)/n; the
     cutoff is one short of the first such index (at least 1).  When no
-    index misbehaves the cap from ``dimension_cap`` applies.  Diagonal
-    entries are evaluated lazily in blocks so the walk stays cheap even
-    when the cap is of sample-size order.
+    index misbehaves the cap from ``dimension_cap`` applies.  The walk reads
+    the sample's shared diagonal prefix in steps of 8, 16, 32, ... entries
+    (capped), so it evaluates at most max(8, 2 * (cutoff + 1)) entries and
+    later fits of the same sample reuse them.
     """
     n = sample.n
     cap = dimension_cap(risk_weights, n)
@@ -169,7 +170,7 @@ def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> 
     thr = math.log(n) / n
     j_lo = 1
     while j_lo <= cap:
-        j_hi = min(j_lo + _SCAN_BLOCK - 1, cap)
+        j_hi = min(max(_SCAN_START, 2 * (j_lo - 1)), cap)
         tdiag = diagonal_block(sample, j_lo, j_hi)
         first = _first_unstable(tdiag * tdiag, j_lo, w_floored[j_lo - 1 : j_hi], thr)
         if first is not None:

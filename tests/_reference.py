@@ -39,6 +39,31 @@ def psi(j: int, s: float) -> float:
     return SQRT2 * (math.cos(ang) if j % 2 == 0 else math.sin(ang))
 
 
+def trig_columns_loop(points, indices) -> np.ndarray:
+    """Column-at-a-time basis design, with the library's validation messages.
+
+    Each column is one contiguous numpy cos or sin call over all points, so
+    a kernel that evaluates the same elementwise function in any blocking
+    must match it bit for bit.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1:
+        raise ValueError("points must be one-dimensional")
+    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+        raise ValueError("evaluation points must lie in [0, 1]")
+    idx = np.asarray(indices, dtype=int)
+    out = np.empty((pts.size, idx.size))
+    for pos, j in enumerate(idx):
+        if j < 1:
+            raise ValueError(f"basis index must be >= 1, got {j}")
+        if j == 1:
+            out[:, pos] = 1.0
+        else:
+            ang = (2.0 * math.pi * (j // 2)) * pts
+            out[:, pos] = SQRT2 * (np.cos(ang) if j % 2 == 0 else np.sin(ang))
+    return out
+
+
 def _log(x: float) -> float:
     # numpy's elementwise log applied to a scalar is bitwise-identical to
     # the array version, which is what the exactness checks need.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from npiv import basis
 from npiv.basis import (
     SQRT2,
     WeightSequence,
@@ -19,7 +20,7 @@ from npiv.basis import (
     weighted_norm_sq,
 )
 
-from _reference import psi
+from _reference import psi, trig_columns_loop
 
 
 # -- basis functions ------------------------------------------------------
@@ -66,18 +67,56 @@ def test_trig_columns_validation():
         trig_columns(np.array([0.5, 1.5]), np.array([1]))
     with pytest.raises(ValueError, match="index must be >= 1"):
         trig_columns(np.array([0.5]), np.array([0]))
+    with pytest.raises(ValueError, match="index must be >= 1, got -4$"):
+        trig_columns(np.array([0.5]), np.array([3, 2, -4, 0]))
     with pytest.raises(ValueError, match="width must be >= 1"):
         trig_design(np.array([0.5]), 0)
 
 
 def test_design_prefixes_bitwise():
-    # Column-at-a-time evaluation makes smaller designs exact prefixes of
-    # larger ones, which downstream nesting properties rely on.
+    # Each entry depends only on its point and index, so smaller designs are
+    # exact prefixes of larger ones, which downstream nesting relies on.
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.0, 1.0, 64)
     big = trig_design(pts, 9)
     assert_array_equal(trig_design(pts, 3), big[:, :3])
     assert_array_equal(trig_columns(pts, np.array([2, 5, 9])), big[:, [1, 4, 8]])
+
+
+def _bits(a):
+    return (a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize(
+    "n, idx",
+    [
+        (100, np.arange(1, 41)),  # range starting at the constant
+        (100, np.arange(2, 31)),  # range starting at an even (cosine) index
+        (100, np.arange(3, 30)),  # range starting at an odd (sine) index
+        (57, np.array([9, 2, 1, 14, 2, 9, 1, 3])),  # unordered, repeated
+        (1, np.arange(1, 12)),
+        (1, np.array([7])),
+        (40, np.array([], dtype=int)),
+        (0, np.arange(1, 6)),
+        # several row blocks of 32768 // 200 = 163 rows, the last one partial
+        (1500, np.arange(1, 201)),
+        (16000, np.arange(1, 65)),
+    ],
+)
+def test_trig_columns_matches_column_loop_bitwise(n, idx):
+    pts = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    if n >= 2:
+        pts[:2] = (0.0, 1.0)
+    assert _bits(trig_columns(pts, idx)) == _bits(trig_columns_loop(pts, idx))
+
+
+def test_trig_columns_design_wider_than_one_block():
+    # more columns than values per block: every row is its own block
+    k = basis._BLOCK_VALUES + 3
+    pts = np.array([0.0, 0.3, 0.71, 1.0])
+    idx = np.arange(1, k + 1)
+    assert _bits(trig_columns(pts, idx)) == _bits(trig_columns_loop(pts, idx))
+    assert _bits(trig_columns(pts, idx[-5:])) == _bits(trig_columns_loop(pts, idx[-5:]))
 
 
 def test_orthonormality_midpoint_quadrature():

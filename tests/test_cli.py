@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from npiv.selection import (
 )
 from npiv.simulate import make_structural
 
-from _reference import rebuild_trace
+from _reference import rebuild_trace, trig_columns_loop
 
 CONST = WeightSequence.constant()
 
@@ -115,6 +116,59 @@ def test_simulate_usage_errors(tmp_path, capsys):
     notjson.write_text("{")
     assert main(["simulate", str(notjson), "--out", out, "--n", "10"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, sections, path, message",
+    [
+        ("simulate", {"structural": {"smoothness": "2"}}, "structural.smoothness", 'a JSON number, got "2"'),
+        ("simulate", {"noise": {"snr": None}}, "noise.snr", "a JSON number, got null"),
+        ("simulate", {"operator": {"decay": "polynomial", "a": True}}, "operator.a", "a JSON number, got true"),
+        ("simulate", {"structural": {"truncation": 2.5}}, "structural.truncation", "a JSON integer, got 2.5"),
+        ("rate-study", {"study": {"n_grid": [100], "replications": "3"}}, "study.replications", 'a JSON integer, got "3"'),
+        ("rate-study", {"study": {"n_grid": 100}}, "study.n_grid", "a JSON list, got 100"),
+        (
+            "rate-study",
+            {"selection": {"derivative_order": None}, "study": {"n_grid": [100]}},
+            "selection.derivative_order",
+            "a JSON integer, got null",
+        ),
+    ],
+)
+def test_config_type_errors_name_the_key(tmp_path, capsys, command, sections, path, message):
+    _write_config(tmp_path)
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    for section, values in sections.items():
+        cfg[section] = {**cfg.get(section, {}), **values}
+    (tmp_path / "typed.json").write_text(json.dumps(cfg))
+    argv = [command, str(tmp_path / "typed.json"), "--out", str(tmp_path / "out.json")]
+    if command == "simulate":
+        argv += ["--n", "10"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path} must be {message}" in err
+    assert "Traceback" not in err
+
+
+def test_config_integral_floats_are_integers(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        structural={"smoothness": 2.0, "radius": 1.0, "truncation": 30.0},
+        selection={"derivative_order": 1.0},
+        study={"n_grid": [100, 200], "replications": 2.0, "seed": 3.0},
+    )
+    ref = _write_config(
+        tmp_path,
+        "ints.json",
+        structural={"smoothness": 2.0, "radius": 1.0, "truncation": 30},
+        selection={"derivative_order": 1},
+        study={"n_grid": [100, 200], "replications": 2, "seed": 3},
+    )
+    assert main(["rate-study", cfg, "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["rate-study", ref, "--out", str(tmp_path / "b.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_simulate_missing_config_is_io_error(tmp_path, capsys):
@@ -405,6 +459,25 @@ def test_rate_study_deterministic_across_jobs(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("decay, a", [("polynomial", 1.0), ("exponential", 0.5)])
+def test_rate_study_bytes_match_column_loop_basis(tmp_path, capsys, monkeypatch, decay, a):
+    # The blocked basis kernel must reproduce the column-at-a-time reference
+    # exactly; both run on this platform's libm, so the check is exact anywhere.
+    cfg = _study_config(tmp_path, decay=decay, a=a)
+    assert main(["rate-study", cfg, "--out", str(tmp_path / "kernel.json")]) == 0
+    bound = [
+        mod for name, mod in sys.modules.items()
+        if name.startswith("npiv.") and hasattr(mod, "trig_columns")
+    ]
+    assert "npiv.basis" in {mod.__name__ for mod in bound}
+    for mod in bound:
+        monkeypatch.setattr(mod, "trig_columns", trig_columns_loop)
+    assert main(["rate-study", cfg, "--out", str(tmp_path / "loop.json")]) == 0
+    capsys.readouterr()
+    for ext in (".json", ".csv"):
+        assert (tmp_path / f"kernel{ext}").read_bytes() == (tmp_path / f"loop{ext}").read_bytes()
 
 
 def test_rate_study_oracle_columns_match_library(tmp_path, capsys):

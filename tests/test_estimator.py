@@ -106,6 +106,41 @@ def test_empirical_diagonal_prefix_bitwise():
     assert_array_equal(diagonal_block(s, 1, 1), t8[:1])
 
 
+def test_diagonal_prefix_independent_of_growth_order():
+    # every sample keeps one growing prefix; entries must not depend on the
+    # steps it grew in, so fresh copies grown differently agree bit for bit
+    rng = np.random.default_rng(3)
+    s = _random_sample(rng, 1500)
+    whole = empirical_diagonal(Sample(s.y, s.z, s.w), 40)
+    for steps in ([40], [1, 2, 5, 40], [8, 16, 32, 40], [39, 40]):
+        fresh = Sample(s.y, s.z, s.w)
+        for k in steps:
+            tk, gk = empirical_diagonal(fresh, k)
+            assert_array_equal(tk, whole[0][:k])
+            assert_array_equal(gk, whole[1][:k])
+    fresh = Sample(s.y, s.z, s.w)
+    assert_array_equal(diagonal_block(fresh, 17, 24), whole[0][16:24])
+    assert_array_equal(diagonal_block(fresh, 3, 40), whole[0][2:])
+
+
+def test_empirical_diagonal_returns_copies():
+    s = _random_sample(np.random.default_rng(6), 30)
+    t, g = empirical_diagonal(s, 4)
+    t[:] = 0.0
+    g[:] = 0.0
+    fresh = empirical_diagonal(Sample(s.y, s.z, s.w), 4)
+    assert_array_equal(empirical_diagonal(s, 4)[0], fresh[0])
+    assert_array_equal(empirical_diagonal(s, 4)[1], fresh[1])
+
+
+def test_diagonal_range_validation():
+    s = _random_sample(np.random.default_rng(7), 30)
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        empirical_diagonal(s, 0)
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        diagonal_block(s, 0, 3)
+
+
 # -- solvers --------------------------------------------------------------
 
 

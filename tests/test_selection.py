@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from npiv import estimator
 from npiv.basis import WeightSequence
-from npiv.estimator import Sample, diagonal_block, empirical_diagonal
+from npiv.estimator import Sample, diagonal_block, diagonal_estimate, empirical_diagonal
 from npiv.selection import (
     dimension_cap,
     dimension_cutoff,
@@ -21,7 +22,7 @@ from npiv.selection import (
     penalty_sequences,
     penalty_sequences_from_diagonal,
 )
-from npiv.simulate import custom_operator, sample_joint
+from npiv.simulate import custom_operator, generate_sample, make_operator, make_structural, sample_joint
 
 import _reference as ref
 
@@ -174,6 +175,72 @@ def test_empirical_cutoff_block_scan_matches_reference():
         assert empirical_dimension_cutoff(s, weights) == ref.bf_cutoff_from_diagonal(
             tdiag, n, weights
         )
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Diagonal entries evaluated by the moment code: two basis columns (w, z) each."""
+    columns = []
+    real = estimator.trig_columns
+
+    def counting(points, indices):
+        columns.append(len(indices))
+        return real(points, indices)
+
+    monkeypatch.setattr(estimator, "trig_columns", counting)
+    return lambda: sum(columns) // 2
+
+
+def _study_like_sample(n, seed):
+    phi = make_structural(2.0, 1.0, truncation=30)
+    return generate_sample(phi, make_operator("polynomial", 1.0, truncation=5), 0.3, n, seed)
+
+
+def test_fixed_fit_after_selection_reuses_prefix(evaluated):
+    s = _study_like_sample(2000, 3)
+    penalized_select(s, CONST, 0.75)
+    cached = evaluated()
+    assert cached >= 8
+    for k in range(1, cached + 1):
+        before = evaluated()
+        fit = diagonal_estimate(s, k)
+        assert evaluated() == before
+        assert_array_equal(fit.coeffs, diagonal_estimate(Sample(s.y, s.z, s.w), k).coeffs)
+    before = evaluated()
+    diagonal_estimate(s, cached + 3)
+    assert evaluated() == before + 3
+
+
+def test_cutoff_scan_evaluates_at_most_twice_what_it_needs(evaluated):
+    # z close to w keeps many diagonal entries large, so the cutoffs range
+    # from 1 to past several growth steps; derivative weights cap below 8
+    rng = np.random.default_rng(8)
+    for trial in range(16):
+        n = int(rng.integers(20, 3000))
+        u = rng.uniform(0.0, 1.0, n)
+        noise = rng.uniform(0.0, 0.03) if trial // 4 % 2 else 1.0
+        z = np.clip(u + rng.normal(0.0, noise, n), 0.0, 1.0)
+        s = Sample(rng.normal(0.0, 1.0, n), z, u)
+        weights = (
+            CONST, WeightSequence.sobolev(0.5), WeightSequence.derivative(1), WeightSequence.derivative(2)
+        )[trial % 4]
+        before = evaluated()
+        cutoff = empirical_dimension_cutoff(s, weights)
+        scanned = evaluated() - before
+        cap = dimension_cap(weights, n)
+        assert min(cutoff + 1, cap) <= scanned <= min(max(8, 2 * (cutoff + 1)), cap)
+
+
+def test_cutoff_walk_spanning_several_steps_matches_full_diagonal(evaluated):
+    # w = z keeps the diagonal near 1 far past the first growth steps
+    n = 300
+    u = np.random.default_rng(2).uniform(0.0, 1.0, n)
+    s = Sample(np.zeros(n), u, u)
+    cutoff = empirical_dimension_cutoff(s, CONST)
+    assert cutoff > 32
+    assert evaluated() == 64
+    full, _ = empirical_diagonal(Sample(s.y, s.z, s.w), dimension_cap(CONST, n))
+    assert cutoff == dimension_cutoff_from_diagonal(full, n, CONST)
 
 
 def test_cutoff_lower_examples():
