@@ -10,10 +10,8 @@ weight sequences (``basis``), the thresholded series estimator
 from .basis import (
     WeightSequence,
     evaluate_coeffs,
-    in_ellipsoid,
     parse_weights,
     trig_design,
-    trig_eval,
     weighted_norm_sq,
 )
 from .estimator import (
@@ -24,7 +22,6 @@ from .estimator import (
     empirical_diagonal,
     empirical_operator_matrix,
     empirical_rhs,
-    evaluate_estimate,
     galerkin_estimate,
     load_csv,
     risk_weighted,
@@ -37,7 +34,6 @@ from .selection import (
     dimension_cutoff,
     dimension_cutoff_lower,
     empirical_dimension_cutoff,
-    empirical_penalty_sequences,
     mean_squared_response,
     oracle_dimension,
     penalized_select,

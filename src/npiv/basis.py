@@ -32,22 +32,6 @@ def frequency(j: int) -> int:
     return j // 2
 
 
-def trig_eval(j: int, s: float) -> float:
-    """Evaluate the ``j``-th basis function at a point ``s`` in [0, 1].
-
-    Index 1 is the constant 1; even indices are sqrt(2)*cos(2*pi*f*s) and
-    odd indices sqrt(2)*sin(2*pi*f*s) with f = j // 2.
-    """
-    if j < 1:
-        raise ValueError(f"basis index must be >= 1, got {j}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"evaluation point must lie in [0, 1], got {s}")
-    if j == 1:
-        return 1.0
-    ang = 2.0 * math.pi * (j // 2) * s
-    return SQRT2 * math.cos(ang) if j % 2 == 0 else SQRT2 * math.sin(ang)
-
-
 def trig_columns(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Evaluate selected basis functions at ``points``; shape (n, len(indices))."""
     pts = np.asarray(points, dtype=float)
@@ -174,19 +158,6 @@ class WeightSequence:
         w[0] = 1.0
         return w
 
-    def value(self, j: int) -> float:
-        if j < 1:
-            raise ValueError(f"weight index must be >= 1, got {j}")
-        if self.kind == "custom":
-            if j > len(self.table):
-                raise ValueError(
-                    f"custom weight table has {len(self.table)} entries, index {j} requested"
-                )
-            return self.table[j - 1]
-        return float(self.values(j)[-1])
-
-    __call__ = value
-
 
 def parse_weights(spec: str) -> WeightSequence:
     """Parse a command-line weight description.
@@ -226,10 +197,3 @@ def weighted_norm_sq(coeffs: np.ndarray, weights: WeightSequence) -> float:
     if c.size == 0:
         return 0.0
     return float(np.dot(weights.values(c.size), c * c))
-
-
-def in_ellipsoid(coeffs: np.ndarray, weights: WeightSequence, radius: float) -> bool:
-    """Whether the weighted squared norm of ``coeffs`` is at most ``radius``."""
-    if not radius > 0:
-        raise ValueError(f"ellipsoid radius must be positive, got {radius}")
-    return weighted_norm_sq(coeffs, weights) <= radius

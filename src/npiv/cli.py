@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +114,6 @@ def structural_from_config(cfg: dict) -> StructuralSpec:
     sec = cfg.get("structural")
     if sec is None:
         raise UsageError("config needs a 'structural' section")
-    _check_keys("structural", sec)
     try:
         return make_structural(
             smoothness=sec.get("smoothness", 2.0),
@@ -130,7 +130,6 @@ def operator_from_config(cfg: dict) -> OperatorSpec:
     sec = cfg.get("operator")
     if sec is None:
         raise UsageError("config needs an 'operator' section")
-    _check_keys("operator", sec)
     try:
         return make_operator(
             decay=sec.get("decay", "polynomial"),
@@ -145,7 +144,6 @@ def sigma_from_config(cfg: dict, phi: StructuralSpec) -> float:
     sec = cfg.get("noise")
     if sec is None:
         raise UsageError("config needs a 'noise' section")
-    _check_keys("noise", sec)
     has_sigma = "sigma" in sec
     has_snr = "snr" in sec
     if has_sigma == has_snr:
@@ -163,7 +161,6 @@ def sigma_from_config(cfg: dict, phi: StructuralSpec) -> float:
 
 def selection_from_config(cfg: dict) -> tuple[int, float]:
     sec = cfg.get("selection", {})
-    _check_keys("selection", sec)
     s = sec.get("derivative_order", 0)
     if s < 0:
         raise UsageError(f"derivative_order must be a nonnegative integer, got {s}")
@@ -181,7 +178,10 @@ def _floats(arr) -> list[float]:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise UsageError(f"the {obj['command']} report holds a non-finite value") from None
     if out is None:
         sys.stdout.write(text)
     else:
@@ -189,18 +189,23 @@ def _emit_json(obj: dict, out: str | None) -> None:
             fh.write(text)
 
 
+def _check_n_grid(grid: list, name: str) -> list[int]:
+    """Reject an empty, non-integer, nonpositive or unsorted sample-size grid."""
+    if not grid:
+        raise UsageError(f"{name} is empty")
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in grid):
+        raise UsageError(f"{name} must list integers >= 1, got {json.dumps(grid)}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise UsageError(f"{name} must be strictly increasing")
+    return grid
+
+
 def _parse_n_grid(text: str) -> list[int]:
     try:
         grid = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"bad sample-size grid {text!r}") from None
-    if not grid:
-        raise UsageError("sample-size grid is empty")
-    if any(n < 1 for n in grid):
-        raise UsageError("sample sizes must be >= 1")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise UsageError("sample-size grid must be strictly increasing")
-    return grid
+    return _check_n_grid(grid, "--n-grid")
 
 
 def _weights_arg(text: str) -> WeightSequence:
@@ -270,17 +275,18 @@ def _truth_from_file(path) -> StructuralSpec:
         raise UsageError(f"{path}: truth spec must be a JSON object")
     if "structural" not in obj:
         obj = {"structural": obj}
+    _check_keys("structural", obj["structural"])
     return structural_from_config(obj)
 
 
 def cmd_estimate(args) -> int:
+    if args.derivative_order < 0:
+        raise UsageError("--derivative-order must be nonnegative")
     sample = load_csv(args.sample)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     weights = _weights_arg(args.risk_weights)
     fit = diagonal_estimate(sample, args.k) if args.mode == "diagonal" else galerkin_estimate(sample, args.k)
-    if args.derivative_order < 0:
-        raise UsageError("--derivative-order must be nonnegative")
     report = {
         "schema": SCHEMA,
         "command": "estimate",
@@ -292,7 +298,13 @@ def cmd_estimate(args) -> int:
         "derivative_order": int(args.derivative_order),
     }
     if args.derivative_order >= 1:
-        report["derivative_coeffs"] = _floats(derivative_coeffs(fit, args.derivative_order))
+        try:
+            with np.errstate(over="raise"):
+                report["derivative_coeffs"] = _floats(derivative_coeffs(fit, args.derivative_order))
+        except (OverflowError, FloatingPointError):
+            raise UsageError(
+                f"--derivative-order {args.derivative_order} overflows the derivative coefficients"
+            ) from None
     if args.truth is not None:
         truth = _truth_from_file(args.truth)
         j_max = args.j_max if args.j_max is not None else max(fit.k, truth.truncation)
@@ -400,7 +412,20 @@ def cmd_oracle(args) -> int:
 # -- rate study -----------------------------------------------------------
 
 
-def _study_worker(task: tuple) -> tuple:
+class StudyRow(NamedTuple):
+    """One replication of a rate study, in the column order of ``study.csv``."""
+
+    n: int
+    replication: int
+    seed: int
+    k_selected: int
+    cutoff: int
+    thresholded: bool
+    risk: float
+    oracle_risk: float
+
+
+def _study_worker(task: tuple) -> StudyRow:
     phi, op, sigma, order, penalty_const, oracle_k, n, rep, master = task
     seed = task_seed(master, n, rep)
     weights = WeightSequence.derivative(order)
@@ -410,7 +435,7 @@ def _study_worker(task: tuple) -> tuple:
     risk = risk_weighted(trace.estimate, phi, weights, j_max)
     fixed = diagonal_estimate(sample, oracle_k)
     fixed_risk = risk_weighted(fixed, phi, weights, max(phi.truncation, oracle_k))
-    return (
+    return StudyRow(
         n,
         rep,
         seed,
@@ -437,7 +462,7 @@ def run_rate_study(
     master: int,
     k_max: int = 200,
     jobs: int = 1,
-) -> tuple[dict, list[tuple]]:
+) -> tuple[dict, list[StudyRow]]:
     """Run the Monte Carlo study; returns (report dict, replication rows).
 
     Rows are keyed by (n, replication) with per-task seeds derived from the
@@ -466,7 +491,7 @@ def run_rate_study(
             results = list(
                 pool.map(_study_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
             )
-    by_cell = {(r[0], r[1]): r for r in results}
+    by_cell = {(r.n, r.replication): r for r in results}
     if len(by_cell) != len(tasks):
         raise InternalError("study produced duplicate (n, replication) cells")
 
@@ -483,11 +508,11 @@ def run_rate_study(
     medians = []
     for n in grid:
         rows = [by_cell[(n, rep)] for rep in range(reps)]
-        risks = np.array([r[6] for r in rows])
+        risks = np.array([r.risk for r in rows])
         if not np.all(np.isfinite(risks)) or risks.min() < 0:
             raise InternalError("non-finite or negative risk in study results")
-        fixed_risks = np.array([r[7] for r in rows])
-        ks = np.array([r[3] for r in rows])
+        fixed_risks = np.array([r.oracle_risk for r in rows])
+        ks = np.array([r.k_selected for r in rows])
         k_best, rate = oracle_per_n[n]
         q25, q50, q75 = (float(np.quantile(risks, q)) for q in (0.25, 0.5, 0.75))
         medians.append(q50)
@@ -542,12 +567,13 @@ def cmd_rate_study(args) -> int:
     sigma = sigma_from_config(cfg, phi)
     order, penalty_const = selection_from_config(cfg)
     study = cfg.get("study", {})
-    _check_keys("study", study)
 
-    grid = _parse_n_grid(args.n_grid) if args.n_grid else study.get("n_grid")
-    if not grid:
+    if args.n_grid:
+        grid = _parse_n_grid(args.n_grid)
+    elif "n_grid" in study:
+        grid = _check_n_grid(study["n_grid"], "study.n_grid")
+    else:
         raise UsageError("no sample-size grid: set study.n_grid or pass --n-grid")
-    grid = _parse_n_grid(",".join(str(n) for n in grid))
     reps = args.replications if args.replications is not None else study.get("replications", 50)
     if reps < 1:
         raise UsageError(f"replications must be >= 1, got {reps}")
@@ -556,7 +582,11 @@ def cmd_rate_study(args) -> int:
         raise UsageError(f"seed must be nonnegative, got {master}")
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV, "1"))
+        env = os.environ.get(JOBS_ENV, "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise UsageError(f"{JOBS_ENV} must be an integer, got {env!r}") from None
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
 
@@ -580,8 +610,8 @@ def cmd_rate_study(args) -> int:
         fh.write("n,replication,seed,k_selected,cutoff,thresholded,risk,oracle_k,oracle_risk\n")
         for row in rows:
             fh.write(
-                f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]},"
-                f"{int(row[5])},{row[6]!r},{oracle_k[row[0]]},{row[7]!r}\n"
+                f"{row.n},{row.replication},{row.seed},{row.k_selected},{row.cutoff},"
+                f"{int(row.thresholded)},{row.risk!r},{oracle_k[row.n]},{row.oracle_risk!r}\n"
             )
     if args.emit_gnuplot:
         medians = [row["risk_median"] for row in report["per_n"]]

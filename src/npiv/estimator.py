@@ -19,7 +19,6 @@ import numpy as np
 
 from .basis import (
     WeightSequence,
-    evaluate_coeffs,
     frequency,
     trig_columns,
     trig_design,
@@ -91,6 +90,8 @@ def load_csv(path) -> Sample:
                 y, z, w = (float(v) for v in row)
             except ValueError:
                 raise ValueError(f"{path}, row {row_no}: non-numeric field") from None
+            if not math.isfinite(y):
+                raise ValueError(f"{path}, row {row_no}: y={y!r} is not finite")
             if not 0.0 <= z <= 1.0:
                 raise ValueError(f"{path}, row {row_no}: z={z!r} outside [0, 1]")
             if not 0.0 <= w <= 1.0:
@@ -168,13 +169,6 @@ def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
             tdiag.append((pw[:, pos] * pz[:, pos]).mean())
             ghat.append((pw[:, pos] * sample.y).mean())
     return np.array(tdiag[:k]), np.array(ghat[:k])
-
-
-def diagonal_block(sample: Sample, j_lo: int, j_hi: int) -> np.ndarray:
-    """Diagonal operator entries for indices j_lo..j_hi, read from the shared prefix."""
-    if j_lo < 1:
-        raise ValueError(f"basis index must be >= 1, got {j_lo}")
-    return empirical_diagonal(sample, j_hi)[0][j_lo - 1 :]
 
 
 # -- estimators -----------------------------------------------------------
@@ -274,8 +268,3 @@ def risk_weighted(est: GalerkinEstimate, truth, weights: WeightSequence, j_max: 
     diff[: b.size] = b
     diff[: est.k] = est.coeffs - diff[: est.k]
     return weighted_norm_sq(diff, weights)
-
-
-def evaluate_estimate(est: GalerkinEstimate, points):
-    """Evaluate the estimated series at scalar or array ``points`` in [0, 1]."""
-    return evaluate_coeffs(est.coeffs, points)

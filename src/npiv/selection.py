@@ -18,7 +18,6 @@ from .basis import WeightSequence, weighted_norm_sq
 from .estimator import (
     GalerkinEstimate,
     Sample,
-    diagonal_block,
     empirical_diagonal,
 )
 
@@ -97,16 +96,6 @@ def penalty_sequences_from_diagonal(
     return PenaltySequences(k_max, ampl, floored, eff, empirical=True)
 
 
-def empirical_penalty_sequences(
-    sample: Sample, risk_weights: WeightSequence, k_max: int
-) -> PenaltySequences:
-    """Empirical penalty sequences computed from the sample."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    tdiag, _ = empirical_diagonal(sample, k_max)
-    return penalty_sequences_from_diagonal(tdiag, sample.n, risk_weights)
-
-
 # -- dimension cutoffs ----------------------------------------------------
 
 
@@ -145,47 +134,15 @@ def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
     return int(hits[-1]) + 1 if hits.size else 1
 
 
-def _first_unstable(tsq: np.ndarray, j_lo: int, w_floored: np.ndarray, thr: float) -> int | None:
-    """First index j >= j_lo whose ratio tsq_j / (j * max(w_j, 1)) drops below thr."""
-    j = np.arange(j_lo, j_lo + tsq.size, dtype=float)
-    bad = tsq / (j * w_floored) < thr
-    hits = np.nonzero(bad)[0]
-    return j_lo + int(hits[0]) if hits.size else None
-
-
-def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> int:
-    """Data-driven dimension cutoff.
-
-    Walks the diagonal of the empirical operator matrix until the squared
-    entries, relative to index and risk weight, fall below log(n)/n; the
-    cutoff is one short of the first such index (at least 1).  When no
-    index misbehaves the cap from ``dimension_cap`` applies.  The walk reads
-    the sample's shared diagonal prefix in steps of 8, 16, 32, ... entries
-    (capped), so it evaluates at most max(8, 2 * (cutoff + 1)) entries and
-    later fits of the same sample reuse them.
-    """
-    n = sample.n
-    cap = dimension_cap(risk_weights, n)
-    w_floored = np.maximum(risk_weights.values(cap), 1.0)
-    thr = math.log(n) / n
-    j_lo = 1
-    while j_lo <= cap:
-        j_hi = min(max(_SCAN_START, 2 * (j_lo - 1)), cap)
-        tdiag = diagonal_block(sample, j_lo, j_hi)
-        first = _first_unstable(tdiag * tdiag, j_lo, w_floored[j_lo - 1 : j_hi], thr)
-        if first is not None:
-            return max(1, first - 1)
-        j_lo = j_hi + 1
-    return cap
-
-
 def dimension_cutoff_from_diagonal(
     tdiag: np.ndarray, n: int, risk_weights: WeightSequence
 ) -> int:
-    """As ``empirical_dimension_cutoff`` but from precomputed diagonal entries.
+    """Data-driven dimension cutoff from diagonal operator entries t_1, t_2, ...
 
-    ``tdiag`` must cover indices 1..cap for the implied cap; shorter input
-    caps the search at its own length.
+    Scans for the first index j whose squared entry, relative to j and
+    max(w_j, 1), falls below log(n)/n; the cutoff is one short of it (at
+    least 1).  When no index misbehaves the cap from ``dimension_cap``
+    applies; shorter input caps the search at its own length.
     """
     t = np.asarray(tdiag, dtype=float)
     if n < 1:
@@ -193,11 +150,28 @@ def dimension_cutoff_from_diagonal(
     cap = min(dimension_cap(risk_weights, n), t.size)
     if cap < 1:
         raise ValueError("need at least one diagonal entry")
+    j = np.arange(1, cap + 1, dtype=float)
     w_floored = np.maximum(risk_weights.values(cap), 1.0)
-    first = _first_unstable(t[:cap] * t[:cap], 1, w_floored, math.log(n) / n)
-    if first is not None:
-        return max(1, first - 1)
-    return cap
+    bad = np.nonzero(t[:cap] * t[:cap] / (j * w_floored) < math.log(n) / n)[0]
+    return max(1, int(bad[0])) if bad.size else cap
+
+
+def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> int:
+    """``dimension_cutoff_from_diagonal`` on the sample's own diagonal.
+
+    Reads the sample's shared diagonal prefix at lengths 8, 16, 32, ...
+    (capped at ``dimension_cap``) and stops once the cutoff falls short of
+    the length read, so it evaluates at most max(8, 2 * (cutoff + 1))
+    entries and later fits of the same sample reuse them.
+    """
+    cap = dimension_cap(risk_weights, sample.n)
+    k = min(_SCAN_START, cap)
+    while True:
+        tdiag, _ = empirical_diagonal(sample, k)
+        cutoff = dimension_cutoff_from_diagonal(tdiag, sample.n, risk_weights)
+        if cutoff < k or k == cap:
+            return cutoff
+        k = min(2 * k, cap)
 
 
 # -- selection ------------------------------------------------------------

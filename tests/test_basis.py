@@ -12,11 +12,9 @@ from npiv.basis import (
     WeightSequence,
     evaluate_coeffs,
     frequency,
-    in_ellipsoid,
     parse_weights,
     trig_columns,
     trig_design,
-    trig_eval,
     weighted_norm_sq,
 )
 
@@ -26,29 +24,23 @@ from _reference import psi, trig_columns_loop
 # -- basis functions ------------------------------------------------------
 
 
-def test_trig_eval_examples():
-    assert trig_eval(1, 0.37) == 1.0
-    assert trig_eval(2, 0.0) == SQRT2
+def _at(j, s):
+    """Basis function j at the single point s."""
+    return trig_columns(np.array([s]), np.array([j]))[0, 0]
+
+
+def test_basis_function_examples():
+    assert _at(1, 0.37) == 1.0
+    assert _at(2, 0.0) == SQRT2
     # sin(pi/2) is exactly 1.0 in double precision
-    assert trig_eval(3, 0.25) == SQRT2
-    assert trig_eval(4, 0.5) == pytest.approx(SQRT2, rel=1e-15)
-
-
-def test_trig_eval_domain():
-    with pytest.raises(ValueError, match="index must be >= 1"):
-        trig_eval(0, 0.5)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        trig_eval(2, -0.1)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        trig_eval(2, 1.1)
-    # endpoints included
-    assert trig_eval(2, 1.0) == pytest.approx(SQRT2, rel=1e-15)
+    assert _at(3, 0.25) == SQRT2
+    assert _at(4, 0.5) == pytest.approx(SQRT2, rel=1e-15)
 
 
 def test_frequency_pairing():
     assert [frequency(j) for j in range(1, 8)] == [0, 1, 1, 2, 2, 3, 3]
     # index 4 is the frequency-2 cosine
-    assert trig_eval(4, 0.25) == pytest.approx(-SQRT2, rel=1e-15)
+    assert _at(4, 0.25) == pytest.approx(-SQRT2, rel=1e-15)
 
 
 def test_trig_columns_matches_scalar():
@@ -65,6 +57,10 @@ def test_trig_columns_validation():
         trig_columns(np.zeros((2, 2)), np.array([1]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         trig_columns(np.array([0.5, 1.5]), np.array([1]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        trig_columns(np.array([-0.1]), np.array([2]))
+    # endpoints included
+    assert _at(2, 1.0) == pytest.approx(SQRT2, rel=1e-15)
     with pytest.raises(ValueError, match="index must be >= 1"):
         trig_columns(np.array([0.5]), np.array([0]))
     with pytest.raises(ValueError, match="index must be >= 1, got -4$"):
@@ -155,8 +151,8 @@ def test_weight_kinds_first_values():
         WeightSequence.polynomial_decay(1.0).values(3), [1.0, 0.25, 1.0 / 9.0], rtol=1e-15
     )
     w = WeightSequence.exponential_decay(1.0)
-    assert w.value(1) == 1.0
-    assert w.value(2) == pytest.approx(math.exp(-4.0), rel=1e-15)
+    assert w.values(1)[-1] == 1.0
+    assert w.values(2)[-1] == pytest.approx(math.exp(-4.0), rel=1e-15)
 
 
 def test_weight_first_entry_normalised():
@@ -166,7 +162,7 @@ def test_weight_first_entry_normalised():
         WeightSequence.polynomial_decay(0.7),
         WeightSequence.exponential_decay(1.0),
     ):
-        assert w.value(1) == 1.0
+        assert w.values(1)[-1] == 1.0
         assert w.values(5)[0] == 1.0
 
 
@@ -194,10 +190,9 @@ def test_exponential_weights_underflow_saturates():
 def test_custom_weights():
     w = WeightSequence.custom([1.0, 0.5, 0.25])
     assert_array_equal(w.values(3), [1.0, 0.5, 0.25])
-    assert w.value(2) == 0.5
-    assert w(3) == 0.25
+    assert w.values(2)[-1] == 0.5
     with pytest.raises(ValueError, match="3 entries, index 4"):
-        w.value(4)
+        w.values(4)
     with pytest.raises(ValueError, match="3 entries"):
         w.values(7)
 
@@ -223,8 +218,6 @@ def test_weight_validation():
     assert w.values(0).size == 0
     with pytest.raises(ValueError, match=">= 0"):
         w.values(-1)
-    with pytest.raises(ValueError, match=">= 1"):
-        w.value(0)
 
 
 def test_parse_weights():
@@ -272,13 +265,12 @@ def test_weighted_norm_shape():
 
 
 def test_in_ellipsoid():
+    # membership of the ellipsoid of radius r is weighted_norm_sq(c, w) <= r
     const = WeightSequence.constant()
-    assert in_ellipsoid(np.array([1.0]), const, 1.0)  # boundary included
-    assert not in_ellipsoid(np.array([2.0]), const, 1.0)
+    assert weighted_norm_sq(np.array([1.0]), const) <= 1.0  # boundary included
+    assert not weighted_norm_sq(np.array([2.0]), const) <= 1.0
     w = WeightSequence.sobolev(2.0)
     c = np.array([0.5, 0.25])
     assert weighted_norm_sq(c, w) == 1.25
-    assert in_ellipsoid(c, w, 1.5)
-    assert not in_ellipsoid(c, w, 1.2)
-    with pytest.raises(ValueError, match="radius must be positive"):
-        in_ellipsoid(c, w, 0.0)
+    assert weighted_norm_sq(c, w) <= 1.5
+    assert not weighted_norm_sq(c, w) <= 1.2

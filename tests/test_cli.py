@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from npiv.basis import WeightSequence
-from npiv.cli import main
+from npiv.cli import StudyRow, main, run_rate_study
 from npiv.estimator import Sample, load_csv, risk_weighted, write_csv
 from npiv.selection import (
     dimension_cutoff,
@@ -17,7 +17,7 @@ from npiv.selection import (
     oracle_dimension,
     penalty_sequences,
 )
-from npiv.simulate import make_structural
+from npiv.simulate import make_operator, make_structural
 
 from _reference import rebuild_trace, trig_columns_loop
 
@@ -246,6 +246,27 @@ def test_estimate_usage_errors(tmp_path, capsys):
     assert main(["estimate", str(bad), "--k", "1"]) == 2
     assert "row 2" in capsys.readouterr().err
 
+    # (2 pi f)**300 overflows a double
+    out = tmp_path / "est.json"
+    argv = ["estimate", path, "--k", "5", "--mode", "diagonal", "--out", str(out)]
+    assert main(argv + ["--derivative-order", "300"]) == 2
+    assert "--derivative-order 300 overflows" in capsys.readouterr().err
+    assert not out.exists()
+    # a negative order is rejected before the sample is read: a missing file
+    # would otherwise exit 3
+    missing = str(tmp_path / "none.csv")
+    assert main(["estimate", missing, "--k", "1", "--derivative-order", "-1"]) == 2
+    assert "--derivative-order must be nonnegative" in capsys.readouterr().err
+
+    truth_path = tmp_path / "truth.json"
+    for truth, message in (
+        ({"smoothness": "2"}, 'structural.smoothness must be a JSON number, got "2"'),
+        ({"structural": {"radius": 1.0, "shape": 3}}, "unknown keys: shape"),
+    ):
+        truth_path.write_text(json.dumps(truth))
+        assert main(["estimate", path, "--k", "2", "--truth", str(truth_path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 # -- select ---------------------------------------------------------------
 
@@ -306,12 +327,30 @@ def test_select_warns_when_far_from_diagonal(tmp_path, capsys):
     assert "far from diagonal" not in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_select_non_finite_report_exits_2_without_output(tmp_path, capsys):
+    # y**2 overflows, so the plug-in second moment and the criterion are inf
+    path = tmp_path / "huge.csv"
+    path.write_text("y,z,w\n1e200,0.1,0.2\n-1e200,0.5,0.4\n1e200,0.9,0.6\n")
+    out = tmp_path / "trace.json"
+    assert main(["select", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "select report holds a non-finite value" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_select_usage_errors(tmp_path, capsys):
     u = np.linspace(0.0, 1.0, 10)
     path = _sample_csv(tmp_path, Sample(np.ones(10), u, u))
     assert main(["select", path, "--penalty-const", "0"]) == 2
     assert main(["select", path, "--risk-weights", "nope"]) == 2
     capsys.readouterr()
+
+    bad = tmp_path / "bad.csv"
+    for value in ("nan", "inf"):
+        bad.write_text(f"y,z,w\n0.1,0.2,0.3\n{value},0.5,0.5\n")
+        assert main(["select", str(bad)]) == 2
+        assert f"row 2: y={value} is not finite" in capsys.readouterr().err
 
 
 # -- oracle ---------------------------------------------------------------
@@ -494,7 +533,18 @@ def test_rate_study_oracle_columns_match_library(tmp_path, capsys):
         assert row["oracle_rate"] == rate
 
 
-def test_rate_study_usage_errors(tmp_path, capsys):
+def test_rate_study_rows_are_named_in_csv_order():
+    # the fields keep the column order of study.csv, so positional reads of
+    # a row (n first, cutoff fifth) stay valid
+    assert StudyRow._fields[:5] == ("n", "replication", "seed", "k_selected", "cutoff")
+    phi = make_structural(2.0, 1.0, truncation=30)
+    op = make_operator("polynomial", 1.0, truncation=4)
+    _, rows = run_rate_study(phi, op, 0.3, 0, 0.75, [300], 2, 1)
+    assert [(r.n, r.replication) for r in rows] == [(300, 0), (300, 1)]
+    assert all(isinstance(r, StudyRow) for r in rows)
+
+
+def test_rate_study_usage_errors(tmp_path, capsys, monkeypatch):
     nostudy = _write_config(tmp_path, "nostudy.json")
     out = str(tmp_path / "o.json")
     assert main(["rate-study", nostudy, "--out", out]) == 2
@@ -508,3 +558,20 @@ def test_rate_study_usage_errors(tmp_path, capsys):
     badstudy = _write_config(tmp_path, "badstudy.json", study={"grid": [100]})
     assert main(["rate-study", badstudy, "--out", out]) == 2
     capsys.readouterr()
+
+    for grid, message in (
+        (["300"], 'study.n_grid must list integers >= 1, got ["300"]'),
+        ([300.0, 600], "study.n_grid must list integers >= 1"),
+        ([600, 300], "study.n_grid must be strictly increasing"),
+        ([], "study.n_grid is empty"),
+    ):
+        badgrid = _write_config(tmp_path, "badgrid.json", study={"n_grid": grid})
+        assert main(["rate-study", badgrid, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["rate-study", cfg, "--out", out, "--n-grid", "300,0"]) == 2
+    assert "--n-grid must list integers >= 1" in capsys.readouterr().err
+
+    monkeypatch.setenv("NPIV_JOBS", "abc")
+    assert main(["rate-study", cfg, "--out", out]) == 2
+    assert "NPIV_JOBS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()

@@ -10,12 +10,10 @@ from npiv.basis import SQRT2, WeightSequence, trig_design, weighted_norm_sq
 from npiv.estimator import (
     Sample,
     derivative_coeffs,
-    diagonal_block,
     diagonal_estimate,
     empirical_diagonal,
     empirical_operator_matrix,
     empirical_rhs,
-    evaluate_estimate,
     galerkin_estimate,
     load_csv,
     risk_weighted,
@@ -102,8 +100,7 @@ def test_empirical_diagonal_prefix_bitwise():
         tk, gk = empirical_diagonal(s, k)
         assert_array_equal(tk, t8[:k])
         assert_array_equal(gk, g8[:k])
-    assert_array_equal(diagonal_block(s, 3, 8), t8[2:])
-    assert_array_equal(diagonal_block(s, 1, 1), t8[:1])
+    assert_array_equal(empirical_diagonal(s, 8)[0], t8)
 
 
 def test_diagonal_prefix_independent_of_growth_order():
@@ -112,15 +109,12 @@ def test_diagonal_prefix_independent_of_growth_order():
     rng = np.random.default_rng(3)
     s = _random_sample(rng, 1500)
     whole = empirical_diagonal(Sample(s.y, s.z, s.w), 40)
-    for steps in ([40], [1, 2, 5, 40], [8, 16, 32, 40], [39, 40]):
+    for steps in ([40], [1, 2, 5, 40], [8, 16, 32, 40], [39, 40], [24, 40]):
         fresh = Sample(s.y, s.z, s.w)
         for k in steps:
             tk, gk = empirical_diagonal(fresh, k)
             assert_array_equal(tk, whole[0][:k])
             assert_array_equal(gk, whole[1][:k])
-    fresh = Sample(s.y, s.z, s.w)
-    assert_array_equal(diagonal_block(fresh, 17, 24), whole[0][16:24])
-    assert_array_equal(diagonal_block(fresh, 3, 40), whole[0][2:])
 
 
 def test_empirical_diagonal_returns_copies():
@@ -137,8 +131,6 @@ def test_diagonal_range_validation():
     s = _random_sample(np.random.default_rng(7), 30)
     with pytest.raises(ValueError, match="width must be >= 1"):
         empirical_diagonal(s, 0)
-    with pytest.raises(ValueError, match="index must be >= 1"):
-        diagonal_block(s, 0, 3)
 
 
 # -- solvers --------------------------------------------------------------
@@ -410,14 +402,15 @@ def test_risk_weighted_matches_quadrature():
 
 
 def test_evaluate_estimate():
+    from npiv.basis import evaluate_coeffs
     from npiv.estimator import GalerkinEstimate
 
     fit = GalerkinEstimate(np.array([2.5]), 1, thresholded=False, mode="diagonal")
-    assert evaluate_estimate(fit, 0.3) == 2.5
+    assert evaluate_coeffs(fit.coeffs, 0.3) == 2.5
     fit2 = GalerkinEstimate(np.array([0.0, 1.0]), 2, thresholded=False, mode="diagonal")
-    assert evaluate_estimate(fit2, 0.0) == SQRT2
+    assert evaluate_coeffs(fit2.coeffs, 0.0) == SQRT2
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        evaluate_estimate(fit2, 1.5)
+        evaluate_coeffs(fit2.coeffs, 1.5)
 
 
 # -- CSV ------------------------------------------------------------------
@@ -465,6 +458,11 @@ def test_csv_errors(tmp_path):
     path.write_text("y,z,w\n1,0.5,-0.2\n")
     with pytest.raises(ValueError, match="row 1: w=-0.2 outside"):
         load_csv(path)
+
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"y,z,w\n0.1,0.2,0.3\n{value},0.5,0.5\n")
+        with pytest.raises(ValueError, match=f"row 2: y={value} is not finite"):
+            load_csv(path)
 
 
 def test_structural_truth_padding():

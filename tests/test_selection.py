@@ -8,14 +8,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from npiv import estimator
 from npiv.basis import WeightSequence
-from npiv.estimator import Sample, diagonal_block, diagonal_estimate, empirical_diagonal
+from npiv.estimator import Sample, diagonal_estimate, empirical_diagonal
 from npiv.selection import (
     dimension_cap,
     dimension_cutoff,
     dimension_cutoff_from_diagonal,
     dimension_cutoff_lower,
     empirical_dimension_cutoff,
-    empirical_penalty_sequences,
     mean_squared_response,
     oracle_dimension,
     penalized_select,
@@ -104,7 +103,7 @@ def test_empirical_amplification_consistency_monte_carlo():
     tdiag, _ = empirical_diagonal(s, 2)
     # sd of psi_2(W) psi_2(Z) is sqrt(1 - t_2^2); three standard errors
     assert abs(tdiag[1] - 0.4) < 3.0 * math.sqrt(1.0 - 0.16) / math.sqrt(z.size)
-    seqs = empirical_penalty_sequences(s, CONST, 2)
+    seqs = penalty_sequences_from_diagonal(tdiag, s.n, CONST)
     assert seqs.amplification[1] == max(1.0, 1.0 / (tdiag[1] * tdiag[1]))
 
 
@@ -171,7 +170,7 @@ def test_empirical_cutoff_block_scan_matches_reference():
         if weights.kind == "custom":
             weights = CONST
         cap = dimension_cap(weights, n)
-        tdiag = diagonal_block(s, 1, cap)
+        tdiag, _ = empirical_diagonal(Sample(s.y, s.z, s.w), cap)
         assert empirical_dimension_cutoff(s, weights) == ref.bf_cutoff_from_diagonal(
             tdiag, n, weights
         )
@@ -229,6 +228,21 @@ def test_cutoff_scan_evaluates_at_most_twice_what_it_needs(evaluated):
         scanned = evaluated() - before
         cap = dimension_cap(weights, n)
         assert min(cutoff + 1, cap) <= scanned <= min(max(8, 2 * (cutoff + 1)), cap)
+        # exactly the first growth step that reaches index cutoff + 1
+        step = 8
+        while step < cutoff + 1:
+            step *= 2
+        assert scanned == min(step, cap)
+
+
+def test_cutoff_scan_stops_at_the_step_holding_the_first_unstable_index(evaluated):
+    # w = z keeps every t_j near 1; a risk weight of n from j = 8 on makes
+    # index 8, the last entry of the first growth step, the first unstable one
+    n = 300
+    u = np.random.default_rng(4).uniform(0.0, 1.0, n)
+    weights = WeightSequence.custom([1.0] * 7 + [float(n)] * (n - 7))
+    assert empirical_dimension_cutoff(Sample(np.zeros(n), u, u), weights) == 7
+    assert evaluated() == 8
 
 
 def test_cutoff_walk_spanning_several_steps_matches_full_diagonal(evaluated):
@@ -252,7 +266,8 @@ def test_cutoff_lower_examples():
     assert cap == 8
     assert dimension_cutoff_lower(CONST, POLY1, 1.0, n) == 8
     thr = 4.0 * math.log(n) / n
-    uncapped = max(j for j in range(1, 101) if POLY1.value(j) / j >= thr)
+    lam = POLY1.values(100)
+    uncapped = max(j for j in range(1, 101) if lam[j - 1] / j >= thr)
     assert uncapped == 26
 
 
