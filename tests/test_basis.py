@@ -37,6 +37,18 @@ def test_basis_function_examples():
     assert _at(4, 0.5) == pytest.approx(SQRT2, rel=1e-15)
 
 
+def test_trig_eval_domain():
+    # The domain of a single basis function psi_j(s): j >= 1, s in [0, 1].
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        _at(0, 0.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _at(2, -0.1)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _at(2, 1.1)
+    # endpoints included
+    assert _at(2, 1.0) == pytest.approx(SQRT2, rel=1e-15)
+
+
 def test_frequency_pairing():
     assert [frequency(j) for j in range(1, 8)] == [0, 1, 1, 2, 2, 3, 3]
     # index 4 is the frequency-2 cosine
@@ -57,10 +69,6 @@ def test_trig_columns_validation():
         trig_columns(np.zeros((2, 2)), np.array([1]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         trig_columns(np.array([0.5, 1.5]), np.array([1]))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        trig_columns(np.array([-0.1]), np.array([2]))
-    # endpoints included
-    assert _at(2, 1.0) == pytest.approx(SQRT2, rel=1e-15)
     with pytest.raises(ValueError, match="index must be >= 1"):
         trig_columns(np.array([0.5]), np.array([0]))
     with pytest.raises(ValueError, match="index must be >= 1, got -4$"):
