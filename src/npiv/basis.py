@@ -15,9 +15,9 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
-# Smallest positive double.  Exponential-decay weights underflow past index
-# ~27 at a = 1; saturating there keeps every weight strictly positive while
-# downstream ratios harmlessly overflow to inf.
+# Smallest positive double.  Decay weights underflow (exponential past index
+# ~27 at a = 1, polynomial at a = 538); saturating there keeps every weight
+# strictly positive while downstream ratios harmlessly overflow to inf.
 _TINY = np.nextafter(0.0, 1.0)
 
 # Values per row block of ``trig_columns``: the block's temporaries stay in cache.
@@ -152,7 +152,7 @@ class WeightSequence:
         if self.kind in ("sobolev", "derivative"):
             w = j ** (2.0 * self.param)
         elif self.kind == "polynomial_decay":
-            w = j ** (-2.0 * self.param)
+            w = np.maximum(j ** (-2.0 * self.param), _TINY)
         else:  # exponential_decay
             w = np.maximum(np.exp(-(j ** (2.0 * self.param))), _TINY)
         w[0] = 1.0

@@ -64,20 +64,37 @@ class InternalError(Exception):
 
 # -- config handling ------------------------------------------------------
 
-# The keys each config section accepts, with the JSON type of each value.
+# Each key a config section accepts, with its JSON type and default (None: unset).
+# Ranges are checked by the library constructors and, after a flag override, by the command.
 _SECTION_KEYS = {
-    "structural": {"profile": "string", "smoothness": "number", "radius": "number",
-                   "truncation": "integer", "coeffs": "list"},
-    "operator": {"decay": "string", "a": "number", "truncation": "integer"},
-    "noise": {"sigma": "number", "snr": "number"},
-    "selection": {"derivative_order": "integer", "penalty_const": "number"},
-    "study": {"n_grid": "list", "replications": "integer", "seed": "integer", "k_max": "integer"},
+    "structural": {"profile": ("string", "power_law"), "smoothness": ("number", 2.0),
+                   "radius": ("number", 1.0), "truncation": ("integer", 200),
+                   "coeffs": ("list of numbers", None)},
+    "operator": {"decay": ("string", "polynomial"), "a": ("number", 1.0),
+                 "truncation": ("integer", 64)},
+    "noise": {"sigma": ("number", None), "snr": ("number", None)},
+    "selection": {"derivative_order": ("integer", 0), "penalty_const": ("number", 540.0)},
+    "study": {"n_grid": ("list", None), "replications": ("integer", 50), "seed": ("integer", 0),
+              "k_max": ("integer", 200)},
 }
-_JSON_TYPES = {"string": str, "number": (int, float), "integer": (int, float), "list": list}
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": (int, float), "list": list,
+               "list of numbers": list}
+
+
+def _checked(name: str, kind: str, value):
+    """``value`` as a JSON ``kind``; numbers must be finite doubles, integral floats become ints."""
+    ok = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+    if not ok or (kind == "integer" and value % 1 != 0):
+        raise UsageError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
+    if kind == "list of numbers":
+        return [_checked(f"{name}[{i}]", "number", v) for i, v in enumerate(value)]
+    if kind in ("number", "integer") and not abs(value) <= sys.float_info.max:
+        raise UsageError(f"{name} must be a finite JSON number, got {json.dumps(value)}")
+    return int(value) if kind == "integer" else value
 
 
 def _check_keys(section: str, obj: dict) -> None:
-    """Reject unknown keys and mistyped values; integral floats become ints."""
+    """Reject unknown keys, mistyped values and non-finite numbers."""
     if not isinstance(obj, dict):
         raise UsageError(f"config section {section!r} must be an object")
     unknown = obj.keys() - _SECTION_KEYS[section]
@@ -86,12 +103,7 @@ def _check_keys(section: str, obj: dict) -> None:
             f"config section {section!r} has unknown keys: {', '.join(sorted(unknown))}"
         )
     for key, value in obj.items():
-        kind = _SECTION_KEYS[section][key]
-        ok = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
-        if not ok or (kind == "integer" and value % 1 != 0):
-            raise UsageError(f"{section}.{key} must be a JSON {kind}, got {json.dumps(value)}")
-        if kind == "integer":
-            obj[key] = int(value)
+        obj[key] = _checked(f"{section}.{key}", _SECTION_KEYS[section][key][0], value)
 
 
 def load_config(path) -> dict:
@@ -110,61 +122,47 @@ def load_config(path) -> dict:
     return cfg
 
 
-def structural_from_config(cfg: dict) -> StructuralSpec:
-    sec = cfg.get("structural")
-    if sec is None:
-        raise UsageError("config needs a 'structural' section")
+def _section(cfg: dict, name: str) -> dict:
+    if name in ("structural", "operator", "noise") and name not in cfg:
+        raise UsageError(f"config needs {'an' if name == 'operator' else 'a'} {name!r} section")
+    defaults = {key: default for key, (_, default) in _SECTION_KEYS[name].items()}
+    return {**defaults, **cfg.get(name, {})}
+
+
+def _build(name: str, make, cfg: dict):
     try:
-        return make_structural(
-            smoothness=sec.get("smoothness", 2.0),
-            radius=sec.get("radius", 1.0),
-            truncation=sec.get("truncation", 200),
-            profile=sec.get("profile", "power_law"),
-            coeffs=sec.get("coeffs"),
-        )
+        return make(**_section(cfg, name))
     except ValueError as exc:
-        raise UsageError(f"bad structural config: {exc}") from None
+        raise UsageError(f"bad {name} config: {exc}") from None
+
+
+def structural_from_config(cfg: dict) -> StructuralSpec:
+    return _build("structural", make_structural, cfg)
 
 
 def operator_from_config(cfg: dict) -> OperatorSpec:
-    sec = cfg.get("operator")
-    if sec is None:
-        raise UsageError("config needs an 'operator' section")
-    try:
-        return make_operator(
-            decay=sec.get("decay", "polynomial"),
-            a=sec.get("a", 1.0),
-            truncation=sec.get("truncation", 64),
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad operator config: {exc}") from None
+    return _build("operator", make_operator, cfg)
 
 
 def sigma_from_config(cfg: dict, phi: StructuralSpec) -> float:
-    sec = cfg.get("noise")
-    if sec is None:
-        raise UsageError("config needs a 'noise' section")
-    has_sigma = "sigma" in sec
-    has_snr = "snr" in sec
-    if has_sigma == has_snr:
+    sec = _section(cfg, "noise")
+    sigma, snr = sec["sigma"], sec["snr"]
+    if (sigma is None) == (snr is None):
         raise UsageError("noise config needs exactly one of 'sigma' or 'snr'")
+    if snr is None and sigma < 0:
+        raise UsageError(f"bad noise config: sigma must be nonnegative, got {float(sigma)}")
     try:
-        if has_sigma:
-            sigma = float(sec["sigma"])
-            if sigma < 0:
-                raise ValueError(f"sigma must be nonnegative, got {sigma}")
-            return sigma
-        return noise_sigma_for_snr(phi, float(sec["snr"]))
+        return float(sigma) if snr is None else noise_sigma_for_snr(phi, float(snr))
     except ValueError as exc:
         raise UsageError(f"bad noise config: {exc}") from None
 
 
 def selection_from_config(cfg: dict) -> tuple[int, float]:
-    sec = cfg.get("selection", {})
-    s = sec.get("derivative_order", 0)
+    sec = _section(cfg, "selection")
+    s = sec["derivative_order"]
     if s < 0:
         raise UsageError(f"derivative_order must be a nonnegative integer, got {s}")
-    const = float(sec.get("penalty_const", 540.0))
+    const = float(sec["penalty_const"])
     if not const > 0:
         raise UsageError(f"penalty_const must be positive, got {const}")
     return s, const
@@ -206,13 +204,6 @@ def _parse_n_grid(text: str) -> list[int]:
     except ValueError:
         raise UsageError(f"bad sample-size grid {text!r}") from None
     return _check_n_grid(grid, "--n-grid")
-
-
-def _weights_arg(text: str) -> WeightSequence:
-    try:
-        return parse_weights(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _operator_echo(op: OperatorSpec) -> dict:
@@ -285,7 +276,7 @@ def cmd_estimate(args) -> int:
     sample = load_csv(args.sample)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    weights = _weights_arg(args.risk_weights)
+    weights = parse_weights(args.risk_weights)
     fit = diagonal_estimate(sample, args.k) if args.mode == "diagonal" else galerkin_estimate(sample, args.k)
     report = {
         "schema": SCHEMA,
@@ -308,11 +299,7 @@ def cmd_estimate(args) -> int:
     if args.truth is not None:
         truth = _truth_from_file(args.truth)
         j_max = args.j_max if args.j_max is not None else max(fit.k, truth.truncation)
-        try:
-            risk = risk_weighted(fit, truth, weights, j_max)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        report["risk"] = float(risk)
+        report["risk"] = float(risk_weighted(fit, truth, weights, j_max))
         report["risk_weights"] = args.risk_weights
     _emit_json(report, args.out)
     return 0
@@ -327,7 +314,7 @@ _OFFDIAG_WARN = 6.0
 
 def cmd_select(args) -> int:
     sample = load_csv(args.sample)
-    weights = _weights_arg(args.risk_weights)
+    weights = parse_weights(args.risk_weights)
     if not args.penalty_const > 0:
         raise UsageError(f"--penalty-const must be positive, got {args.penalty_const}")
     trace = penalized_select(sample, weights, args.penalty_const)
@@ -367,9 +354,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    risk_w = _weights_arg(args.risk_weights)
-    smooth_w = _weights_arg(args.smoothness_weights)
-    op_w = _weights_arg(args.operator_weights)
+    risk_w = parse_weights(args.risk_weights)
+    smooth_w = parse_weights(args.smoothness_weights)
+    op_w = parse_weights(args.operator_weights)
     if not args.link_constant > 0:
         raise UsageError(f"--link-constant must be positive, got {args.link_constant}")
     grid = _parse_n_grid(args.n_grid)
@@ -509,8 +496,10 @@ def run_rate_study(
     for n in grid:
         rows = [by_cell[(n, rep)] for rep in range(reps)]
         risks = np.array([r.risk for r in rows])
-        if not np.all(np.isfinite(risks)) or risks.min() < 0:
-            raise InternalError("non-finite or negative risk in study results")
+        if not np.all(np.isfinite(risks)):
+            raise UsageError(f"the risk at n={n} overflows; lower the noise or the derivative order")
+        if risks.min() < 0:
+            raise InternalError("negative risk in study results")
         fixed_risks = np.array([r.oracle_risk for r in rows])
         ks = np.array([r.k_selected for r in rows])
         k_best, rate = oracle_per_n[n]
@@ -566,18 +555,18 @@ def cmd_rate_study(args) -> int:
     op = operator_from_config(cfg)
     sigma = sigma_from_config(cfg, phi)
     order, penalty_const = selection_from_config(cfg)
-    study = cfg.get("study", {})
+    study = _section(cfg, "study")
 
     if args.n_grid:
         grid = _parse_n_grid(args.n_grid)
-    elif "n_grid" in study:
+    elif study["n_grid"] is not None:
         grid = _check_n_grid(study["n_grid"], "study.n_grid")
     else:
         raise UsageError("no sample-size grid: set study.n_grid or pass --n-grid")
-    reps = args.replications if args.replications is not None else study.get("replications", 50)
+    reps = args.replications if args.replications is not None else study["replications"]
     if reps < 1:
         raise UsageError(f"replications must be >= 1, got {reps}")
-    master = args.seed if args.seed is not None else study.get("seed", 0)
+    master = args.seed if args.seed is not None else study["seed"]
     if master < 0:
         raise UsageError(f"seed must be nonnegative, got {master}")
     jobs = args.jobs
@@ -599,7 +588,7 @@ def cmd_rate_study(args) -> int:
         grid,
         reps,
         master,
-        k_max=study.get("k_max", 200),
+        k_max=study["k_max"],
         jobs=jobs,
     )
 
@@ -709,10 +698,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"npiv: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"npiv: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

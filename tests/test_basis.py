@@ -195,6 +195,17 @@ def test_exponential_weights_underflow_saturates():
     assert np.all(np.diff(v) <= 0.0)
 
 
+def test_polynomial_weights_underflow_saturates():
+    # j**-800 underflows from j = 3 at a = 400, and 2**-1076 at a = 538; the
+    # sequence saturates at the smallest positive double instead of zero.
+    tiny = np.nextafter(0.0, 1.0)
+    v = WeightSequence.polynomial_decay(400.0).values(10)
+    assert v[1] == 2.0 ** -800
+    assert np.all(v[2:] == tiny)
+    assert np.all(np.diff(v) <= 0.0)
+    assert_array_equal(WeightSequence.polynomial_decay(538.0).values(4), [1.0, tiny, tiny, tiny])
+
+
 def test_custom_weights():
     w = WeightSequence.custom([1.0, 0.5, 0.25])
     assert_array_equal(w.values(3), [1.0, 0.5, 0.25])

@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npiv.basis import WeightSequence
@@ -133,15 +139,41 @@ def test_simulate_usage_errors(tmp_path, capsys):
             "selection.derivative_order",
             "a JSON integer, got null",
         ),
+        ("simulate", {"noise": {"sigma": math.nan}}, "noise.sigma", "a finite JSON number, got NaN"),
+        ("simulate", {"noise": {"snr": math.inf}}, "noise.snr", "a finite JSON number, got Infinity"),
+        ("simulate", {"operator": {"a": math.inf}}, "operator.a", "a finite JSON number, got Infinity"),
+        pytest.param(
+            "simulate",
+            {"noise": {"sigma": 10**400}},
+            "noise.sigma",
+            f"a finite JSON number, got {10**400}",
+            id="noise.sigma-beyond-double",
+        ),
+        pytest.param(
+            "rate-study",
+            {"selection": {"derivative_order": 10**400}, "study": {"n_grid": [100]}},
+            "selection.derivative_order",
+            f"a finite JSON number, got {10**400}",
+            id="selection.derivative_order-beyond-double",
+        ),
+        (
+            "simulate",
+            {"structural": {"profile": "custom", "coeffs": [1.0, math.nan]}},
+            "structural.coeffs[1]",
+            "a finite JSON number, got NaN",
+        ),
+        (
+            "simulate",
+            {"structural": {"profile": "custom", "coeffs": [1.0, "x"]}},
+            "structural.coeffs[1]",
+            'a JSON number, got "x"',
+        ),
     ],
 )
 def test_config_type_errors_name_the_key(tmp_path, capsys, command, sections, path, message):
-    _write_config(tmp_path)
-    cfg = json.loads((tmp_path / "config.json").read_text())
-    for section, values in sections.items():
-        cfg[section] = {**cfg.get(section, {}), **values}
-    (tmp_path / "typed.json").write_text(json.dumps(cfg))
-    argv = [command, str(tmp_path / "typed.json"), "--out", str(tmp_path / "out.json")]
+    # each section given replaces the base one; json.dumps writes NaN and Infinity
+    config = _write_config(tmp_path, **sections)
+    argv = [command, config, "--out", str(tmp_path / "out.json")]
     if command == "simulate":
         argv += ["--n", "10"]
     assert main(argv) == 2
@@ -169,6 +201,79 @@ def test_config_integral_floats_are_integers(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# Every key a config accepts, and a base config in which all of them work.
+_FUZZ_KEYS = [
+    ("structural", "profile"), ("structural", "smoothness"), ("structural", "radius"),
+    ("structural", "truncation"), ("structural", "coeffs"), ("operator", "decay"),
+    ("operator", "a"), ("operator", "truncation"), ("noise", "sigma"), ("noise", "snr"),
+    ("selection", "derivative_order"), ("selection", "penalty_const"), ("study", "n_grid"),
+    ("study", "replications"), ("study", "seed"), ("study", "k_max"),
+]
+_FUZZ_BASE = {
+    "structural": {"smoothness": 2.0, "radius": 1.0, "truncation": 30},
+    "operator": {"decay": "polynomial", "a": 1.0, "truncation": 5},
+    "noise": {"snr": 2.0},
+    "selection": {"derivative_order": 1, "penalty_const": 540.0},
+    "study": {"n_grid": [20, 40], "replications": 2, "seed": 0, "k_max": 20},
+}
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 538.0]),
+    st.integers(-3, 20),
+    st.floats(-10.0, 10.0),
+)
+_FUZZ_VALUES = st.one_of(
+    _NUMBERS,
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["custom", "power_law", "polynomial", "exponential", "2", ""]),
+    st.lists(_NUMBERS, max_size=4),
+)
+# Sizes stay small: a size the machine cannot hold (truncation 1e18,
+# replications 1e12) is not yet bounded by the CLI.
+_SIZE_KEYS = {("structural", "truncation"), ("operator", "truncation"), ("study", "replications")}
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, st.sampled_from(["simulate", "rate-study"]))
+def test_every_config_runs_or_exits_2(target, value, command):
+    section, key = target
+    if target in _SIZE_KEYS and isinstance(value, (int, float)) and 100 < abs(value) < math.inf:
+        value = 100
+    cfg = copy.deepcopy(_FUZZ_BASE)
+    if section == "noise":
+        cfg["noise"] = {key: value}
+    else:
+        cfg[section][key] = value
+    if key == "coeffs":
+        cfg["structural"]["profile"] = "custom"
+    with tempfile.TemporaryDirectory() as tmp:
+        config = f"{tmp}/config.json"
+        with open(config, "w") as fh:
+            fh.write(json.dumps(cfg))
+        if command == "simulate":
+            argv = ["simulate", config, "--out", f"{tmp}/s.csv", "--n", "20"]
+        else:
+            argv = ["rate-study", config, "--out", f"{tmp}/study.json", "--jobs", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    # the message or the echo is the last line, after any numpy warnings
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert lines[-1].startswith("npiv: error: ")
+    elif command == "simulate":
+        _strict_json(lines[-1])
 
 
 def test_simulate_missing_config_is_io_error(tmp_path, capsys):
@@ -544,6 +649,7 @@ def test_rate_study_rows_are_named_in_csv_order():
     assert all(isinstance(r, StudyRow) for r in rows)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rate_study_usage_errors(tmp_path, capsys, monkeypatch):
     nostudy = _write_config(tmp_path, "nostudy.json")
     out = str(tmp_path / "o.json")
@@ -570,6 +676,13 @@ def test_rate_study_usage_errors(tmp_path, capsys, monkeypatch):
         assert message in capsys.readouterr().err
     assert main(["rate-study", cfg, "--out", out, "--n-grid", "300,0"]) == 2
     assert "--n-grid must list integers >= 1" in capsys.readouterr().err
+
+    # risks beyond the double range are a usage error, not an internal one
+    for sections in ({"selection": {"derivative_order": 538}}, {"noise": {"snr": 1e-268}}):
+        study = {"n_grid": [20, 40], "replications": 2}
+        huge = _write_config(tmp_path, "huge.json", study=study, **sections)
+        assert main(["rate-study", huge, "--out", out]) == 2
+        assert "the risk at n=20 overflows" in capsys.readouterr().err
 
     monkeypatch.setenv("NPIV_JOBS", "abc")
     assert main(["rate-study", cfg, "--out", out]) == 2

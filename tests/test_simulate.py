@@ -1,6 +1,7 @@
 """Tests for the joint-density simulator and structural truth construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,16 +63,23 @@ def test_make_operator_validation():
 
 def test_operator_scale_and_link_certificates():
     # across families: t_1 = 1, the density floor certificate is
-    # nonnegative, and t_j**2 / l_j stays inside [1/d, d] entrywise
+    # nonnegative, and t_j**2 / l_j stays inside [1/d, d] entrywise; at
+    # a = 400 and 538 the polynomial weights underflow, and no division
+    # may warn or fail
     cases = [
         ("polynomial", 0.26, 64),
         ("polynomial", 1.0, 16),
+        ("polynomial", 400.0, 64),
+        ("polynomial", 538.0, 64),
         ("exponential", 0.5, 8),
         ("exponential", 1.0, 6),
     ]
     for decay, a, trunc in cases:
-        op = make_operator(decay, a, truncation=trunc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = make_operator(decay, a, truncation=trunc)
         assert op.diag[0] == 1.0
+        assert np.all(op.diag > 0.0)
         assert 0.0 < op.scale <= 1.0
         assert op.density_floor >= 0.0
         lam = op.weights.values(trunc)
