@@ -32,13 +32,18 @@ def frequency(j: int) -> int:
     return j // 2
 
 
-def trig_columns(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Evaluate selected basis functions at ``points``; shape (n, len(indices))."""
+def _checked_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be one-dimensional")
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
+    return pts
+
+
+def trig_columns(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Evaluate selected basis functions at ``points``; shape (n, len(indices))."""
+    pts = _checked_points(points)
     idx = np.asarray(indices, dtype=int)
     bad = idx[idx < 1]
     if bad.size:
@@ -68,11 +73,29 @@ def trig_design(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
-    """Evaluate the series with coefficient vector ``coeffs`` at ``points``."""
+    """Evaluate the series with coefficient vector ``coeffs`` at ``points``.
+
+    With omega = exp(2*pi*i*z) and d_f = c_{2f} - i*c_{2f+1}, the series is
+    c_1 + sqrt(2) * Re(sum_{f=1}^{F} d_f * omega**f).  Horner's rule sums it
+    from f = F down to 1, acc = acc * omega + d_f, so each point costs one
+    complex exponential and the memory is O(n), with no n x k design.  As
+    |omega| = 1 the rounding error is O(F * eps * sum_j |c_j|) at every point,
+    z = 0 and 1 included, where real Clenshaw/Goertzel recurrences lose
+    accuracy.
+    """
     c = np.asarray(coeffs, dtype=float)
     scalar = np.isscalar(points) or np.ndim(points) == 0
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    vals = trig_design(pts, c.size) @ c if c.size else np.zeros(pts.size)
+    pts = _checked_points(np.atleast_1d(np.asarray(points, dtype=float)))
+    d = c[1::2].astype(complex)
+    sin = c[2::2]
+    d.imag[: sin.size] = -sin
+    omega = np.exp((2j * math.pi) * pts)
+    acc = np.zeros(pts.size, dtype=complex)
+    for d_f in d[::-1]:
+        acc *= omega
+        acc += d_f
+    acc *= omega
+    vals = (c[0] if c.size else 0.0) + SQRT2 * acc.real
     return float(vals[0]) if scalar else vals
 
 

@@ -47,6 +47,7 @@ from .simulate import (
     make_operator,
     make_structural,
     noise_sigma_for_snr,
+    proposal_batch,
     task_seed,
 )
 
@@ -60,6 +61,37 @@ class UsageError(Exception):
 
 class InternalError(Exception):
     """Violated runtime invariant; maps to exit code 4."""
+
+
+# The largest array a command may ask for.  Sizes from flags and config are
+# checked against it before anything that large is allocated, so a request
+# beyond it exits 2 instead of failing inside numpy.
+_MAX_BYTES = 1 << 30
+# Bytes a rate study holds per (n, replication) cell: its task, result row and index entry.
+_CELL_BYTES = 512
+
+
+def _check_size(what: str, count: int, each: int = 8) -> None:
+    """Reject ``count`` items of ``each`` bytes (a double by default) beyond ``_MAX_BYTES``."""
+    if count * each > _MAX_BYTES:
+        raise UsageError(
+            f"{what} is too large: it needs more than the {_MAX_BYTES >> 30} GiB "
+            f"a command may allocate"
+        )
+
+
+def _size(v: int) -> str:
+    """``v`` in digits, or as a power of ten when it is too long to read."""
+    return str(v) if abs(v) < 10**15 else f"about 10^{len(str(abs(v))) - 1}"
+
+
+def _check_sampler(op: OperatorSpec, n: int, name: str) -> None:
+    """Bound the sample of size ``n`` and the designs its rejection sampler builds."""
+    _check_size(f"{name} {_size(n)}", n)
+    _check_size(
+        f"{name} {n} with operator.truncation {op.truncation}",
+        proposal_batch(op, n) * op.truncation,
+    )
 
 
 # -- config handling ------------------------------------------------------
@@ -130,8 +162,10 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _build(name: str, make, cfg: dict):
+    section = _section(cfg, name)
+    _check_size(f"{name}.truncation {_size(section['truncation'])}", section["truncation"])
     try:
-        return make(**_section(cfg, name))
+        return make(**section)
     except ValueError as exc:
         raise UsageError(f"bad {name} config: {exc}") from None
 
@@ -239,6 +273,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    _check_sampler(op, args.n, "--n")
     sample = generate_sample(phi, op, sigma, args.n, args.seed)
     write_csv(sample, args.out)
     echo = {
@@ -276,6 +311,9 @@ def cmd_estimate(args) -> int:
     sample = load_csv(args.sample)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
+    # the general mode also solves a k x k system
+    rows = sample.n if args.mode == "diagonal" else max(sample.n, args.k)
+    _check_size(f"--k {_size(args.k)} with n={sample.n}", args.k * rows)
     weights = parse_weights(args.risk_weights)
     fit = diagonal_estimate(sample, args.k) if args.mode == "diagonal" else galerkin_estimate(sample, args.k)
     report = {
@@ -299,6 +337,7 @@ def cmd_estimate(args) -> int:
     if args.truth is not None:
         truth = _truth_from_file(args.truth)
         j_max = args.j_max if args.j_max is not None else max(fit.k, truth.truncation)
+        _check_size(f"--j-max {_size(j_max)}", j_max)
         report["risk"] = float(risk_weighted(fit, truth, weights, j_max))
         report["risk_weights"] = args.risk_weights
     _emit_json(report, args.out)
@@ -360,6 +399,7 @@ def cmd_oracle(args) -> int:
     if not args.link_constant > 0:
         raise UsageError(f"--link-constant must be positive, got {args.link_constant}")
     grid = _parse_n_grid(args.n_grid)
+    _check_size(f"--n-grid {_size(grid[-1])}", grid[-1])
     rows = []
     for n in grid:
         k_max = min(n, args.k_max)
@@ -566,6 +606,9 @@ def cmd_rate_study(args) -> int:
     reps = args.replications if args.replications is not None else study["replications"]
     if reps < 1:
         raise UsageError(f"replications must be >= 1, got {reps}")
+    reps_name = "study.replications" if args.replications is None else "--replications"
+    _check_size(f"{reps_name} {_size(reps)} over {len(grid)} sample sizes", reps * len(grid), _CELL_BYTES)
+    _check_sampler(op, grid[-1], "--n-grid" if args.n_grid else "study.n_grid")
     master = args.seed if args.seed is not None else study["seed"]
     if master < 0:
         raise UsageError(f"seed must be nonnegative, got {master}")

@@ -151,6 +151,19 @@ def joint_density(op: OperatorSpec, z, w) -> np.ndarray | float:
     return float(vals[0]) if scalar else vals
 
 
+def _envelope(op: OperatorSpec) -> float:
+    return 1.0 + 2.0 * float(np.sum(np.abs(op.diag[1:])))
+
+
+def proposal_batch(op: OperatorSpec, n: int) -> int:
+    """Proposals ``sample_joint`` draws in one batch while n pairs are missing.
+
+    The batch's density evaluation builds two designs of this many rows and
+    ``op.truncation`` columns.
+    """
+    return max(1024, int(math.ceil(n * _envelope(op) * 1.2)))
+
+
 def sample_joint(op: OperatorSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs (z, w) from the joint density by rejection sampling.
 
@@ -162,12 +175,12 @@ def sample_joint(op: OperatorSpec, n: int, seed: int) -> tuple[np.ndarray, np.nd
     if op.density_floor < 0.0:
         raise ValueError("operator density floor is negative, not a valid density")
     rng = stream_rng(seed, STREAM_JOINT)
-    envelope = 1.0 + 2.0 * float(np.sum(np.abs(op.diag[1:])))
+    envelope = _envelope(op)
     zs: list[np.ndarray] = []
     ws: list[np.ndarray] = []
     have = 0
     while have < n:
-        m = max(1024, int(math.ceil((n - have) * envelope * 1.2)))
+        m = proposal_batch(op, n - have)
         z = rng.random(m)
         w = rng.random(m)
         u = rng.random(m)
@@ -212,6 +225,22 @@ class StructuralSpec:
 _ELLIPSOID_RTOL = 1e-9
 
 
+def _ellipsoid_norm(b: np.ndarray, smoothness: float) -> float:
+    """Sobolev-weighted squared norm of ``b``; rejects one that is not a finite double.
+
+    At a large smoothness the weights overflow to inf while the squared
+    coefficients underflow to 0, and inf * 0 makes the norm NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        norm = weighted_norm_sq(b, WeightSequence.sobolev(smoothness))
+    if not math.isfinite(norm):
+        raise ValueError(
+            f"smoothness {smoothness} is too large for doubles: the ellipsoid norm "
+            f"of the coefficients is {norm}"
+        )
+    return norm
+
+
 def make_structural(
     smoothness: float,
     radius: float,
@@ -229,7 +258,6 @@ def make_structural(
         raise ValueError(f"smoothness must exceed 1/2, got {smoothness}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    gamma = WeightSequence.sobolev(smoothness)
     if profile == "power_law":
         if coeffs is not None:
             raise ValueError("power_law profile does not take explicit coefficients")
@@ -237,14 +265,14 @@ def make_structural(
             raise ValueError(f"truncation must be >= 1, got {truncation}")
         j = np.arange(1, truncation + 1, dtype=float)
         shape = j ** -(smoothness + 0.51)
-        norm = weighted_norm_sq(shape, gamma)
+        norm = _ellipsoid_norm(shape, smoothness)
         b = shape * math.sqrt(0.99 * radius / norm)
         return StructuralSpec(coeffs=b, smoothness=float(smoothness), radius=float(radius))
     if profile == "custom":
         if coeffs is None:
             raise ValueError("custom profile needs explicit coefficients")
         b = np.asarray(coeffs, dtype=float)
-        norm = weighted_norm_sq(b, gamma)
+        norm = _ellipsoid_norm(b, smoothness)
         if norm > radius * (1.0 + _ELLIPSOID_RTOL):
             raise ValueError(
                 f"coefficients lie outside the ellipsoid: weighted norm {norm} > radius {radius}"
@@ -280,7 +308,7 @@ def generate_sample(
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     z, w = sample_joint(op, n, seed)
-    signal = trig_design(z, phi.truncation) @ phi.coeffs
+    signal = phi(z)
     if sigma > 0:
         u = stream_rng(seed, STREAM_NOISE).normal(0.0, sigma / 3.0 ** 0.25, n)
         y = signal + u

@@ -147,6 +147,17 @@ def test_evaluate_coeffs():
     assert_allclose(evaluate_coeffs(coeffs, pts), ref, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 30, 200, 201, 1000])
+def test_evaluate_coeffs_matches_design(k):
+    # the Horner recurrence against the design it replaces, on the whole
+    # interval; its error bound is O(F * eps * sum |c|)
+    rng = np.random.default_rng(k)
+    pts = np.concatenate([[0.0, 0.5, 1.0], rng.random(500)])
+    c = rng.normal(size=k)
+    ref = trig_columns_loop(pts, np.arange(1, k + 1)) @ c
+    assert np.abs(evaluate_coeffs(c, pts) - ref).max() <= 1e-13 * np.abs(c).sum()
+
+
 # -- weight sequences -----------------------------------------------------
 
 

@@ -230,9 +230,6 @@ _FUZZ_VALUES = st.one_of(
     st.sampled_from(["custom", "power_law", "polynomial", "exponential", "2", ""]),
     st.lists(_NUMBERS, max_size=4),
 )
-# Sizes stay small: a size the machine cannot hold (truncation 1e18,
-# replications 1e12) is not yet bounded by the CLI.
-_SIZE_KEYS = {("structural", "truncation"), ("operator", "truncation"), ("study", "replications")}
 
 
 def _strict_json(text: str):
@@ -247,8 +244,6 @@ def _strict_json(text: str):
 @given(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, st.sampled_from(["simulate", "rate-study"]))
 def test_every_config_runs_or_exits_2(target, value, command):
     section, key = target
-    if target in _SIZE_KEYS and isinstance(value, (int, float)) and 100 < abs(value) < math.inf:
-        value = 100
     cfg = copy.deepcopy(_FUZZ_BASE)
     if section == "noise":
         cfg["noise"] = {key: value}
@@ -274,6 +269,50 @@ def test_every_config_runs_or_exits_2(target, value, command):
         assert lines[-1].startswith("npiv: error: ")
     elif command == "simulate":
         _strict_json(lines[-1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_smoothness_beyond_doubles_exits_2_before_drawing(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for structural in (
+        {"smoothness": 538, "truncation": 30},
+        {"smoothness": 538, "profile": "custom", "coeffs": [1.0, 0.0, 0.0]},
+    ):
+        cfg = _write_config(tmp_path, structural=structural, noise={"sigma": 0.1})
+        assert main(["simulate", cfg, "--out", str(out), "--n", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("npiv: error: bad structural config: smoothness 538 is too large")
+        assert not out.exists()
+
+
+_TOO_LARGE = "is too large: it needs more than the 1 GiB a command may allocate"
+
+
+@pytest.mark.parametrize(
+    "command, sections, flags, name",
+    [
+        ("simulate", {"structural": {"truncation": 1e18}}, [], "structural.truncation about 10^18"),
+        ("simulate", {"operator": {"decay": "polynomial", "truncation": 1e18}}, [],
+         "operator.truncation about 10^18"),
+        # a short operator vector whose sampler designs would not fit
+        ("simulate", {"operator": {"decay": "polynomial", "truncation": 10**6}}, [],
+         "--n 20 with operator.truncation 1000000"),
+        ("simulate", {}, ["--n", str(10**12)], f"--n {10**12}"),
+        ("rate-study", {"study": {"n_grid": [20, 40], "replications": 1e12}}, [],
+         "study.replications 1000000000000 over 2 sample sizes"),
+        ("rate-study", {"study": {"n_grid": [20, 40]}}, ["--replications", str(10**12)],
+         "--replications 1000000000000 over 2 sample sizes"),
+        ("rate-study", {"study": {"n_grid": [20, 10**12]}}, [], f"study.n_grid {10**12}"),
+    ],
+)
+def test_sizes_beyond_the_memory_bound_exit_2(tmp_path, capsys, command, sections, flags, name):
+    cfg = _write_config(tmp_path, **sections)
+    out = tmp_path / ("s.csv" if command == "simulate" else "study.json")
+    argv = [command, cfg, "--out", str(out)] + (["--n", "20"] if command == "simulate" else [])
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"npiv: error: {name}") and _TOO_LARGE in err
+    assert not out.exists()
 
 
 def test_simulate_missing_config_is_io_error(tmp_path, capsys):
@@ -362,6 +401,19 @@ def test_estimate_usage_errors(tmp_path, capsys):
     missing = str(tmp_path / "none.csv")
     assert main(["estimate", missing, "--k", "1", "--derivative-order", "-1"]) == 2
     assert "--derivative-order must be nonnegative" in capsys.readouterr().err
+
+    # the n x k design (and the general mode's k x k system) is bounded
+    grid = np.linspace(0.0, 1.0, 50)
+    rows = _sample_csv(tmp_path, Sample(np.ones(50), grid, grid), name="rows.csv")
+    for mode, k in (("diagonal", 10**12), ("general", 20000)):
+        assert main(["estimate", rows, "--k", str(k), "--mode", mode]) == 2
+        assert f"--k {k} with n=50 {_TOO_LARGE}" in capsys.readouterr().err
+    wide = str(tmp_path / "wide.json")
+    assert main(["estimate", rows, "--k", "20000", "--mode", "diagonal", "--out", wide]) == 0
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"profile": "custom", "coeffs": [1.0], "smoothness": 1.0, "radius": 2.0}))
+    assert main(["estimate", rows, "--k", "1", "--truth", str(flat), "--j-max", str(10**12)]) == 2
+    assert f"--j-max {10**12} {_TOO_LARGE}" in capsys.readouterr().err
 
     truth_path = tmp_path / "truth.json"
     for truth, message in (
@@ -547,6 +599,8 @@ def test_oracle_usage_errors(capsys):
     assert main(base + ["--n-grid", "x"]) == 2
     assert main(base + ["--n-grid", "100", "--link-constant", "0"]) == 2
     capsys.readouterr()
+    assert main(base + ["--n-grid", f"10,{10**12}"]) == 2
+    assert f"--n-grid {10**12} {_TOO_LARGE}" in capsys.readouterr().err
 
 
 # -- rate study -----------------------------------------------------------
@@ -608,7 +662,10 @@ def test_rate_study_deterministic_across_jobs(tmp_path, capsys):
 @pytest.mark.parametrize("decay, a", [("polynomial", 1.0), ("exponential", 0.5)])
 def test_rate_study_bytes_match_column_loop_basis(tmp_path, capsys, monkeypatch, decay, a):
     # The blocked basis kernel must reproduce the column-at-a-time reference
-    # exactly; both run on this platform's libm, so the check is exact anywhere.
+    # exactly wherever a design is built: in the sampler's density and in the
+    # moments.  The response is a Horner sum that builds no design, so it is
+    # the same on both sides.  Both run on this platform's libm, so the check
+    # is exact anywhere.
     cfg = _study_config(tmp_path, decay=decay, a=a)
     assert main(["rate-study", cfg, "--out", str(tmp_path / "kernel.json")]) == 0
     bound = [

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from npiv import basis, estimator
 from npiv.basis import WeightSequence, trig_design, weighted_norm_sq
 from npiv.estimator import empirical_rhs
 from npiv.simulate import (
@@ -219,6 +220,17 @@ def test_make_structural_custom():
         make_structural(1.0, 1.0, profile="spline")
 
 
+@pytest.mark.filterwarnings("error")
+def test_make_structural_rejects_norm_beyond_doubles():
+    # at smoothness 538 the Sobolev weights overflow to inf while the squared
+    # coefficients underflow to 0, so the weighted norm would be NaN
+    with pytest.raises(ValueError, match="smoothness 538.0 is too large for doubles"):
+        make_structural(538.0, 1.0, truncation=30)
+    with pytest.raises(ValueError, match="smoothness 538.0 is too large for doubles"):
+        make_structural(538.0, 1.0, profile="custom", coeffs=[1.0, 0.0, 0.0])
+    assert make_structural(538.0, 1.0, profile="custom", coeffs=[0.5]).truncation == 1
+
+
 def test_make_structural_validation():
     with pytest.raises(ValueError, match="smoothness must exceed 1/2"):
         make_structural(0.5, 1.0)
@@ -297,6 +309,24 @@ def test_generate_sample_reproducible():
     assert_array_equal(a.z, b.z)
     c = generate_sample(_FLAT, _OP2, 0.5, 200, 4)
     assert not np.array_equal(a.y, c.y)
+
+
+def test_generate_sample_builds_no_response_design(monkeypatch):
+    # only the sampler's density designs, op.truncation wide, may be built:
+    # the truth is evaluated without an n x phi.truncation design
+    widths = []
+    real = basis.trig_columns
+
+    def counting(points, indices):
+        widths.append(len(indices))
+        return real(points, indices)
+
+    for mod in (basis, estimator):
+        monkeypatch.setattr(mod, "trig_columns", counting)
+    phi = make_structural(2.0, 1.0, truncation=200)
+    op = make_operator("polynomial", 1.0, truncation=5)
+    generate_sample(phi, op, 0.1, 2000, 6)
+    assert widths and max(widths) <= op.truncation
 
 
 def test_generate_sample_validation():

@@ -15,6 +15,8 @@ in BENCHMARK.json the report gives each side's median and quartiles, how many
 pairs the change won (ties count for neither side), whether the medians
 differ by more than the parent's interquartile range, and whether the
 change's median is worse than the parent's by more than the metric's bound.
+A closing verdict line follows; the exit status is 1 when some metric is
+worse than its bound or the change failed more operations than the parent.
 """
 
 from __future__ import annotations
@@ -118,6 +120,24 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
+def verdict(report: dict) -> tuple[bool, str]:
+    """Whether the change passes, and one line that says why."""
+    problems = [
+        f"{workload} {s['metric']} is worse than its bound"
+        for workload, entry in report.items()
+        for s in entry["metrics"]
+        if s["over_bound"]
+    ]
+    problems += [
+        f"{workload} failed {entry['failed']['change']} operations (parent {entry['failed']['parent']})"
+        for workload, entry in report.items()
+        if entry["failed"]["change"] > entry["failed"]["parent"]
+    ]
+    if problems:
+        return False, "verdict: FAIL: " + "; ".join(problems)
+    return True, "verdict: PASS: no metric worse than its bound, no more failed operations than the parent"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent-dir", required=True, help="checkout of the parent commit")
@@ -135,8 +155,10 @@ def main(argv=None) -> int:
         print(msg, file=sys.stderr, flush=True)
 
     report = compare(os.path.abspath(args.parent_dir), args.workload, args.pairs, args.seed, args.seconds, log)
+    ok, line = verdict(report)
     print(format_report(report))
-    return 0
+    print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
