@@ -49,7 +49,6 @@ from .simulate import (
     make_operator,
     make_structural,
     noise_sigma_for_snr,
-    regression_coeffs,
     sample_joint,
     stream_rng,
     task_seed,

@@ -89,14 +89,20 @@ def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
     d = c[1::2].astype(complex)
     sin = c[2::2]
     d.imag[: sin.size] = -sin
-    omega = np.exp((2j * math.pi) * pts)
-    acc = np.zeros(pts.size, dtype=complex)
+    vals = (c[0] if c.size else 0.0) + SQRT2 * _phase_series(d, pts).real
+    return float(vals[0]) if scalar else vals
+
+
+def _phase_series(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{f=1}^{F} d_f * omega**f with omega = exp(2*pi*i*x), by Horner's rule in place."""
+    omega = (2j * math.pi) * x
+    np.exp(omega, out=omega)
+    acc = np.zeros(x.size, dtype=complex)
     for d_f in d[::-1]:
         acc *= omega
         acc += d_f
     acc *= omega
-    vals = (c[0] if c.size else 0.0) + SQRT2 * acc.real
-    return float(vals[0]) if scalar else vals
+    return acc
 
 
 @dataclass(frozen=True)

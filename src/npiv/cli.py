@@ -41,6 +41,7 @@ from .selection import (
     penalty_sequences,
 )
 from .simulate import (
+    PROPOSAL_DOUBLES,
     OperatorSpec,
     StructuralSpec,
     generate_sample,
@@ -86,12 +87,10 @@ def _size(v: int) -> str:
 
 
 def _check_sampler(op: OperatorSpec, n: int, name: str) -> None:
-    """Bound the sample of size ``n`` and the designs its rejection sampler builds."""
+    """Bound the sample of size ``n`` and the proposal batch of its rejection sampler."""
     _check_size(f"{name} {_size(n)}", n)
-    _check_size(
-        f"{name} {n} with operator.truncation {op.truncation}",
-        proposal_batch(op, n) * op.truncation,
-    )
+    batch = proposal_batch(op, n)
+    _check_size(f"{name} {n}: its sampler batch of {batch} proposals", batch * PROPOSAL_DOUBLES)
 
 
 # -- config handling ------------------------------------------------------

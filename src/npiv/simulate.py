@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import WeightSequence, evaluate_coeffs, trig_design, weighted_norm_sq
+from .basis import WeightSequence, _checked_points, _phase_series, evaluate_coeffs, weighted_norm_sq
 from .estimator import Sample
 
 # Independent random streams per seed.
@@ -139,15 +139,21 @@ def custom_operator(diag) -> OperatorSpec:
 
 
 def joint_density(op: OperatorSpec, z, w) -> np.ndarray | float:
-    """Evaluate the joint density 1 + sum_{j>=2} t_j psi_j(z) psi_j(w)."""
+    """Evaluate the joint density 1 + sum_{j>=2} t_j psi_j(z) psi_j(w).
+
+    By product to sum, frequency f adds p_f cos(2 pi f (z - w)) + q_f cos(2 pi f (z + w))
+    with p_f = t_{2f} + t_{2f+1} and q_f = t_{2f} - t_{2f+1}.  Horner's rule sums both
+    series: two complex exponentials per point and no design.
+    """
     scalar = np.ndim(z) == 0 and np.ndim(w) == 0
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    ww = np.atleast_1d(np.asarray(w, dtype=float))
+    zz = _checked_points(np.atleast_1d(z))
+    ww = _checked_points(np.atleast_1d(w))
     if zz.shape != ww.shape:
         raise ValueError("z and w must have matching shapes")
-    pz = trig_design(zz, op.truncation)
-    pw = trig_design(ww, op.truncation)
-    vals = 1.0 + (pz[:, 1:] * pw[:, 1:]) @ op.diag[1:]
+    even = op.diag[1::2]
+    odd = np.append(op.diag[2::2], 0.0)[: even.size]  # t_{T+1} = 0 for an even T
+    vals = 1.0 + _phase_series(even + odd, zz - ww).real
+    vals += _phase_series(even - odd, zz + ww).real
     return float(vals[0]) if scalar else vals
 
 
@@ -155,12 +161,14 @@ def _envelope(op: OperatorSpec) -> float:
     return 1.0 + 2.0 * float(np.sum(np.abs(op.diag[1:])))
 
 
-def proposal_batch(op: OperatorSpec, n: int) -> int:
-    """Proposals ``sample_joint`` draws in one batch while n pairs are missing.
+# Doubles a proposal of ``sample_joint`` holds at the peak, in the second series of
+# ``joint_density``: the uniforms z, w and u, the density so far, z + w, and the
+# complex powers and Horner accumulator of ``basis._phase_series`` (two each).
+PROPOSAL_DOUBLES = 9
 
-    The batch's density evaluation builds two designs of this many rows and
-    ``op.truncation`` columns.
-    """
+
+def proposal_batch(op: OperatorSpec, n: int) -> int:
+    """Proposals ``sample_joint`` draws in one batch while n pairs are missing."""
     return max(1024, int(math.ceil(n * _envelope(op) * 1.2)))
 
 
@@ -315,17 +323,3 @@ def generate_sample(
     else:
         y = signal
     return Sample(y=y, z=z, w=w)
-
-
-def regression_coeffs(phi: StructuralSpec, op: OperatorSpec) -> np.ndarray:
-    """Basis coefficients of the regression of y on the instrument.
-
-    Entrywise product of the operator diagonal and the structural
-    coefficients, zero-padded to the longer truncation.
-    """
-    j_max = max(phi.truncation, op.truncation)
-    t = np.zeros(j_max)
-    b = np.zeros(j_max)
-    t[: op.truncation] = op.diag
-    b[: phi.truncation] = phi.coeffs
-    return t * b

@@ -6,6 +6,9 @@ shared with the library: numpy's log and libm's disagree by one ulp on
 some inputs, which would turn an exactness check into a tolerance check.
 The logic under test -- running maxima, cumulative sums, stability
 indicators, block scans, argmin tie breaking -- is all re-derived here.
+The simulator's joint density and regression coefficients are restated
+in their defining form, as a design product and as padded coefficient
+vectors.
 """
 
 from __future__ import annotations
@@ -62,6 +65,29 @@ def trig_columns_loop(points, indices) -> np.ndarray:
             ang = (2.0 * math.pi * (j // 2)) * pts
             out[:, pos] = SQRT2 * (np.cos(ang) if j % 2 == 0 else np.sin(ang))
     return out
+
+
+def joint_density_design(op, z, w):
+    """The joint density 1 + sum_{j>=2} t_j psi_j(z) psi_j(w) as a design product."""
+    zz = np.atleast_1d(np.asarray(z, dtype=float))
+    ww = np.atleast_1d(np.asarray(w, dtype=float))
+    idx = np.arange(1, op.truncation + 1)
+    pz = trig_columns_loop(zz, idx)
+    pw = trig_columns_loop(ww, idx)
+    return 1.0 + (pz[:, 1:] * pw[:, 1:]) @ op.diag[1:]
+
+
+def regression_coeffs(phi, op) -> np.ndarray:
+    """Basis coefficients t_j b_j of the regression of y on the instrument.
+
+    Both vectors are zero-padded to the longer truncation.
+    """
+    j_max = max(phi.truncation, op.truncation)
+    t = np.zeros(j_max)
+    b = np.zeros(j_max)
+    t[: op.truncation] = op.diag
+    b[: phi.truncation] = phi.coeffs
+    return t * b
 
 
 def _log(x: float) -> float:

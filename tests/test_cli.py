@@ -294,9 +294,9 @@ _TOO_LARGE = "is too large: it needs more than the 1 GiB a command may allocate"
         ("simulate", {"structural": {"truncation": 1e18}}, [], "structural.truncation about 10^18"),
         ("simulate", {"operator": {"decay": "polynomial", "truncation": 1e18}}, [],
          "operator.truncation about 10^18"),
-        # a short operator vector whose sampler designs would not fit
-        ("simulate", {"operator": {"decay": "polynomial", "truncation": 10**6}}, [],
-         "--n 20 with operator.truncation 1000000"),
+        # a sample that fits by itself while its sampler's proposal batch does not
+        ("simulate", {}, ["--n", str(10**7)],
+         f"--n {10**7}: its sampler batch of 24000000 proposals"),
         ("simulate", {}, ["--n", str(10**12)], f"--n {10**12}"),
         ("rate-study", {"study": {"n_grid": [20, 40], "replications": 1e12}}, [],
          "study.replications 1000000000000 over 2 sample sizes"),
@@ -662,10 +662,10 @@ def test_rate_study_deterministic_across_jobs(tmp_path, capsys):
 @pytest.mark.parametrize("decay, a", [("polynomial", 1.0), ("exponential", 0.5)])
 def test_rate_study_bytes_match_column_loop_basis(tmp_path, capsys, monkeypatch, decay, a):
     # The blocked basis kernel must reproduce the column-at-a-time reference
-    # exactly wherever a design is built: in the sampler's density and in the
-    # moments.  The response is a Horner sum that builds no design, so it is
-    # the same on both sides.  Both run on this platform's libm, so the check
-    # is exact anywhere.
+    # exactly wherever a design is built, which is only in the moments.  The
+    # response and the sampler's density are Horner sums that build no
+    # design, so they are the same on both sides.  Both run on this
+    # platform's libm, so the check is exact anywhere.
     cfg = _study_config(tmp_path, decay=decay, a=a)
     assert main(["rate-study", cfg, "--out", str(tmp_path / "kernel.json")]) == 0
     bound = [

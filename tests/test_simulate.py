@@ -1,6 +1,7 @@
 """Tests for the joint-density simulator and structural truth construction."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import scipy.stats as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from npiv import basis, estimator
+from npiv import basis, simulate
 from npiv.basis import WeightSequence, trig_design, weighted_norm_sq
 from npiv.estimator import empirical_rhs
 from npiv.simulate import (
@@ -22,13 +23,12 @@ from npiv.simulate import (
     make_operator,
     make_structural,
     noise_sigma_for_snr,
-    regression_coeffs,
     sample_joint,
     stream_rng,
     task_seed,
 )
 
-from _reference import psi
+from _reference import joint_density_design, psi, regression_coeffs
 
 
 # -- operator construction ------------------------------------------------
@@ -115,6 +115,32 @@ def test_joint_density_scalar_value():
         joint_density(op, np.zeros(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("trunc", [2, 3, 5, 8, 10, 64])
+def test_joint_density_matches_design_form(trunc):
+    # the product-to-sum Horner sums against 1 + sum_j t_j psi_j(z) psi_j(w)
+    # built from designs, for odd and even truncations, at the ends and the
+    # middle of the interval as well as at random points
+    rng = np.random.default_rng(trunc)
+    edges = np.array([0.0, 0.5, 1.0])
+    zz, ww = np.meshgrid(edges, edges, indexing="ij")
+    z = np.concatenate([zz.ravel(), rng.random(5000)])
+    w = np.concatenate([ww.ravel(), rng.random(5000)])
+    ops = [
+        make_operator("polynomial", 1.0, truncation=trunc),
+        make_operator("exponential", 0.5, truncation=trunc),
+        custom_operator(np.concatenate([[1.0], rng.uniform(-0.4, 0.4, trunc - 1) / trunc])),
+    ]
+    for op in ops:
+        assert np.abs(joint_density(op, z, w) - joint_density_design(op, z, w)).max() <= 1e-14
+
+
+def test_joint_density_point_checks():
+    op = make_operator("polynomial", 1.0, truncation=5)
+    for z, w in ((-0.1, 0.5), (0.5, 1.5), (np.array([0.2, 1.0 + 1e-12]), np.array([0.2, 0.3]))):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            joint_density(op, z, w)
+
+
 def test_joint_density_is_a_density():
     m = 512
     grid = (np.arange(m) + 0.5) / m
@@ -161,6 +187,20 @@ def test_sample_joint_degenerate_is_independent_uniform():
     np.add.at(table, (cz, cw), 1.0)
     stat = float(((table - 200.0) ** 2 / 200.0).sum())
     assert st.chi2.sf(stat, 99) > 0.001
+
+
+@pytest.mark.parametrize("trunc", [2, 5, 8, 10])
+def test_sample_joint_keeps_design_form_decisions(monkeypatch, trunc):
+    # the Horner density differs from the design form by rounding only; no
+    # accept decision may flip, so the draws are the design form's bit for bit
+    op = make_operator("polynomial", 1.0, truncation=trunc)
+    seeds = (0, 1, 2)
+    draws = [sample_joint(op, 20000, seed) for seed in seeds]
+    monkeypatch.setattr(simulate, "joint_density", joint_density_design)
+    for seed, (z, w) in zip(seeds, draws):
+        z_ref, w_ref = sample_joint(op, 20000, seed)
+        assert_array_equal(z, z_ref)
+        assert_array_equal(w, w_ref)
 
 
 def test_sample_joint_reproducible():
@@ -312,8 +352,8 @@ def test_generate_sample_reproducible():
 
 
 def test_generate_sample_builds_no_response_design(monkeypatch):
-    # only the sampler's density designs, op.truncation wide, may be built:
-    # the truth is evaluated without an n x phi.truncation design
+    # neither the truth nor the sampler's density builds a design: both are
+    # Horner sums, so no basis column is evaluated while drawing a sample
     widths = []
     real = basis.trig_columns
 
@@ -321,12 +361,15 @@ def test_generate_sample_builds_no_response_design(monkeypatch):
         widths.append(len(indices))
         return real(points, indices)
 
-    for mod in (basis, estimator):
-        monkeypatch.setattr(mod, "trig_columns", counting)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("npiv") and hasattr(mod, "trig_columns"):
+            monkeypatch.setattr(mod, "trig_columns", counting)
     phi = make_structural(2.0, 1.0, truncation=200)
     op = make_operator("polynomial", 1.0, truncation=5)
-    generate_sample(phi, op, 0.1, 2000, 6)
-    assert widths and max(widths) <= op.truncation
+    s = generate_sample(phi, op, 0.1, 2000, 6)
+    assert widths == []
+    basis.trig_design(s.z, op.truncation)  # the counter is live
+    assert widths == [op.truncation]
 
 
 def test_generate_sample_validation():
