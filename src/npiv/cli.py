@@ -213,6 +213,10 @@ def _emit_json(obj: dict, out: str | None) -> None:
         text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise UsageError(f"the {obj['command']} report holds a non-finite value") from None
+    _write_text(text, out)
+
+
+def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -426,12 +430,7 @@ def cmd_oracle(args) -> int:
                     for h in header
                 )
             )
-        text = "\n".join(lines) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -471,10 +470,6 @@ def _study_worker(task: tuple) -> StudyRow:
         float(risk),
         float(fixed_risk),
     )
-
-
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.polyfit(x, y, 1)[0])
 
 
 def run_rate_study(
@@ -563,7 +558,7 @@ def run_rate_study(
     xs = np.log(np.array(grid, dtype=float))
     if slope_axis == "log_log_n":
         xs = np.log(xs)
-    fitted = _fit_slope(xs, np.log(np.array(medians))) if len(grid) >= 2 else None
+    fitted = float(np.polyfit(xs, np.log(np.array(medians)), 1)[0]) if len(grid) >= 2 else None
 
     report = {
         "schema": SCHEMA,

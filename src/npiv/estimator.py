@@ -143,12 +143,6 @@ def empirical_operator_matrix(sample: Sample, k: int) -> np.ndarray:
     return pw.T @ pz / sample.n
 
 
-def empirical_rhs(sample: Sample, k: int) -> np.ndarray:
-    """Vector with entry l = mean of y_i psi_l(w_i)."""
-    pw = trig_design(sample.w, k)
-    return pw.T @ sample.y / sample.n
-
-
 def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal operator entries and moment vector for indices 1..k.
 
@@ -178,6 +172,19 @@ def _zero(k: int, mode: str) -> GalerkinEstimate:
     return GalerkinEstimate(np.zeros(k), k, thresholded=True, mode=mode)
 
 
+def _stable_prefix(tdiag: np.ndarray, n: int) -> np.ndarray:
+    """For each k, whether the threshold min_{j<=k} t_j**2 >= 1/n holds."""
+    return np.minimum.accumulate(tdiag * tdiag) >= 1.0 / n
+
+
+def _diagonal_fit(tdiag: np.ndarray, ghat: np.ndarray, n: int) -> GalerkinEstimate:
+    """g_j / t_j for j = 1..k, or the zero estimate when the threshold fails at k."""
+    k = tdiag.size
+    if not _stable_prefix(tdiag, n).all():
+        return _zero(k, "diagonal")
+    return GalerkinEstimate(ghat / tdiag, k, thresholded=False, mode="diagonal")
+
+
 def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """Solve the k x k empirical moment system, or fall back to zero.
 
@@ -187,8 +194,9 @@ def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    that = empirical_operator_matrix(sample, k)
-    ghat = empirical_rhs(sample, k)
+    pw = trig_design(sample.w, k)
+    that = pw.T @ trig_design(sample.z, k) / sample.n
+    ghat = pw.T @ sample.y / sample.n
     sv = np.linalg.svd(that, compute_uv=False)
     smin, smax = sv[-1], sv[0]
     if smin <= np.finfo(float).eps * k * smax:
@@ -203,10 +211,7 @@ def diagonal_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """Coefficient-wise estimate g_j / t_j, guarded by min_j t_j**2 >= 1/n."""
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    tdiag, ghat = empirical_diagonal(sample, k)
-    if (tdiag * tdiag).min() < 1.0 / sample.n:
-        return _zero(k, "diagonal")
-    return GalerkinEstimate(ghat / tdiag, k, thresholded=False, mode="diagonal")
+    return _diagonal_fit(*empirical_diagonal(sample, k), sample.n)
 
 
 # -- derived quantities ---------------------------------------------------

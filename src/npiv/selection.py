@@ -18,6 +18,8 @@ from .basis import WeightSequence, weighted_norm_sq
 from .estimator import (
     GalerkinEstimate,
     Sample,
+    _diagonal_fit,
+    _stable_prefix,
     empirical_diagonal,
 )
 
@@ -50,8 +52,14 @@ class PenaltySequences:
                 raise ValueError(f"{name} must have length k_max")
 
 
-def _effective_dim(k: np.ndarray, ampl: np.ndarray, floored: np.ndarray) -> np.ndarray:
-    return k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
+def _sequences(w: np.ndarray, lam, stable, empirical: bool) -> PenaltySequences:
+    """Penalty sequences from running maxima of w_j / l_j, zero wherever ``stable`` is False."""
+    k = np.arange(1, w.size + 1, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        ampl = np.where(stable, np.maximum.accumulate(w / lam), 0.0)
+        floored = np.where(stable, np.maximum.accumulate(np.maximum(w, 1.0) / lam), 0.0)
+        eff = k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
+    return PenaltySequences(w.size, ampl, floored, eff, empirical)
 
 
 def penalty_sequences(
@@ -60,14 +68,7 @@ def penalty_sequences(
     """Penalty sequences computed from a known operator weight sequence."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    w = risk_weights.values(k_max)
-    lam = operator_weights.values(k_max)
-    k = np.arange(1, k_max + 1, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        ampl = np.maximum.accumulate(w / lam)
-        floored = np.maximum.accumulate(np.maximum(w, 1.0) / lam)
-        eff = _effective_dim(k, ampl, floored)
-    return PenaltySequences(k_max, ampl, floored, eff, empirical=False)
+    return _sequences(risk_weights.values(k_max), operator_weights.values(k_max), True, False)
 
 
 def penalty_sequences_from_diagonal(
@@ -80,20 +81,11 @@ def penalty_sequences_from_diagonal(
     are zero at that k.
     """
     t = np.asarray(tdiag, dtype=float)
-    k_max = t.size
-    if k_max < 1:
+    if t.size < 1:
         raise ValueError("need at least one diagonal entry")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    w = risk_weights.values(k_max)
-    tsq = t * t
-    stable = np.minimum.accumulate(tsq) >= 1.0 / n
-    k = np.arange(1, k_max + 1, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        ampl = np.where(stable, np.maximum.accumulate(w / tsq), 0.0)
-        floored = np.where(stable, np.maximum.accumulate(np.maximum(w, 1.0) / tsq), 0.0)
-        eff = _effective_dim(k, ampl, floored)
-    return PenaltySequences(k_max, ampl, floored, eff, empirical=True)
+    return _sequences(risk_weights.values(t.size), t * t, _stable_prefix(t, n), True)
 
 
 # -- dimension cutoffs ----------------------------------------------------
@@ -177,11 +169,6 @@ def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> 
 # -- selection ------------------------------------------------------------
 
 
-def mean_squared_response(sample: Sample) -> float:
-    """Plug-in second moment of the response, mean of y_i**2."""
-    return float(np.mean(sample.y * sample.y))
-
-
 @dataclass(frozen=True)
 class SelectionTrace:
     """Full record of one penalised selection run.
@@ -230,21 +217,16 @@ def penalized_select(
     cutoff = empirical_dimension_cutoff(sample, risk_weights)
     tdiag, ghat = empirical_diagonal(sample, cutoff)
     seqs = penalty_sequences_from_diagonal(tdiag, n, risk_weights)
-    stable = np.minimum.accumulate(tdiag * tdiag) >= 1.0 / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeffs = np.where(tdiag != 0.0, ghat / tdiag, 0.0)
+    # the stable k form a prefix; past it the contrast stays 0
+    stable = _stable_prefix(tdiag, n)
+    coeffs = _diagonal_fit(tdiag[stable], ghat[stable], n).coeffs
     contrast = np.zeros(cutoff)
-    for k in range(1, cutoff + 1):
-        if stable[k - 1]:
-            contrast[k - 1] = -weighted_norm_sq(coeffs[:k], risk_weights)
-    y2 = mean_squared_response(sample)
+    for k in range(1, coeffs.size + 1):
+        contrast[k - 1] = -weighted_norm_sq(coeffs[:k], risk_weights)
+    y2 = float(np.mean(sample.y * sample.y))
     penalty = penalty_const * y2 * seqs.effective_dim / n
     criterion = contrast + penalty
     k_sel = int(np.argmin(criterion)) + 1
-    if stable[k_sel - 1]:
-        est = GalerkinEstimate(coeffs[:k_sel], k_sel, thresholded=False, mode="diagonal")
-    else:
-        est = GalerkinEstimate(np.zeros(k_sel), k_sel, thresholded=True, mode="diagonal")
     return SelectionTrace(
         n=n,
         cutoff=cutoff,
@@ -255,7 +237,7 @@ def penalized_select(
         effective_dim=seqs.effective_dim,
         criterion=criterion,
         k_selected=k_sel,
-        estimate=est,
+        estimate=_diagonal_fit(tdiag[:k_sel], ghat[:k_sel], n),
     )
 
 

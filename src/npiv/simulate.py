@@ -71,6 +71,12 @@ class OperatorSpec:
             raise ValueError("diag must start with t_1 = 1")
 
 
+def _link_constant(ratios: np.ndarray) -> float:
+    """max(1, r_j, 1 / r_j) over the ratios of squared coefficients to operator weights."""
+    with np.errstate(divide="ignore"):
+        return max(float(np.max(ratios, initial=1.0)), float(np.max(1.0 / ratios, initial=1.0)))
+
+
 def make_operator(decay: str, a: float, truncation: int = 64) -> OperatorSpec:
     """Build the diagonal operator t_j = c * sqrt(l_j) for a decay family.
 
@@ -97,9 +103,6 @@ def make_operator(decay: str, a: float, truncation: int = 64) -> OperatorSpec:
     diag = c * roots
     diag[0] = 1.0
     floor = 1.0 - 2.0 * c * tail
-    with np.errstate(divide="ignore"):
-        ratios = diag[1:] ** 2 / lam[1:]
-        link = max(1.0, float(np.max(ratios)), float(np.max(1.0 / ratios)))
     return OperatorSpec(
         decay=decay,
         a=float(a),
@@ -107,7 +110,7 @@ def make_operator(decay: str, a: float, truncation: int = 64) -> OperatorSpec:
         scale=c,
         diag=diag,
         density_floor=floor,
-        link_constant=link,
+        link_constant=_link_constant(diag[1:] ** 2 / lam[1:]),
         weights=weights,
     )
 
@@ -123,9 +126,6 @@ def custom_operator(diag) -> OperatorSpec:
     if t.ndim != 1 or t.size < 1:
         raise ValueError("diag must be a nonempty vector")
     tail = float(np.sum(np.abs(t[1:])))
-    with np.errstate(divide="ignore"):
-        nz = t[1:] != 0.0
-        link = math.inf if not np.all(nz) else max(1.0, float(np.max(t[1:] ** 2)), float(np.max(1.0 / t[1:] ** 2)))
     return OperatorSpec(
         decay="custom",
         a=None,
@@ -133,7 +133,7 @@ def custom_operator(diag) -> OperatorSpec:
         scale=1.0,
         diag=t,
         density_floor=1.0 - 2.0 * tail,
-        link_constant=link,
+        link_constant=_link_constant(t[1:] ** 2),
         weights=None,
     )
 

@@ -25,7 +25,6 @@ from npiv.selection import (
     dimension_cutoff_from_diagonal,
     dimension_cutoff_lower,
     empirical_dimension_cutoff,
-    mean_squared_response,
     oracle_dimension,
     penalty_sequences,
     penalty_sequences_from_diagonal,
@@ -211,7 +210,7 @@ def rebuild_trace(sample, weights, penalty_const):
     cutoff = empirical_dimension_cutoff(sample, weights)
     tdiag, _ = empirical_diagonal(sample, cutoff)
     eff = penalty_sequences_from_diagonal(tdiag, sample.n, weights).effective_dim
-    y2 = mean_squared_response(sample)
+    y2 = float(np.mean(sample.y * sample.y))
     contrast, penalty, criterion = [], [], []
     for k in range(1, cutoff + 1):
         est = diagonal_estimate(sample, k)

@@ -659,6 +659,30 @@ def test_rate_study_deterministic_across_jobs(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.integers(20, 200), min_size=1, max_size=3, unique=True),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.sampled_from([("polynomial", 1.0), ("exponential", 0.5)]),
+)
+def test_rate_study_bytes_do_not_depend_on_jobs(grid, reps, seed, operator):
+    decay, a = operator
+    cfg = copy.deepcopy(_FUZZ_BASE)
+    cfg["operator"].update(decay=decay, a=a)
+    flags = ["--n-grid", ",".join(map(str, sorted(grid))), "--replications", str(reps), "--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = f"{tmp}/config.json"
+        with open(config, "w") as fh:
+            fh.write(json.dumps(cfg))
+        for jobs in ("1", "2"):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(["rate-study", config, "--out", f"{tmp}/jobs{jobs}.json", "--jobs", jobs, *flags]) == 0
+        for ext in ("json", "csv"):
+            with open(f"{tmp}/jobs1.{ext}", "rb") as one, open(f"{tmp}/jobs2.{ext}", "rb") as two:
+                assert one.read() == two.read()
+
+
 @pytest.mark.parametrize("decay, a", [("polynomial", 1.0), ("exponential", 0.5)])
 def test_rate_study_bytes_match_column_loop_basis(tmp_path, capsys, monkeypatch, decay, a):
     # The blocked basis kernel must reproduce the column-at-a-time reference

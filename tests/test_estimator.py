@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from npiv import estimator
 from npiv.basis import SQRT2, WeightSequence, trig_design, weighted_norm_sq
 from npiv.estimator import (
     Sample,
@@ -13,7 +16,6 @@ from npiv.estimator import (
     diagonal_estimate,
     empirical_diagonal,
     empirical_operator_matrix,
-    empirical_rhs,
     galerkin_estimate,
     load_csv,
     risk_weighted,
@@ -74,12 +76,12 @@ def test_operator_matrix_hand_values():
 def test_rhs_values():
     pts = np.array([0.0, 0.5])
     s = Sample(np.array([1.0, 3.0]), pts, pts)
-    assert empirical_rhs(s, 1)[0] == 2.0
+    assert empirical_diagonal(s, 1)[1][0] == 2.0
     s2 = Sample(np.array([1.0, 2.0]), pts, pts)
     # (1*sqrt2 + 2*(-sqrt2)) / 2 is exact in floating point
-    assert empirical_rhs(s2, 2)[1] == -math.sqrt(2.0) / 2.0
+    assert empirical_diagonal(s2, 2)[1][1] == -math.sqrt(2.0) / 2.0
     zero = Sample(np.zeros(2), pts, pts)
-    assert_array_equal(empirical_rhs(zero, 2), np.zeros(2))
+    assert_array_equal(empirical_diagonal(zero, 2)[1], np.zeros(2))
 
 
 def test_empirical_diagonal_matches_matrix_and_rhs():
@@ -87,7 +89,7 @@ def test_empirical_diagonal_matches_matrix_and_rhs():
     s = _random_sample(rng, 50)
     tdiag, ghat = empirical_diagonal(s, 6)
     assert_allclose(tdiag, np.diag(empirical_operator_matrix(s, 6)), rtol=1e-12, atol=1e-15)
-    assert_allclose(ghat, empirical_rhs(s, 6), rtol=1e-12, atol=1e-15)
+    assert_allclose(ghat, trig_design(s.w, 6).T @ s.y / s.n, rtol=1e-12, atol=1e-15)
 
 
 def test_empirical_diagonal_prefix_bitwise():
@@ -144,7 +146,7 @@ def test_galerkin_matches_closed_form_2x2():
     assert not fit.thresholded
     assert fit.mode == "general"
     mat = empirical_operator_matrix(s, 2)
-    g = empirical_rhs(s, 2)
+    g = empirical_diagonal(s, 2)[1]
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     ref = [
         (g[0] * mat[1, 1] - mat[0, 1] * g[1]) / det,
@@ -152,6 +154,26 @@ def test_galerkin_matches_closed_form_2x2():
     ]
     assert_allclose(fit.coeffs, ref, rtol=1e-12, atol=1e-14)
     assert_allclose(fit.coeffs, [0.0, 1.0], atol=1e-12)
+
+
+def test_galerkin_builds_one_instrument_design(monkeypatch):
+    # the operator matrix and the moment vector share one n x k instrument design
+    rng = np.random.default_rng(8)
+    u = rng.uniform(0.0, 1.0, 64)
+    s = Sample(rng.normal(0.5, 1.0, 64), u, u)
+    shapes = []
+
+    def counted(points, k):
+        design = trig_design(points, k)
+        shapes.append(design.shape)
+        return design
+
+    monkeypatch.setattr(estimator, "trig_design", counted)
+    fit = galerkin_estimate(s, 5)
+    assert shapes == [(64, 5), (64, 5)]
+    assert not fit.thresholded
+    pw, pz = trig_design(s.w, 5), trig_design(s.z, 5)
+    assert_array_equal(fit.coeffs, np.linalg.solve(pw.T @ pz / s.n, pw.T @ s.y / s.n))
 
 
 def test_galerkin_singular_falls_back_to_zero():
@@ -246,12 +268,34 @@ def test_diagonal_nesting_exact():
         assert_array_equal(small.coeffs, big.coeffs[:3])
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.integers(1, 30),
+    st.integers(1, 30),
+)
+def test_diagonal_estimate_nests(n, seed, strength, k1, gap):
+    # a larger dimension only adds threshold conditions and never moves the
+    # first k1 coefficients; w equals z on a share ``strength`` of the rows
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, n)
+    w = np.where(rng.uniform(0.0, 1.0, n) < strength, u, rng.uniform(0.0, 1.0, n))
+    s = Sample(rng.normal(0.5, 1.0, n), u, w)
+    small = diagonal_estimate(s, k1)
+    big = diagonal_estimate(Sample(s.y, s.z, s.w), k1 + gap)
+    assert big.thresholded or not small.thresholded
+    if not big.thresholded:
+        assert_array_equal(big.coeffs[:k1], small.coeffs)
+
+
 def test_linearity_in_response():
     rng = np.random.default_rng(5)
     s = _random_sample(rng, 70)
     s4 = Sample(4.0 * s.y, s.z, s.w)
     s3 = Sample(3.0 * s.y, s.z, s.w)
-    assert_array_equal(empirical_rhs(s4, 5), 4.0 * empirical_rhs(s, 5))
+    assert_array_equal(empirical_diagonal(s4, 5)[1], 4.0 * empirical_diagonal(s, 5)[1])
     g, g4 = galerkin_estimate(s, 5), galerkin_estimate(s4, 5)
     d, d4 = diagonal_estimate(s, 5), diagonal_estimate(s4, 5)
     assert g4.thresholded == g.thresholded and d4.thresholded == d.thresholded

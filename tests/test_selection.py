@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from npiv import estimator
@@ -15,7 +17,6 @@ from npiv.selection import (
     dimension_cutoff_from_diagonal,
     dimension_cutoff_lower,
     empirical_dimension_cutoff,
-    mean_squared_response,
     oracle_dimension,
     penalized_select,
     penalty_sequences,
@@ -349,6 +350,58 @@ def test_select_scale_invariance():
             assert_array_equal(scaled.criterion, exact_factor * base.criterion)
 
 
+_WEIGHTS = st.sampled_from([CONST, WeightSequence.derivative(1), WeightSequence.sobolev(0.8)])
+
+
+def _drawn_sample(n, seed, strength, scale=1.0):
+    """y = scale * N(0.5, 1); w equals z on a share ``strength`` of the rows."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, n)
+    w = np.where(rng.uniform(0.0, 1.0, n) < strength, u, rng.uniform(0.0, 1.0, n))
+    return Sample(scale * rng.normal(0.5, 1.0, n), u, w)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.5, 1.0),
+    st.integers(-30, 30),
+    _WEIGHTS,
+    st.sampled_from([0.3, 2.0, 540.0]),
+)
+def test_k_selected_invariant_under_power_of_two_scaling(n, seed, strength, exponent, weights, const):
+    # y -> c*y with c a power of two scales the criterion by c**2 exactly, so no tie can move
+    s = _drawn_sample(n, seed, strength)
+    base = penalized_select(s, weights, const)
+    c = 2.0**exponent
+    scaled = penalized_select(Sample(c * s.y, s.z, s.w), weights, const)
+    assert scaled.k_selected == base.k_selected
+    assert_array_equal(scaled.criterion, c * c * base.criterion)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(100, 600),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.8, 1.0),
+    st.sampled_from([0.0, 1e-170, -(2.0**-600)]),
+    st.sampled_from([CONST, WeightSequence.sobolev(0.8)]),
+    st.sampled_from([0.3, 2.0, 540.0]),
+)
+def test_exact_tie_resolves_to_smallest_k(n, seed, strength, scale, weights, const):
+    # Within the cutoff every k passes the threshold and the penalty rises with k
+    # unless y**2 vanishes, so a zero or underflowing response is the tie every
+    # sample admits: the whole criterion is 0 and the first dimension wins.
+    s = _drawn_sample(n, seed, strength, scale)
+    trace = penalized_select(s, weights, const)
+    assert trace.cutoff >= 2
+    assert_array_equal(trace.criterion, np.zeros(trace.cutoff))
+    assert trace.k_selected == 1
+    assert trace.estimate.k == 1
+    assert_array_equal(trace.estimate.coeffs, s.y.mean())
+
+
 # -- oracle and diagnostics -----------------------------------------------
 
 
@@ -384,8 +437,12 @@ def test_randomized_exact_equality():
 
 
 def test_mean_squared_response():
+    # the penalty's plug-in second moment of y is the mean of y_i**2
+    def y2(sample):
+        return penalized_select(sample, CONST).y_second_moment
+
     pts = np.array([0.5, 0.5])
-    assert mean_squared_response(Sample(np.array([1.0, -1.0]), pts, pts)) == 1.0
-    assert mean_squared_response(Sample(np.zeros(2), pts, pts)) == 0.0
+    assert y2(Sample(np.array([1.0, -1.0]), pts, pts)) == 1.0
+    assert y2(Sample(np.zeros(2), pts, pts)) == 0.0
     pts3 = np.array([0.1, 0.2, 0.3])
-    assert mean_squared_response(Sample(np.array([1.0, 2.0, 3.0]), pts3, pts3)) == 14.0 / 3.0
+    assert y2(Sample(np.array([1.0, 2.0, 3.0]), pts3, pts3)) == 14.0 / 3.0

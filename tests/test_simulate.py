@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from npiv import basis, simulate
 from npiv.basis import WeightSequence, trig_design, weighted_norm_sq
-from npiv.estimator import empirical_rhs
+from npiv.estimator import empirical_diagonal
 from npiv.simulate import (
     STREAM_JOINT,
     STREAM_NOISE,
@@ -100,6 +100,20 @@ def test_custom_operator():
         custom_operator((0.5, 0.2))
     with pytest.raises(ValueError, match="nonempty"):
         custom_operator(())
+
+
+def test_custom_operator_of_truncation_one():
+    # T = 1 has no ratio to bound: link 1, density 1, and every proposal is kept
+    op = custom_operator((1.0,))
+    assert op.truncation == 1
+    assert op.link_constant == 1.0
+    assert op.density_floor == 1.0
+    z, w = sample_joint(op, 500, 4)
+    assert_array_equal(joint_density(op, z, w), np.ones(500))
+    rng = stream_rng(4, STREAM_JOINT)
+    batch_z, batch_w = rng.random(1024), rng.random(1024)
+    assert_array_equal(z, batch_z[:500])
+    assert_array_equal(w, batch_w[:500])
 
 
 # -- joint density and sampling -------------------------------------------
@@ -322,7 +336,7 @@ def test_generate_sample_regression_moments():
     s = generate_sample(phi, _OP2, sigma, 100000, 5)
     target = regression_coeffs(phi, _OP2)
     assert_array_equal(target, [1.0, 0.25])
-    assert np.abs(empirical_rhs(s, 2) - target).max() < 0.02
+    assert np.abs(empirical_diagonal(s, 2)[1] - target).max() < 0.02
 
 
 def test_generate_sample_noise_moments():
