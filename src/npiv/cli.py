@@ -17,7 +17,6 @@ import argparse
 import concurrent.futures
 import json
 import math
-import os
 import sys
 from typing import NamedTuple
 
@@ -52,7 +51,6 @@ from .simulate import (
     task_seed,
 )
 
-JOBS_ENV = "NPIV_JOBS"
 SCHEMA = 1
 
 
@@ -338,10 +336,7 @@ def cmd_estimate(args) -> int:
                 f"--derivative-order {args.derivative_order} overflows the derivative coefficients"
             ) from None
     if args.truth is not None:
-        truth = _truth_from_file(args.truth)
-        j_max = args.j_max if args.j_max is not None else max(fit.k, truth.truncation)
-        _check_size(f"--j-max {_size(j_max)}", j_max)
-        report["risk"] = float(risk_weighted(fit, truth, weights, j_max))
+        report["risk"] = float(risk_weighted(fit, _truth_from_file(args.truth), weights))
         report["risk_weights"] = args.risk_weights
     _emit_json(report, args.out)
     return 0
@@ -357,8 +352,8 @@ _OFFDIAG_WARN = 6.0
 def cmd_select(args) -> int:
     sample = load_csv(args.sample)
     weights = parse_weights(args.risk_weights)
-    if not args.penalty_const > 0:
-        raise UsageError(f"--penalty-const must be positive, got {args.penalty_const}")
+    if not 0 < args.penalty_const <= sys.float_info.max:
+        raise UsageError(f"--penalty-const must be positive and finite, got {args.penalty_const}")
     trace = penalized_select(sample, weights, args.penalty_const)
     probe = min(trace.cutoff, 10)
     if probe >= 2:
@@ -399,8 +394,10 @@ def cmd_oracle(args) -> int:
     risk_w = parse_weights(args.risk_weights)
     smooth_w = parse_weights(args.smoothness_weights)
     op_w = parse_weights(args.operator_weights)
-    if not args.link_constant > 0:
-        raise UsageError(f"--link-constant must be positive, got {args.link_constant}")
+    if not 0 < args.link_constant <= sys.float_info.max:
+        raise UsageError(f"--link-constant must be positive and finite, got {args.link_constant}")
+    if args.k_max < 1:
+        raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
     grid = _parse_n_grid(args.n_grid)
     _check_size(f"--n-grid {_size(grid[-1])}", grid[-1])
     rows = []
@@ -421,15 +418,7 @@ def cmd_oracle(args) -> int:
     if args.format == "json":
         _emit_json({"schema": SCHEMA, "command": "oracle", "rows": rows}, args.out)
     else:
-        header = ["n", "k_best", "rate", "cutoff", "cutoff_lower", "effective_dim_at_k"]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    str(row[h]) if h in ("n", "k_best", "cutoff", "cutoff_lower") else repr(row[h])
-                    for h in header
-                )
-            )
+        lines = [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
         _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -456,10 +445,8 @@ def _study_worker(task: tuple) -> StudyRow:
     weights = WeightSequence.derivative(order)
     sample = generate_sample(phi, op, sigma, n, seed)
     trace = penalized_select(sample, weights, penalty_const)
-    j_max = max(phi.truncation, trace.estimate.k)
-    risk = risk_weighted(trace.estimate, phi, weights, j_max)
-    fixed = diagonal_estimate(sample, oracle_k)
-    fixed_risk = risk_weighted(fixed, phi, weights, max(phi.truncation, oracle_k))
+    risk = risk_weighted(trace.estimate, phi, weights)
+    fixed_risk = risk_weighted(diagonal_estimate(sample, oracle_k), phi, weights)
     return StudyRow(
         n,
         rep,
@@ -606,15 +593,10 @@ def cmd_rate_study(args) -> int:
     master = args.seed if args.seed is not None else study["seed"]
     if master < 0:
         raise UsageError(f"seed must be nonnegative, got {master}")
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV, "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise UsageError(f"{JOBS_ENV} must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
+    if study["k_max"] < 1:
+        raise UsageError(f"study.k_max must be >= 1, got {study['k_max']}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
     report, rows = run_rate_study(
         phi,
@@ -626,7 +608,7 @@ def cmd_rate_study(args) -> int:
         reps,
         master,
         k_max=study["k_max"],
-        jobs=jobs,
+        jobs=args.jobs,
     )
 
     base = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
@@ -692,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivative-order", type=int, default=0)
     p.add_argument("--risk-weights", default="const", help="weight spec, e.g. const or derivative:1")
     p.add_argument("--truth", help="JSON file with the structural truth for risk reporting")
-    p.add_argument("--j-max", type=int, help="index bound for the risk tail sum")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_estimate)
 
@@ -719,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", help="comma-separated sample sizes (overrides config)")
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help=f"worker processes (default ${JOBS_ENV} or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", required=True, help="output path; .json and .csv are written")
     p.add_argument("--emit-gnuplot", action="store_true", help="also write a gnuplot script")
     p.set_defaults(func=cmd_rate_study)

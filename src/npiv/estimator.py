@@ -188,19 +188,18 @@ def _diagonal_fit(tdiag: np.ndarray, ghat: np.ndarray, n: int) -> GalerkinEstima
 def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """Solve the k x k empirical moment system, or fall back to zero.
 
-    The solve is only trusted when the matrix is numerically nonsingular
-    and the spectral norm of its inverse is at most sqrt(n); otherwise the
-    zero estimate is returned with ``thresholded`` set.
+    The solve is only trusted when the smallest singular value is at least
+    1/sqrt(n), i.e. the inverse has spectral norm at most sqrt(n); otherwise
+    the zero estimate is returned with ``thresholded`` set.  As entries are
+    at most 2, this test also rejects every numerically singular matrix
+    (smin <= eps * k * smax) unless k**2 * sqrt(n) > 2.25e15.
     """
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
     pw = trig_design(sample.w, k)
     that = pw.T @ trig_design(sample.z, k) / sample.n
     ghat = pw.T @ sample.y / sample.n
-    sv = np.linalg.svd(that, compute_uv=False)
-    smin, smax = sv[-1], sv[0]
-    if smin <= np.finfo(float).eps * k * smax:
-        return _zero(k, "general")
+    smin = np.linalg.svd(that, compute_uv=False)[-1]
     if smin < 1.0 / math.sqrt(sample.n):
         return _zero(k, "general")
     coeffs = np.linalg.solve(that, ghat)
@@ -257,19 +256,14 @@ def _truth_coeffs(truth) -> np.ndarray:
     return arr
 
 
-def risk_weighted(est: GalerkinEstimate, truth, weights: WeightSequence, j_max: int) -> float:
-    """Weighted squared distance between estimate and truth up to ``j_max``.
+def risk_weighted(est: GalerkinEstimate, truth, weights: WeightSequence) -> float:
+    """Exact weighted squared distance between estimate and truth.
 
-    The truth may be a structural spec or a bare coefficient vector; it is
-    zero-padded beyond its own truncation, so any ``j_max`` at least as
-    large as both vectors gives the exact squared distance.
+    The truth may be a structural spec or a bare coefficient vector; the
+    shorter of the two vectors counts as zero-padded to the longer one.
     """
     b = _truth_coeffs(truth)
-    if j_max < est.k or j_max < b.size:
-        raise ValueError(
-            f"j_max={j_max} must cover the estimate (k={est.k}) and the truth ({b.size})"
-        )
-    diff = np.zeros(j_max)
+    diff = np.zeros(max(est.k, b.size))
     diff[: b.size] = b
     diff[: est.k] = est.coeffs - diff[: est.k]
     return weighted_norm_sq(diff, weights)

@@ -33,15 +33,13 @@ class PenaltySequences:
     ``amplification`` is the running maximum of weight over (squared
     empirical) operator coefficient, ``amplification_floored`` the same with
     the numerator floored at 1, and ``effective_dim`` the dimension factor
-    that enters the selection penalty.  ``empirical`` records which flavour
-    produced the sequences.
+    that enters the selection penalty.
     """
 
     k_max: int
     amplification: np.ndarray
     amplification_floored: np.ndarray
     effective_dim: np.ndarray
-    empirical: bool
 
     def __post_init__(self) -> None:
         for name in ("amplification", "amplification_floored", "effective_dim"):
@@ -52,14 +50,14 @@ class PenaltySequences:
                 raise ValueError(f"{name} must have length k_max")
 
 
-def _sequences(w: np.ndarray, lam, stable, empirical: bool) -> PenaltySequences:
+def _sequences(w: np.ndarray, lam, stable) -> PenaltySequences:
     """Penalty sequences from running maxima of w_j / l_j, zero wherever ``stable`` is False."""
     k = np.arange(1, w.size + 1, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         ampl = np.where(stable, np.maximum.accumulate(w / lam), 0.0)
         floored = np.where(stable, np.maximum.accumulate(np.maximum(w, 1.0) / lam), 0.0)
         eff = k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
-    return PenaltySequences(w.size, ampl, floored, eff, empirical)
+    return PenaltySequences(w.size, ampl, floored, eff)
 
 
 def penalty_sequences(
@@ -68,7 +66,7 @@ def penalty_sequences(
     """Penalty sequences computed from a known operator weight sequence."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return _sequences(risk_weights.values(k_max), operator_weights.values(k_max), True, False)
+    return _sequences(risk_weights.values(k_max), operator_weights.values(k_max), True)
 
 
 def penalty_sequences_from_diagonal(
@@ -85,7 +83,7 @@ def penalty_sequences_from_diagonal(
         raise ValueError("need at least one diagonal entry")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    return _sequences(risk_weights.values(t.size), t * t, _stable_prefix(t, n), True)
+    return _sequences(risk_weights.values(t.size), t * t, _stable_prefix(t, n))
 
 
 # -- dimension cutoffs ----------------------------------------------------
@@ -210,6 +208,8 @@ def penalized_select(
     empirical effective dimension over n.  Ties resolve to the smallest k.
     The default constant is the conservative theoretical one; far smaller
     values are reasonable in practice and the rate-study harness uses one.
+    No fit here is the zero fallback: t_1 = 1, and the cutoff admits j >= 2
+    only when t_j**2 >= 2 log(n) / n, so every k passes t_j**2 >= 1/n.
     """
     if not penalty_const > 0:
         raise ValueError(f"penalty constant must be positive, got {penalty_const}")
@@ -217,12 +217,9 @@ def penalized_select(
     cutoff = empirical_dimension_cutoff(sample, risk_weights)
     tdiag, ghat = empirical_diagonal(sample, cutoff)
     seqs = penalty_sequences_from_diagonal(tdiag, n, risk_weights)
-    # the stable k form a prefix; past it the contrast stays 0
-    stable = _stable_prefix(tdiag, n)
-    coeffs = _diagonal_fit(tdiag[stable], ghat[stable], n).coeffs
-    contrast = np.zeros(cutoff)
-    for k in range(1, coeffs.size + 1):
-        contrast[k - 1] = -weighted_norm_sq(coeffs[:k], risk_weights)
+    coeffs = _diagonal_fit(tdiag, ghat, n).coeffs
+    contrast = np.array([-weighted_norm_sq(coeffs[:k], risk_weights)
+                         for k in range(1, cutoff + 1)])
     y2 = float(np.mean(sample.y * sample.y))
     penalty = penalty_const * y2 * seqs.effective_dim / n
     criterion = contrast + penalty

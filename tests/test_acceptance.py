@@ -213,7 +213,7 @@ def test_criterion_7_invariant_suite(check):
     # L2 distance to 1e-6 relative
     truth = rng.normal(0.0, 0.3, 12)
     fit = diagonal_estimate(s, 6)
-    risk = risk_weighted(fit, truth, WeightSequence.constant(), 12)
+    risk = risk_weighted(fit, truth, WeightSequence.constant())
     m = 8192
     gridpts = (np.arange(m) + 0.5) / m
     padded = np.concatenate([fit.coeffs, np.zeros(6)])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npiv.basis import WeightSequence
-from npiv.cli import StudyRow, main, run_rate_study
+from npiv.cli import StudyRow, console_main, main, run_rate_study
 from npiv.estimator import Sample, load_csv, risk_weighted, write_csv
 from npiv.selection import (
     dimension_cutoff,
@@ -64,6 +64,17 @@ def test_help_exits_zero(capsys):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_console_main_runs_a_command(monkeypatch, capsys):
+    # console_main is the installed ``npiv`` script: it reads sys.argv and exits
+    argv = ["npiv", "oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1",
+            "--n-grid", "100"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k\n100,")
 
 
 # -- simulate -------------------------------------------------------------
@@ -359,7 +370,7 @@ def test_estimate_with_truth_reports_risk(tmp_path, capsys):
     from npiv.estimator import diagonal_estimate
 
     phi = make_structural(1.0, 2.0, profile="custom", coeffs=[1.0, 0.5])
-    expected = risk_weighted(diagonal_estimate(s, 2), phi, CONST, 2)
+    expected = risk_weighted(diagonal_estimate(s, 2), phi, CONST)
     assert report["risk"] == expected
     assert report["risk_weights"] == "const"
 
@@ -410,10 +421,6 @@ def test_estimate_usage_errors(tmp_path, capsys):
         assert f"--k {k} with n=50 {_TOO_LARGE}" in capsys.readouterr().err
     wide = str(tmp_path / "wide.json")
     assert main(["estimate", rows, "--k", "20000", "--mode", "diagonal", "--out", wide]) == 0
-    flat = tmp_path / "flat.json"
-    flat.write_text(json.dumps({"profile": "custom", "coeffs": [1.0], "smoothness": 1.0, "radius": 2.0}))
-    assert main(["estimate", rows, "--k", "1", "--truth", str(flat), "--j-max", str(10**12)]) == 2
-    assert f"--j-max {10**12} {_TOO_LARGE}" in capsys.readouterr().err
 
     truth_path = tmp_path / "truth.json"
     for truth, message in (
@@ -502,6 +509,9 @@ def test_select_usage_errors(tmp_path, capsys):
     assert main(["select", path, "--penalty-const", "0"]) == 2
     assert main(["select", path, "--risk-weights", "nope"]) == 2
     capsys.readouterr()
+    for value in ("inf", "nan"):
+        assert main(["select", path, "--penalty-const", value]) == 2
+        assert f"--penalty-const must be positive and finite, got {value}" in capsys.readouterr().err
 
     bad = tmp_path / "bad.csv"
     for value in ("nan", "inf"):
@@ -599,6 +609,11 @@ def test_oracle_usage_errors(capsys):
     assert main(base + ["--n-grid", "x"]) == 2
     assert main(base + ["--n-grid", "100", "--link-constant", "0"]) == 2
     capsys.readouterr()
+    for value in ("inf", "nan"):
+        assert main(base + ["--n-grid", "100000", "--link-constant", value]) == 2
+        assert f"--link-constant must be positive and finite, got {value}" in capsys.readouterr().err
+    assert main(base + ["--n-grid", "100", "--k-max", "0"]) == 2
+    assert "--k-max must be >= 1, got 0" in capsys.readouterr().err
     assert main(base + ["--n-grid", f"10,{10**12}"]) == 2
     assert f"--n-grid {10**12} {_TOO_LARGE}" in capsys.readouterr().err
 
@@ -731,7 +746,7 @@ def test_rate_study_rows_are_named_in_csv_order():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rate_study_usage_errors(tmp_path, capsys, monkeypatch):
+def test_rate_study_usage_errors(tmp_path, capsys):
     nostudy = _write_config(tmp_path, "nostudy.json")
     out = str(tmp_path / "o.json")
     assert main(["rate-study", nostudy, "--out", out]) == 2
@@ -757,6 +772,9 @@ def test_rate_study_usage_errors(tmp_path, capsys, monkeypatch):
         assert message in capsys.readouterr().err
     assert main(["rate-study", cfg, "--out", out, "--n-grid", "300,0"]) == 2
     assert "--n-grid must list integers >= 1" in capsys.readouterr().err
+    nokmax = _write_config(tmp_path, "kmax.json", study={"n_grid": [20, 40], "k_max": 0})
+    assert main(["rate-study", nokmax, "--out", out]) == 2
+    assert "study.k_max must be >= 1, got 0" in capsys.readouterr().err
 
     # risks beyond the double range are a usage error, not an internal one
     for sections in ({"selection": {"derivative_order": 538}}, {"noise": {"snr": 1e-268}}):
@@ -765,7 +783,4 @@ def test_rate_study_usage_errors(tmp_path, capsys, monkeypatch):
         assert main(["rate-study", huge, "--out", out]) == 2
         assert "the risk at n=20 overflows" in capsys.readouterr().err
 
-    monkeypatch.setenv("NPIV_JOBS", "abc")
-    assert main(["rate-study", cfg, "--out", out]) == 2
-    assert "NPIV_JOBS must be an integer, got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()

@@ -413,19 +413,33 @@ def test_risk_weighted_examples():
     truth = np.array([1.0, 0.5, 0.25])
     fit = GalerkinEstimate(np.array([1.0, 0.0]), 2, thresholded=False, mode="diagonal")
     # (1-1)^2 + (0-1/2)^2 + (1/4)^2 = 0.3125 exactly
-    assert risk_weighted(fit, truth, const, 3) == 0.3125
-    assert risk_weighted(fit, truth, const, 10) == 0.3125
+    assert risk_weighted(fit, truth, const) == 0.3125
+    # the same sum when the estimate is the longer vector
+    long_fit = GalerkinEstimate(np.array([1.0, 0.0, 0.25]), 3, thresholded=False, mode="general")
+    assert risk_weighted(long_fit, truth[:2], const) == 0.3125
     spec = StructuralSpec(coeffs=truth, smoothness=1.0, radius=3.0)
-    assert risk_weighted(fit, spec, const, 3) == 0.3125
+    assert risk_weighted(fit, spec, const) == 0.3125
 
     perfect = GalerkinEstimate(truth, 3, thresholded=False, mode="general")
-    assert risk_weighted(perfect, truth, const, 3) == 0.0
+    assert risk_weighted(perfect, truth, const) == 0.0
 
     zero = GalerkinEstimate(np.zeros(3), 3, thresholded=True, mode="general")
-    assert risk_weighted(zero, truth, const, 3) == weighted_norm_sq(truth, const)
+    assert risk_weighted(zero, truth, const) == weighted_norm_sq(truth, const)
 
-    with pytest.raises(ValueError, match="j_max"):
-        risk_weighted(fit, truth, const, 2)
+
+def test_risk_weighted_sums_only_the_coefficients_it_has():
+    # Zero padding past both vectors would add 0 * inf = NaN where the weights
+    # overflow: the derivative:200 weight j**400 is inf from j = 6 on.
+    from npiv.estimator import GalerkinEstimate
+
+    weights = WeightSequence.derivative(200)
+    with np.errstate(over="ignore"):
+        assert np.isinf(weights.values(6)[-1])
+    truth = np.array([1.0, 0.5, 0.25])
+    fit = GalerkinEstimate(np.array([0.5, 0.0, 1.0]), 3, thresholded=False, mode="diagonal")
+    risk = risk_weighted(fit, truth, weights)
+    assert math.isfinite(risk)
+    assert risk == float(np.dot(weights.values(3), (fit.coeffs - truth) ** 2))
 
 
 def test_risk_weighted_matches_quadrature():
@@ -437,7 +451,7 @@ def test_risk_weighted_matches_quadrature():
     rng = np.random.default_rng(8)
     truth = rng.normal(0.0, 0.3, 10)
     fit = GalerkinEstimate(rng.normal(0.0, 0.5, 6), 6, thresholded=False, mode="diagonal")
-    risk = risk_weighted(fit, truth, WeightSequence.constant(), 10)
+    risk = risk_weighted(fit, truth, WeightSequence.constant())
     m = 8192
     grid = (np.arange(m) + 0.5) / m
     padded = np.concatenate([fit.coeffs, np.zeros(4)])
@@ -517,6 +531,6 @@ def test_structural_truth_padding():
     fit = GalerkinEstimate(phi.coeffs[:5].copy(), 5, thresholded=False, mode="diagonal")
     tail = phi.coeffs[5:]
     expected = float(np.dot(tail, tail))
-    assert risk_weighted(fit, phi, WeightSequence.constant(), 12) == pytest.approx(
+    assert risk_weighted(fit, phi, WeightSequence.constant()) == pytest.approx(
         expected, rel=1e-12
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -42,7 +42,6 @@ def test_penalty_hand_values():
     # 3 * 9 * ln(9)/ln(5)
     assert seqs.effective_dim[2] == 36.86073450224321
     assert seqs.effective_dim[2] == pytest.approx(27.0 * math.log(9.0) / math.log(5.0), rel=1e-14)
-    assert not seqs.empirical
 
 
 def test_penalty_floor_differs_for_small_weights():
@@ -82,7 +81,6 @@ def test_empirical_penalty_stability_indicator():
     assert seqs.amplification[0] == 1.0
     assert_array_equal(seqs.amplification[1:], [0.0, 0.0])
     assert_array_equal(seqs.effective_dim[1:], [0.0, 0.0])
-    assert seqs.empirical
 
 
 def test_empirical_matches_known_for_exact_entries():
@@ -400,6 +398,28 @@ def test_exact_tie_resolves_to_smallest_k(n, seed, strength, scale, weights, con
     assert trace.k_selected == 1
     assert trace.estimate.k == 1
     assert_array_equal(trace.estimate.coeffs, s.y.mean())
+
+
+_PHI = make_structural(2.0, 1.0, truncation=30)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 4000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([("polynomial", 0.5), ("polynomial", 2.0), ("exponential", 0.5), ("exponential", 1.0)]),
+    st.sampled_from([CONST, WeightSequence.derivative(1), WeightSequence.sobolev(2.0)]),
+)
+@example(1, 0, ("polynomial", 1.0), CONST)
+@example(2, 1, ("exponential", 1.0), WeightSequence.derivative(1))
+@example(3, 2, ("polynomial", 2.0), WeightSequence.sobolev(2.0))
+def test_every_dimension_within_the_cutoff_passes_the_threshold(n, seed, operator, weights):
+    # t_1 = 1, and the cutoff admits j >= 2 only when t_j**2 >= 2 log(n) / n > 1/n,
+    # which is why penalized_select fits the whole cutoff without a zero fallback
+    s = generate_sample(_PHI, make_operator(*operator), 0.3, n, seed)
+    cutoff = empirical_dimension_cutoff(s, weights)
+    assert estimator._stable_prefix(empirical_diagonal(s, cutoff)[0], n).all()
+    assert not penalized_select(s, weights, 0.75).estimate.thresholded
 
 
 # -- oracle and diagnostics -----------------------------------------------
