@@ -20,9 +20,6 @@ SQRT2 = math.sqrt(2.0)
 # strictly positive while downstream ratios harmlessly overflow to inf.
 _TINY = np.nextafter(0.0, 1.0)
 
-# Values per row block of ``trig_columns``: the block's temporaries stay in cache.
-_BLOCK_VALUES = 1 << 15
-
 _PARAM_KINDS = ("sobolev", "derivative", "polynomial_decay", "exponential_decay")
 _ALL_KINDS = ("constant", "custom") + _PARAM_KINDS
 
@@ -42,27 +39,43 @@ def _checked_points(points) -> np.ndarray:
 
 
 def trig_columns(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Evaluate selected basis functions at ``points``; shape (n, len(indices))."""
+    """Evaluate selected basis functions at ``points``; shape (n, len(indices)).
+
+    cos and sin of 2*pi*x are taken once per point; frequency f + 1 follows
+    from f by the rotation (c, s) <- (c*c1 - s*s1, s*c1 + c*s1) in separately
+    rounded real operations (numpy's complex multiply rounds one element
+    differently from several).  Each entry is thus within O(f * eps) of
+    sqrt(2) * cos or sin of 2*pi*f*x, at most sqrt(2) in size, and a bitwise
+    pure function of (point, index), so a subset, prefix or row slice matches
+    the full design bit for bit.  The result is column-major: each column is
+    one contiguous row of a buffer.
+    """
     pts = _checked_points(points)
     idx = np.asarray(indices, dtype=int)
     bad = idx[idx < 1]
     if bad.size:
         raise ValueError(f"basis index must be >= 1, got {bad[0]}")
-    out = np.empty((pts.size, idx.size))
-    # Each entry is 1 (j = 1) or SQRT2 * cos or sin of (2*pi*f) * point: it
-    # depends only on its point and index, so any subset or prefix of a
-    # design, in whatever row blocks, matches the full design bit for bit.
-    cos_pos = np.flatnonzero(idx % 2 == 0)
-    sin_pos = np.flatnonzero((idx % 2 == 1) & (idx > 1))
-    cos_freq = (2.0 * math.pi) * (idx[cos_pos] // 2)
-    sin_freq = (2.0 * math.pi) * (idx[sin_pos] // 2)
-    rows = max(1, _BLOCK_VALUES // max(1, idx.size))
-    for lo in range(0, pts.size, rows):
-        block = pts[lo : lo + rows, None]
-        out[lo : lo + rows, cos_pos] = SQRT2 * np.cos(block * cos_freq)
-        out[lo : lo + rows, sin_pos] = SQRT2 * np.sin(block * sin_freq)
-    out[:, idx == 1] = 1.0
-    return out
+    out = np.empty((idx.size, pts.size))
+    out[idx == 1] = 1.0
+    rows = [[] for _ in range(frequency(int(idx.max(initial=1))) + 1)]
+    for pos, j in enumerate(idx.tolist()):
+        rows[frequency(j)].append((pos, j % 2))
+    if len(rows) > 1:
+        tmp = (2.0 * math.pi) * pts
+        c1, s1 = np.cos(tmp), np.sin(tmp)
+        c, s, cs1 = c1.copy(), s1.copy(), np.empty_like(tmp)
+        for f in range(1, len(rows)):
+            if f > 1:
+                np.multiply(c, s1, out=cs1)
+                np.multiply(c, c1, out=c)
+                np.multiply(s, s1, out=tmp)
+                np.subtract(c, tmp, out=c)
+                np.multiply(s, c1, out=s)
+                np.add(s, cs1, out=s)
+            for pos, odd in rows[f]:
+                np.multiply(s if odd else c, SQRT2, out=out[pos])
+        np.clip(out, -SQRT2, SQRT2, out=out)
+    return out.T
 
 
 def trig_design(points: np.ndarray, k: int) -> np.ndarray:
@@ -178,12 +191,14 @@ class WeightSequence:
         j = np.arange(1, k + 1, dtype=float)
         if self.kind == "constant":
             return np.ones(k)
-        if self.kind in ("sobolev", "derivative"):
-            w = j ** (2.0 * self.param)
-        elif self.kind == "polynomial_decay":
-            w = np.maximum(j ** (-2.0 * self.param), _TINY)
-        else:  # exponential_decay
-            w = np.maximum(np.exp(-(j ** (2.0 * self.param))), _TINY)
+        # Growth weights past the double range become inf, a handled case.
+        with np.errstate(over="ignore"):
+            if self.kind in ("sobolev", "derivative"):
+                w = j ** (2.0 * self.param)
+            elif self.kind == "polynomial_decay":
+                w = np.maximum(j ** (-2.0 * self.param), _TINY)
+            else:  # exponential_decay
+                w = np.maximum(np.exp(-(j ** (2.0 * self.param))), _TINY)
         w[0] = 1.0
         return w
 

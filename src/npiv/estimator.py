@@ -148,9 +148,12 @@ def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (t, g) with t_j = mean psi_j(w_i) psi_j(z_i) and
     g_j = mean y_i psi_j(w_i).  The sample keeps one prefix of these
-    entries, and a larger k evaluates only the missing columns.  Each entry
-    is reduced on its own contiguous column product, so prefixes are bitwise
-    identical however they grew, as nesting and selection traces require.
+    entries, and a larger k evaluates only the missing columns.  Each basis
+    entry is a bitwise pure function of its point and index, and the means
+    are reduced along the contiguous columns of ``trig_columns``'s
+    column-major output, so prefixes are bitwise identical however they
+    grew, as nesting and selection traces require.  Over C-order columns the
+    same means would sum in another order.
     """
     if k < 1:
         raise ValueError(f"design width must be >= 1, got {k}")
@@ -159,9 +162,8 @@ def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
         idx = np.arange(len(tdiag) + 1, k + 1)
         pw = trig_columns(sample.w, idx)
         pz = trig_columns(sample.z, idx)
-        for pos in range(idx.size):
-            tdiag.append((pw[:, pos] * pz[:, pos]).mean())
-            ghat.append((pw[:, pos] * sample.y).mean())
+        tdiag.extend((pw * pz).mean(axis=0))
+        ghat.extend((pw * sample.y[:, None]).mean(axis=0))
     return np.array(tdiag[:k]), np.array(ghat[:k])
 
 

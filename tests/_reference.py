@@ -41,12 +41,27 @@ def psi(j: int, s: float) -> float:
     return SQRT2 * (math.cos(ang) if j % 2 == 0 else math.sin(ang))
 
 
+# trig_columns reaches frequency f by f - 1 rotations, so its distance to
+# trig_columns_loop grows like f * eps.  The largest measured
+# |difference| / ((f + 1) * eps) was 10.9, over 96,000 points in [0, 1]
+# (0, 1/4, 1/2, 3/4 and 1 included) and indices up to 600; C = 24 leaves a
+# margin of 2.2.
+TRIG_ERROR_C = 24.0
+
+
+def trig_error_bound(indices) -> np.ndarray:
+    """Per-column bound C * (f + 1) * eps on |trig_columns - trig_columns_loop|."""
+    f = np.asarray(indices, dtype=int) // 2
+    return TRIG_ERROR_C * (f + 1) * np.finfo(float).eps
+
+
 def trig_columns_loop(points, indices) -> np.ndarray:
     """Column-at-a-time basis design, with the library's validation messages.
 
-    Each column is one contiguous numpy cos or sin call over all points, so
-    a kernel that evaluates the same elementwise function in any blocking
-    must match it bit for bit.
+    Each entry is sqrt(2) times one numpy cos or sin of (2*pi*f) * point,
+    the direct definition.  The library kernel reaches frequency f by a
+    rotation recurrence instead, so it matches this reference within
+    ``trig_error_bound``, and bit for bit only at the constant and f = 1.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:

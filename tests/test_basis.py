@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from npiv import basis
 from npiv.basis import (
     SQRT2,
     WeightSequence,
@@ -18,7 +17,7 @@ from npiv.basis import (
     weighted_norm_sq,
 )
 
-from _reference import psi, trig_columns_loop
+from _reference import psi, trig_columns_loop, trig_error_bound
 
 
 # -- basis functions ------------------------------------------------------
@@ -61,7 +60,7 @@ def test_trig_columns_matches_scalar():
     idx = np.array([1, 2, 3, 6, 11])
     cols = trig_columns(pts, idx)
     ref = np.array([[psi(j, s) for j in idx] for s in pts])
-    assert_allclose(cols, ref, rtol=5e-16, atol=1e-15)
+    assert np.all(np.abs(cols - ref) <= trig_error_bound(idx))
 
 
 def test_trig_columns_validation():
@@ -102,25 +101,61 @@ def _bits(a):
         (1, np.array([7])),
         (40, np.array([], dtype=int)),
         (0, np.arange(1, 6)),
-        # several row blocks of 32768 // 200 = 163 rows, the last one partial
         (1500, np.arange(1, 201)),
         (16000, np.arange(1, 65)),
     ],
 )
 def test_trig_columns_matches_column_loop_bitwise(n, idx):
+    # within the recurrence's error bound of the column loop, and bit for
+    # bit the full design's columns
     pts = np.random.default_rng(n).uniform(0.0, 1.0, n)
     if n >= 2:
         pts[:2] = (0.0, 1.0)
-    assert _bits(trig_columns(pts, idx)) == _bits(trig_columns_loop(pts, idx))
+    cols = trig_columns(pts, idx)
+    ref = trig_columns_loop(pts, idx)
+    assert cols.shape == ref.shape
+    assert np.all(np.abs(cols - ref) <= trig_error_bound(idx))
+    if idx.size:
+        assert _bits(cols) == _bits(trig_design(pts, idx.max())[:, idx - 1])
 
 
 def test_trig_columns_design_wider_than_one_block():
-    # more columns than values per block: every row is its own block
-    k = basis._BLOCK_VALUES + 3
+    # 2**15 + 3 columns at four points: the recurrence runs to f = 16385
+    k = (1 << 15) + 3
     pts = np.array([0.0, 0.3, 0.71, 1.0])
     idx = np.arange(1, k + 1)
-    assert _bits(trig_columns(pts, idx)) == _bits(trig_columns_loop(pts, idx))
-    assert _bits(trig_columns(pts, idx[-5:])) == _bits(trig_columns_loop(pts, idx[-5:]))
+    full = trig_columns(pts, idx)
+    assert np.all(np.abs(full - trig_columns_loop(pts, idx)) <= trig_error_bound(idx))
+    assert _bits(trig_columns(pts, idx[-5:])) == _bits(full[:, -5:])
+
+
+def test_trig_columns_error_bound_past_largest_cutoff():
+    # the rotation's error grows like f * eps; j = 600 is past the largest
+    # cutoff the suite reaches (574).  The constant and f = 1 are numpy's
+    # own cos and sin, so they match the loop exactly.
+    pts = np.concatenate([[0.0, 1.0], np.random.default_rng(600).uniform(0.0, 1.0, 15998)])
+    for lo in range(1, 601, 100):
+        idx = np.arange(lo, lo + 100)
+        err = np.abs(trig_columns(pts, idx) - trig_columns_loop(pts, idx)).max(axis=0)
+        assert np.all(err <= trig_error_bound(idx))
+        if lo == 1:
+            assert_array_equal(err[:3], 0.0)
+
+
+def test_trig_columns_position_independent():
+    # The same points at offsets 0-16 inside longer arrays, passed as views
+    # of lengths 1 to 32, give the columns of one call over all points bit
+    # for bit: no alignment, SIMD lane or short-array path may move an entry.
+    rng = np.random.default_rng(64)
+    pts = np.concatenate([rng.uniform(0.0, 1.0, 45), [0.0, 1.0, 0.5, 0.25]])
+    idx = np.arange(1, 65)
+    ref = trig_columns(pts, idx)
+    for off in range(17):
+        for length in (1, 2, 3, 8, 17, 32):
+            seg = slice(off, off + length)
+            host = rng.uniform(0.0, 1.0, off + length + 7)
+            host[seg] = pts[seg]
+            assert _bits(trig_columns(host[seg], idx)) == _bits(ref[seg])
 
 
 def test_orthonormality_midpoint_quadrature():
