@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from npiv import basis, simulate
 from npiv.basis import WeightSequence, trig_design, weighted_norm_sq
 from npiv.estimator import empirical_diagonal
 from npiv.simulate import (
+    PROPOSAL_DOUBLES,
     STREAM_JOINT,
     STREAM_NOISE,
     OperatorSpec,
@@ -23,12 +25,19 @@ from npiv.simulate import (
     make_operator,
     make_structural,
     noise_sigma_for_snr,
+    proposal_batch,
     sample_joint,
     stream_rng,
     task_seed,
 )
 
-from _reference import joint_density_design, psi, regression_coeffs
+from _reference import (
+    clenshaw_error_bound,
+    joint_density_design,
+    psi,
+    regression_coeffs,
+    sample_joint_full_batch,
+)
 
 
 # -- operator construction ------------------------------------------------
@@ -131,7 +140,7 @@ def test_joint_density_scalar_value():
 
 @pytest.mark.parametrize("trunc", [2, 3, 5, 8, 10, 64])
 def test_joint_density_matches_design_form(trunc):
-    # the product-to-sum Horner sums against 1 + sum_j t_j psi_j(z) psi_j(w)
+    # the product-to-sum Clenshaw sums against 1 + sum_j t_j psi_j(z) psi_j(w)
     # built from designs, for odd and even truncations, at the ends and the
     # middle of the interval as well as at random points
     rng = np.random.default_rng(trunc)
@@ -146,6 +155,49 @@ def test_joint_density_matches_design_form(trunc):
     ]
     for op in ops:
         assert np.abs(joint_density(op, z, w) - joint_density_design(op, z, w)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("trunc", [10, 64, 256, 1000])
+def test_joint_density_error_bound_near_endpoints(trunc):
+    # Clenshaw's recurrence is least accurate where cos 2 pi (z -+ w) is near +-1:
+    # points with z close to w and z + w close to 1, and the corners 0, 1/2 and 1
+    rng = np.random.default_rng(trunc)
+    base = rng.random(150)
+    offsets = np.array([0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4])
+    z = np.repeat(base, offsets.size)
+    near = np.clip((base[:, None] + offsets).ravel(), 0.0, 1.0)
+    mirror = np.clip((1.0 - base[:, None] + offsets).ravel(), 0.0, 1.0)
+    corners = np.array([0.0, 0.5, 1.0])
+    cz, cw = np.meshgrid(corners, corners, indexing="ij")
+    z = np.concatenate([z, z, cz.ravel()])
+    w = np.concatenate([near, mirror, cw.ravel()])
+    ops = [
+        make_operator("polynomial", 0.26, truncation=trunc),
+        make_operator("polynomial", 1.0, truncation=trunc),
+        make_operator("exponential", 0.5, truncation=trunc),
+        custom_operator(np.concatenate([[1.0], rng.uniform(-0.4, 0.4, trunc - 1) / trunc])),
+    ]
+    for op in ops:
+        err = np.abs(joint_density(op, z, w) - joint_density_design(op, z, w)).max()
+        assert err <= clenshaw_error_bound(trunc)
+
+
+@pytest.mark.parametrize("trunc", [2, 3, 5, 8, 10, 64])
+def test_joint_density_position_independent(trunc):
+    # each value is a pure function of its point: the points one at a time as
+    # scalars, and as views of several lengths at offsets 0-16, give the bits of
+    # one call over all of them
+    op = make_operator("polynomial", 1.0, truncation=trunc)
+    rng = np.random.default_rng(trunc)
+    z = np.concatenate([[0.0, 0.5, 1.0], rng.random(197)])
+    w = np.concatenate([[1.0, 0.5, 1.0], rng.random(197)])
+    full = joint_density(op, z, w)
+    alone = [joint_density(op, float(a), float(b)) for a, b in zip(z, w)]
+    assert_array_equal(alone, full)
+    for length in (1, 2, 3, 8, 17, 32):
+        for offset in range(17):
+            view = slice(offset, offset + length)
+            assert_array_equal(joint_density(op, z[view], w[view]), full[view])
 
 
 def test_joint_density_point_checks():
@@ -205,7 +257,7 @@ def test_sample_joint_degenerate_is_independent_uniform():
 
 @pytest.mark.parametrize("trunc", [2, 5, 8, 10])
 def test_sample_joint_keeps_design_form_decisions(monkeypatch, trunc):
-    # the Horner density differs from the design form by rounding only; no
+    # the Clenshaw density differs from the design form by rounding only; no
     # accept decision may flip, so the draws are the design form's bit for bit
     op = make_operator("polynomial", 1.0, truncation=trunc)
     seeds = (0, 1, 2)
@@ -215,6 +267,69 @@ def test_sample_joint_keeps_design_form_decisions(monkeypatch, trunc):
         z_ref, w_ref = sample_joint(op, 20000, seed)
         assert_array_equal(z, z_ref)
         assert_array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 5, 8, 64])
+def test_sample_joint_matches_full_batches(trunc):
+    # the density is evaluated only up to the n-th acceptance, and the design-form
+    # reference judges every proposal of each batch: the draws agree bit for bit
+    if trunc == 1:
+        op = custom_operator((1.0,))
+    else:
+        op = make_operator("polynomial", 1.0, truncation=trunc)
+    for n in (1, 2, 7, 100, 1000, 20000):
+        for seed in (0, 1, 2):
+            z, w = sample_joint(op, n, seed)
+            z_ref, w_ref = sample_joint_full_batch(op, n, seed)
+            assert_array_equal(z, z_ref)
+            assert_array_equal(w, w_ref)
+
+
+def test_sample_joint_matches_full_batches_across_small_batches(monkeypatch):
+    # batches of 512 proposals split a sample of 1000 into four or more; a last
+    # batch whose first slice falls short of the missing pairs is judged in several
+    # slices, which happens for a few of the seeds
+    op = make_operator("polynomial", 1.0, truncation=5)
+    batches, slices, split = [], [], 0
+    real_density = simulate.joint_density
+
+    def small_batch(op, n):
+        batches.append(n)
+        return 512
+
+    def counting_density(op, z, w):
+        slices.append(len(z))
+        return real_density(op, z, w)
+
+    monkeypatch.setattr(simulate, "proposal_batch", small_batch)
+    monkeypatch.setattr(simulate, "joint_density", counting_density)
+    for seed in range(20):
+        batches.clear()
+        slices.clear()
+        z, w = sample_joint(op, 1000, seed)
+        assert len(batches) >= 4
+        split += len(slices) > len(batches)
+        z_ref, w_ref = sample_joint_full_batch(op, 1000, seed)
+        assert_array_equal(z, z_ref)
+        assert_array_equal(w, w_ref)
+    assert split > 0
+
+
+@pytest.mark.parametrize("trunc", [2, 5, 8, 64])
+def test_sample_joint_peak_memory(trunc):
+    # the CLI bounds a sampler batch of m proposals by PROPOSAL_DOUBLES * m
+    # doubles, so that must cover everything sample_joint holds at once
+    op = make_operator("polynomial", 1.0, truncation=trunc)
+    for n in (16000, 200000):
+        m = proposal_batch(op, n)
+        sample_joint(op, n, 0)  # first-call allocations are not the sampler's
+        tracemalloc.start()
+        try:
+            sample_joint(op, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PROPOSAL_DOUBLES * 8 * m
 
 
 def test_sample_joint_reproducible():
@@ -366,8 +481,8 @@ def test_generate_sample_reproducible():
 
 
 def test_generate_sample_builds_no_response_design(monkeypatch):
-    # neither the truth nor the sampler's density builds a design: both are
-    # Horner sums, so no basis column is evaluated while drawing a sample
+    # neither the truth nor the sampler's density builds a design: they are
+    # Horner and Clenshaw sums, so no basis column is evaluated while drawing a sample
     widths = []
     real = basis.trig_columns
 
