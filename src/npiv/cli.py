@@ -40,14 +40,13 @@ from .selection import (
     penalty_sequences,
 )
 from .simulate import (
-    PROPOSAL_DOUBLES,
     OperatorSpec,
     StructuralSpec,
     generate_sample,
     make_operator,
     make_structural,
     noise_sigma_for_snr,
-    proposal_batch,
+    sampler_doubles,
     task_seed,
 )
 
@@ -85,10 +84,10 @@ def _size(v: int) -> str:
 
 
 def _check_sampler(op: OperatorSpec, n: int, name: str) -> None:
-    """Bound the sample of size ``n`` and the proposal batch of its rejection sampler."""
+    """Bound the sample of size ``n`` and the peak of its rejection sampler."""
     _check_size(f"{name} {_size(n)}", n)
-    batch = proposal_batch(op, n)
-    _check_size(f"{name} {n}: its sampler batch of {batch} proposals", batch * PROPOSAL_DOUBLES)
+    doubles = sampler_doubles(op, n)
+    _check_size(f"{name} {n}: its sampler's peak of {doubles} doubles", doubles)
 
 
 # -- config handling ------------------------------------------------------
@@ -478,13 +477,10 @@ def run_rate_study(
     """
     weights = WeightSequence.derivative(order)
     smooth_w = WeightSequence.sobolev(phi.smoothness)
-    op_w = op.weights
-    if op_w is None:
-        raise UsageError("rate studies need a polynomial or exponential operator")
 
     oracle_per_n = {}
     for n in grid:
-        k_best, rate = oracle_dimension(weights, smooth_w, op_w, n, min(n, k_max))
+        k_best, rate = oracle_dimension(weights, smooth_w, op.weights, n, min(n, k_max))
         oracle_per_n[n] = (k_best, rate)
 
     tasks = [
@@ -536,9 +532,9 @@ def run_rate_study(
                 "oracle_k": int(k_best),
                 "oracle_rate": float(rate),
                 "oracle_risk_median": float(np.median(fixed_risks)),
-                "cutoff_known": int(dimension_cutoff(weights, op_w, op.link_constant, n)),
+                "cutoff_known": int(dimension_cutoff(weights, op.weights, op.link_constant, n)),
                 "cutoff_lower": int(
-                    dimension_cutoff_lower(weights, op_w, op.link_constant, n)
+                    dimension_cutoff_lower(weights, op.weights, op.link_constant, n)
                 ),
             }
         )
@@ -621,33 +617,7 @@ def cmd_rate_study(args) -> int:
                 f"{row.n},{row.replication},{row.seed},{row.k_selected},{row.cutoff},"
                 f"{int(row.thresholded)},{row.risk!r},{oracle_k[row.n]},{row.oracle_risk!r}\n"
             )
-    if args.emit_gnuplot:
-        medians = [row["risk_median"] for row in report["per_n"]]
-        _write_gnuplot(base, grid, medians, report["fitted_slope"], report["slope_axis"])
     return 0
-
-
-def _write_gnuplot(base: str, grid, medians, fitted, slope_axis: str) -> None:
-    lines = [
-        "# generated by npiv rate-study",
-        "set logscale xy",
-        "set xlabel 'sample size n'",
-        "set ylabel 'median weighted risk'",
-        "set key left bottom",
-    ]
-    if fitted is not None and slope_axis == "log_n":
-        x0, y0 = float(grid[0]), float(medians[0])
-        lines.append(f"fit_slope = {fitted!r}")
-        lines.append(f"f(x) = {y0!r} * (x / {x0!r}) ** fit_slope")
-        plot = "plot '-' using 1:2 with linespoints title 'median risk', f(x) title sprintf('slope %.3f', fit_slope)"
-    else:
-        plot = "plot '-' using 1:2 with linespoints title 'median risk'"
-    lines.append(plot)
-    for n, r in zip(grid, medians):
-        lines.append(f"{n} {r!r}")
-    lines.append("e")
-    with open(base + ".gp", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # -- entry points ---------------------------------------------------------
@@ -702,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", required=True, help="output path; .json and .csv are written")
-    p.add_argument("--emit-gnuplot", action="store_true", help="also write a gnuplot script")
     p.set_defaults(func=cmd_rate_study)
 
     return parser

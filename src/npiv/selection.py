@@ -115,10 +115,11 @@ def dimension_cutoff(
 
 
 def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
-    """Largest N <= n whose risk weights stay below n (at least 1)."""
+    """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1)."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    w = risk_weights.values(n)
+    table = risk_weights.table
+    w = risk_weights.values(n if table is None else min(n, len(table)))
     ok = np.maximum.accumulate(w) <= n
     hits = np.nonzero(ok)[0]
     return int(hits[-1]) + 1 if hits.size else 1

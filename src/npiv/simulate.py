@@ -49,17 +49,17 @@ class OperatorSpec:
     applied to the square roots of the operator weights; ``density_floor``
     is a certified lower bound for the joint density and ``link_constant``
     the largest ratio between squared diagonal coefficients and operator
-    weights in either direction (inf for degenerate custom operators).
+    weights in either direction.
     """
 
     decay: str
-    a: float | None
+    a: float
     truncation: int
     scale: float
     diag: np.ndarray
     density_floor: float
     link_constant: float
-    weights: WeightSequence | None
+    weights: WeightSequence
 
     def __post_init__(self) -> None:
         t = np.asarray(self.diag, dtype=float).copy()
@@ -115,29 +115,6 @@ def make_operator(decay: str, a: float, truncation: int = 64) -> OperatorSpec:
     )
 
 
-def custom_operator(diag) -> OperatorSpec:
-    """Wrap an explicit diagonal coefficient vector (t_1 must be 1).
-
-    Mainly for degenerate fixtures; the density floor certificate may be
-    negative for vectors too large to be a valid density, in which case
-    sampling refuses to run.
-    """
-    t = np.asarray(diag, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError("diag must be a nonempty vector")
-    tail = float(np.sum(np.abs(t[1:])))
-    return OperatorSpec(
-        decay="custom",
-        a=None,
-        truncation=t.size,
-        scale=1.0,
-        diag=t,
-        density_floor=1.0 - 2.0 * tail,
-        link_constant=_link_constant(t[1:] ** 2),
-        weights=None,
-    )
-
-
 def joint_density(op: OperatorSpec, z, w) -> np.ndarray | float:
     """Evaluate the joint density 1 + sum_{j>=2} t_j psi_j(z) psi_j(w).
 
@@ -179,15 +156,20 @@ def _envelope(op: OperatorSpec) -> float:
     return 1.0 + 2.0 * float(np.sum(np.abs(op.diag[1:])))
 
 
-# Doubles per proposal that ``sample_joint`` holds at its peak for a batch of m: z, w
-# and u (3m), and in ``joint_density`` on a first slice of at most m / 1.2 + 17 the
-# sum so far, 2c, b_1, b_2 and scratch (5 each); tracemalloc measured at most 7.4m.
-PROPOSAL_DOUBLES = 8
-
-
 def proposal_batch(op: OperatorSpec, n: int) -> int:
     """Proposals ``sample_joint`` draws in one batch while n pairs are missing."""
     return max(1024, int(math.ceil(n * _envelope(op) * 1.2)))
+
+
+def sampler_doubles(op: OperatorSpec, n: int) -> int:
+    """Doubles ``sample_joint`` holds at its peak while drawing n pairs.
+
+    Its first batch of m = ``proposal_batch(op, n)`` proposals is the largest.  Counted
+    per proposal: z, w and u (3), and in ``joint_density`` on a first slice of at most
+    m / 1.2 + 17 the sum so far, 2c, b_1, b_2 and scratch (5).  tracemalloc measured at
+    most 7.4 a proposal.
+    """
+    return 8 * proposal_batch(op, n)
 
 
 def sample_joint(op: OperatorSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

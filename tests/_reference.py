@@ -9,6 +9,8 @@ indicators, block scans, argmin tie breaking -- is all re-derived here.
 The simulator's joint density and regression coefficients are restated
 in their defining form, as a design product and as padded coefficient
 vectors, and its rejection sampler as a loop that judges whole batches.
+``custom_operator`` builds an operator from an explicit diagonal for
+degenerate fixtures; no command builds one.
 """
 
 from __future__ import annotations
@@ -80,6 +82,28 @@ def trig_columns_loop(points, indices) -> np.ndarray:
             ang = (2.0 * math.pi * (j // 2)) * pts
             out[:, pos] = SQRT2 * (np.cos(ang) if j % 2 == 0 else np.sin(ang))
     return out
+
+
+def custom_operator(diag) -> simulate.OperatorSpec:
+    """Wrap an explicit diagonal t_1..t_T (t_1 must be 1) for degenerate fixtures.
+
+    Its weights are the constant ones, polynomial decay of order 0, against which
+    the link constant is measured.  The density floor certificate is negative for
+    vectors too large to be a valid density, and sampling then refuses to run.
+    """
+    t = np.asarray(diag, dtype=float)
+    if t.ndim != 1 or t.size < 1:
+        raise ValueError("diag must be a nonempty vector")
+    return simulate.OperatorSpec(
+        decay="custom",
+        a=0.0,
+        truncation=t.size,
+        scale=1.0,
+        diag=t,
+        density_floor=1.0 - 2.0 * float(np.sum(np.abs(t[1:]))),
+        link_constant=simulate._link_constant(t[1:] ** 2),
+        weights=WeightSequence.constant(),
+    )
 
 
 def joint_density_design(op, z, w):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from npiv import cli
 from npiv.basis import WeightSequence
 from npiv.cli import StudyRow, console_main, main, run_rate_study
 from npiv.estimator import Sample, load_csv, risk_weighted, write_csv
@@ -23,7 +24,7 @@ from npiv.selection import (
     oracle_dimension,
     penalty_sequences,
 )
-from npiv.simulate import make_operator, make_structural
+from npiv.simulate import generate_sample, make_operator, make_structural, sampler_doubles
 
 from _reference import rebuild_trace, trig_columns_loop
 
@@ -305,9 +306,9 @@ _TOO_LARGE = "is too large: it needs more than the 1 GiB a command may allocate"
         ("simulate", {"structural": {"truncation": 1e18}}, [], "structural.truncation about 10^18"),
         ("simulate", {"operator": {"decay": "polynomial", "truncation": 1e18}}, [],
          "operator.truncation about 10^18"),
-        # a sample that fits by itself while its sampler's proposal batch does not
+        # a sample that fits by itself while its sampler's peak does not
         ("simulate", {}, ["--n", str(10**7)],
-         f"--n {10**7}: its sampler batch of 24000000 proposals"),
+         f"--n {10**7}: its sampler's peak of 192000000 doubles"),
         ("simulate", {}, ["--n", str(10**12)], f"--n {10**12}"),
         ("rate-study", {"study": {"n_grid": [20, 40], "replications": 1e12}}, [],
          "study.replications 1000000000000 over 2 sample sizes"),
@@ -324,6 +325,29 @@ def test_sizes_beyond_the_memory_bound_exit_2(tmp_path, capsys, command, section
     err = capsys.readouterr().err
     assert err.startswith(f"npiv: error: {name}") and _TOO_LARGE in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "decay, a, trunc, largest",
+    [("polynomial", 1.0, 5, 6990506), ("polynomial", 1.0, 2, None), ("polynomial", 0.26, 64, None),
+     ("exponential", 0.5, 8, None)],
+)
+def test_sampler_bound_at_its_boundary(decay, a, trunc, largest):
+    # the largest n whose sampler peak fits the bound passes and n + 1 exits 2; only
+    # sizes are computed, no sample is drawn
+    op = make_operator(decay, a, truncation=trunc)
+    fits, too_large = 1, cli._MAX_BYTES
+    while too_large - fits > 1:
+        mid = (fits + too_large) // 2
+        if 8 * sampler_doubles(op, mid) <= cli._MAX_BYTES:
+            fits = mid
+        else:
+            too_large = mid
+    if largest is not None:  # the default operator: n * 2.4 proposals of 8 doubles fit 1 GiB
+        assert fits == largest
+    cli._check_sampler(op, fits, "--n")
+    with pytest.raises(cli.UsageError, match=f"--n {fits + 1}: its sampler's peak"):
+        cli._check_sampler(op, fits + 1, "--n")
 
 
 def test_simulate_missing_config_is_io_error(tmp_path, capsys):
@@ -520,6 +544,23 @@ def test_select_usage_errors(tmp_path, capsys):
         assert f"row 2: y={value} is not finite" in capsys.readouterr().err
 
 
+def test_select_custom_risk_weights_cover_only_their_table(tmp_path, capsys):
+    # a table shorter than n caps the cutoff at its length; a table of n ones is const
+    phi = make_structural(2.0, 1.0, truncation=30)
+    s = generate_sample(phi, make_operator("polynomial", 1.0, truncation=5), 0.3, 2000, 0)
+    path = _sample_csv(tmp_path, s)
+    for table in ((1, 2, 3), (1, 1)):
+        assert main(["select", path, "--risk-weights", "custom:" + ",".join(map(str, table))]) == 0
+        assert 1 <= json.loads(capsys.readouterr().out)["cutoff"] <= len(table)
+    reports = []
+    for weights in ("const", "custom:" + ",".join(["1"] * s.n)):
+        assert main(["select", path, "--penalty-const", "0.75", "--risk-weights", weights]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        del reports[-1]["risk_weights"]
+    assert reports[0] == reports[1]
+    assert reports[0]["cutoff"] == 3  # above the two-entry table's cap
+
+
 @pytest.mark.filterwarnings("error")
 def test_derivative_200_weights_run_warning_free(tmp_path, capsys):
     # j**400 overflows to inf past j = 5, a handled weight, so numpy must
@@ -665,7 +706,7 @@ def _study_config(tmp_path, name="study.json", decay="polynomial", a=1.0):
 def test_rate_study_small_run(tmp_path, capsys):
     cfg = _study_config(tmp_path)
     out = tmp_path / "study.json"
-    assert main(["rate-study", cfg, "--out", str(out), "--emit-gnuplot"]) == 0
+    assert main(["rate-study", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
     assert report["regime"] == "fs"
@@ -681,7 +722,7 @@ def test_rate_study_small_run(tmp_path, capsys):
     csv_lines = (tmp_path / "study.csv").read_text().splitlines()
     assert csv_lines[0].startswith("n,replication,seed,")
     assert len(csv_lines) == 13  # header + 2 sizes x 6 replications
-    assert (tmp_path / "study.gp").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.csv", "study.json"]
 
 
 def test_rate_study_exponential_regime(tmp_path, capsys):
@@ -818,6 +859,9 @@ def test_rate_study_usage_errors(tmp_path, capsys):
     assert main(["rate-study", cfg, "--out", out, "--jobs", "0"]) == 2
     assert main(["rate-study", cfg, "--out", out, "--n-grid", "600,300"]) == 2
     assert main(["rate-study", cfg, "--out", out, "--seed", "-1"]) == 2
+    capsys.readouterr()
+    assert main(["rate-study", cfg, "--out", out, "--emit-gnuplot"]) == 2
+    assert "unrecognized arguments: --emit-gnuplot" in capsys.readouterr().err
 
     badstudy = _write_config(tmp_path, "badstudy.json", study={"grid": [100]})
     assert main(["rate-study", badstudy, "--out", out]) == 2

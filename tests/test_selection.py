@@ -22,7 +22,7 @@ from npiv.selection import (
     penalty_sequences,
     penalty_sequences_from_diagonal,
 )
-from npiv.simulate import custom_operator, generate_sample, make_operator, make_structural, sample_joint
+from npiv.simulate import generate_sample, make_operator, make_structural, sample_joint
 
 import _reference as ref
 
@@ -96,7 +96,7 @@ def test_empirical_matches_known_for_exact_entries():
 
 
 def test_empirical_amplification_consistency_monte_carlo():
-    op = custom_operator((1.0, 0.4))
+    op = ref.custom_operator((1.0, 0.4))
     z, w = sample_joint(op, 100000, 11)
     s = Sample(np.ones(z.size), z, w)
     tdiag, _ = empirical_diagonal(s, 2)
@@ -141,6 +141,10 @@ def test_dimension_cap():
     assert dimension_cap(WeightSequence.sobolev(1.0), 100) == 10  # j**2 <= 100
     assert dimension_cap(CONST, 5) == 5
     assert dimension_cap(WeightSequence.sobolev(1.0), 1) == 1
+    # a custom table covers only its own length
+    assert dimension_cap(WeightSequence.custom([1.0, 2.0, 3.0]), 200) == 3
+    assert dimension_cap(WeightSequence.custom([1.0, 2.0, 3.0]), 2) == 2
+    assert dimension_cap(WeightSequence.custom([1.0, 500.0, 1.0]), 200) == 1
 
 
 def test_cutoff_from_diagonal_examples():

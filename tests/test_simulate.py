@@ -14,25 +14,24 @@ from npiv import basis, simulate
 from npiv.basis import WeightSequence, trig_design, weighted_norm_sq
 from npiv.estimator import empirical_diagonal
 from npiv.simulate import (
-    PROPOSAL_DOUBLES,
     STREAM_JOINT,
     STREAM_NOISE,
     OperatorSpec,
     StructuralSpec,
-    custom_operator,
     generate_sample,
     joint_density,
     make_operator,
     make_structural,
     noise_sigma_for_snr,
-    proposal_batch,
     sample_joint,
+    sampler_doubles,
     stream_rng,
     task_seed,
 )
 
 from _reference import (
     clenshaw_error_bound,
+    custom_operator,
     joint_density_design,
     psi,
     regression_coeffs,
@@ -102,7 +101,7 @@ def test_custom_operator():
     op = custom_operator((1.0, 0.0))
     assert op.density_floor == 1.0
     assert op.link_constant == math.inf
-    assert op.weights is None
+    assert op.weights == WeightSequence.constant()
     assert custom_operator((1.0, 0.5)).link_constant == 4.0
     assert custom_operator((1.0, 0.7)).density_floor < 0.0
     with pytest.raises(ValueError, match="t_1 = 1"):
@@ -317,11 +316,10 @@ def test_sample_joint_matches_full_batches_across_small_batches(monkeypatch):
 
 @pytest.mark.parametrize("trunc", [2, 5, 8, 64])
 def test_sample_joint_peak_memory(trunc):
-    # the CLI bounds a sampler batch of m proposals by PROPOSAL_DOUBLES * m
-    # doubles, so that must cover everything sample_joint holds at once
+    # the CLI bounds the sampler by sampler_doubles, so that must cover
+    # everything sample_joint holds at once
     op = make_operator("polynomial", 1.0, truncation=trunc)
     for n in (16000, 200000):
-        m = proposal_batch(op, n)
         sample_joint(op, n, 0)  # first-call allocations are not the sampler's
         tracemalloc.start()
         try:
@@ -329,7 +327,7 @@ def test_sample_joint_peak_memory(trunc):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= PROPOSAL_DOUBLES * 8 * m
+        assert peak <= 8 * sampler_doubles(op, n)
 
 
 def test_sample_joint_reproducible():
