@@ -35,9 +35,9 @@ from .estimator import (
 from .selection import (
     dimension_cutoff,
     dimension_cutoff_lower,
+    effective_dimension,
     oracle_dimension,
     penalized_select,
-    penalty_sequences,
 )
 from .simulate import (
     OperatorSpec,
@@ -403,7 +403,7 @@ def cmd_oracle(args) -> int:
     for n in grid:
         k_max = min(n, args.k_max)
         k_best, rate = oracle_dimension(risk_w, smooth_w, op_w, n, k_max)
-        eff = penalty_sequences(risk_w, op_w, k_best).effective_dim[k_best - 1]
+        eff = effective_dimension(risk_w, op_w, k_best)[k_best - 1]
         rows.append(
             {
                 "n": int(n),

@@ -1,4 +1,4 @@
-"""Penalty sequences, dimension cutoffs and fully data-driven model selection.
+"""Effective dimensions, dimension cutoffs and fully data-driven model selection.
 
 The selection rule minimises a penalised contrast over candidate dimensions:
 the negative weighted norm of the diagonal coefficient estimate plus a
@@ -26,67 +26,66 @@ from .estimator import (
 _SCAN_START = 8
 
 
-@dataclass(frozen=True)
-class PenaltySequences:
-    """Per-dimension penalty ingredients for k = 1..k_max.
-
-    ``amplification`` is the running maximum of weight over (squared
-    empirical) operator coefficient, ``amplification_floored`` the same with
-    the numerator floored at 1, and ``effective_dim`` the dimension factor
-    that enters the selection penalty.
-    """
-
-    k_max: int
-    amplification: np.ndarray
-    amplification_floored: np.ndarray
-    effective_dim: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("amplification", "amplification_floored", "effective_dim"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-            if arr.size != self.k_max:
-                raise ValueError(f"{name} must have length k_max")
-
-
-def _sequences(w: np.ndarray, lam, stable) -> PenaltySequences:
-    """Penalty sequences from running maxima of w_j / l_j, zero wherever ``stable`` is False."""
+def _effective_dim(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """delta_k = k * D_k * log(max(F_k, k + 2)) / log(k + 2), with D_k and F_k the
+    running maxima of w_j / l_j and max(w_j, 1) / l_j."""
     k = np.arange(1, w.size + 1, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        ampl = np.where(stable, np.maximum.accumulate(w / lam), 0.0)
-        floored = np.where(stable, np.maximum.accumulate(np.maximum(w, 1.0) / lam), 0.0)
-        eff = k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
-    return PenaltySequences(w.size, ampl, floored, eff)
+        ampl = np.maximum.accumulate(w / lam)
+        floored = np.maximum.accumulate(np.maximum(w, 1.0) / lam)
+        return k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
 
 
-def penalty_sequences(
+def effective_dimension(
     risk_weights: WeightSequence, operator_weights: WeightSequence, k_max: int
-) -> PenaltySequences:
-    """Penalty sequences computed from a known operator weight sequence."""
+) -> np.ndarray:
+    """Effective dimensions delta_1..delta_k_max for a known operator weight sequence."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return _sequences(risk_weights.values(k_max), operator_weights.values(k_max), True)
+    return _effective_dim(risk_weights.values(k_max), operator_weights.values(k_max))
 
 
-def penalty_sequences_from_diagonal(
+def effective_dimension_from_diagonal(
     tdiag: np.ndarray, n: int, risk_weights: WeightSequence
-) -> PenaltySequences:
-    """Empirical penalty sequences from diagonal operator entries.
+) -> np.ndarray:
+    """Empirical effective dimensions from diagonal operator entries, l_j = t_j**2.
 
     Each dimension k carries its own stability indicator: whenever some
-    squared entry among the first k falls below 1/n, all three sequences
-    are zero at that k.
+    squared entry among the first k falls below 1/n, delta_k is zero.
     """
     t = np.asarray(tdiag, dtype=float)
     if t.size < 1:
         raise ValueError("need at least one diagonal entry")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    return _sequences(risk_weights.values(t.size), t * t, _stable_prefix(t, n))
+    eff = _effective_dim(risk_weights.values(t.size), t * t)
+    return np.where(_stable_prefix(t, n), eff, 0.0)
 
 
 # -- dimension cutoffs ----------------------------------------------------
+
+
+def _limit(n: int, *weights: WeightSequence) -> int:
+    """n, or the length of the shortest custom table among ``weights`` if smaller."""
+    return min([n] + [len(w.table) for w in weights if w.table is not None])
+
+
+def _prefix_end(ok, limit: int) -> int:
+    """Length of the prefix of indices on which ``ok`` holds, in 1..limit.
+
+    ``ok(k)`` gives the predicate at indices 1..k and agrees with itself on
+    shared prefixes.  It is read at k = 8, 16, 32, ... (capped at ``limit``)
+    until a read holds a failing index, so the walk reads at most
+    max(8, 2 * (end + 1)) entries, whatever ``limit`` is.
+    """
+    k = min(_SCAN_START, limit)
+    while True:
+        bad = np.flatnonzero(~ok(k))
+        if bad.size:
+            return max(1, int(bad[0]))
+        if k == limit:
+            return k
+        k = min(2 * k, limit)
 
 
 def dimension_cutoff(
@@ -97,20 +96,24 @@ def dimension_cutoff(
 ) -> int:
     """Largest admissible dimension for a known operator weight sequence.
 
-    Scans N = 1..n for the largest N whose operator weight is not yet
-    exponentially small relative to n (checked in log domain) and whose
-    effective dimension stays below n; falls back to 1 when no N qualifies.
+    The largest N <= n, and within any custom table, whose effective
+    dimension stays below n and whose operator weight is not yet
+    exponentially small relative to n (checked in log domain); 1 when no N
+    qualifies.  The effective dimension is nondecreasing, so the first
+    condition holds on a prefix, found by a walk whose cost follows its end.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if not link_constant > 0:
         raise ValueError(f"link constant must be positive, got {link_constant}")
-    lam = operator_weights.values(n)
-    eff = penalty_sequences(risk_weights, operator_weights, n).effective_dim
+    end = _prefix_end(
+        lambda k: effective_dimension(risk_weights, operator_weights, k) / n <= 1.0,
+        _limit(n, risk_weights, operator_weights),
+    )
+    lam = operator_weights.values(end)
     lhs = 7.0 * math.log(n) - n * lam / (288.0 * link_constant)
     rhs = 7.0 * math.log(2016.0 * link_constant / lam[0])
-    ok = (lhs <= rhs) & (eff / n <= 1.0)
-    hits = np.nonzero(ok)[0]
+    hits = np.flatnonzero(lhs <= rhs)
     return int(hits[-1]) + 1 if hits.size else 1
 
 
@@ -118,51 +121,31 @@ def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
     """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1)."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    table = risk_weights.table
-    w = risk_weights.values(n if table is None else min(n, len(table)))
-    ok = np.maximum.accumulate(w) <= n
+    ok = np.maximum.accumulate(risk_weights.values(_limit(n, risk_weights))) <= n
     hits = np.nonzero(ok)[0]
     return int(hits[-1]) + 1 if hits.size else 1
 
 
-def dimension_cutoff_from_diagonal(
-    tdiag: np.ndarray, n: int, risk_weights: WeightSequence
-) -> int:
-    """Data-driven dimension cutoff from diagonal operator entries t_1, t_2, ...
-
-    Scans for the first index j whose squared entry, relative to j and
-    max(w_j, 1), falls below log(n)/n; the cutoff is one short of it (at
-    least 1).  When no index misbehaves the cap from ``dimension_cap``
-    applies; shorter input caps the search at its own length.
-    """
-    t = np.asarray(tdiag, dtype=float)
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    cap = min(dimension_cap(risk_weights, n), t.size)
-    if cap < 1:
-        raise ValueError("need at least one diagonal entry")
-    j = np.arange(1, cap + 1, dtype=float)
-    w_floored = np.maximum(risk_weights.values(cap), 1.0)
-    bad = np.nonzero(t[:cap] * t[:cap] / (j * w_floored) < math.log(n) / n)[0]
-    return max(1, int(bad[0])) if bad.size else cap
+def _diagonal_ok(tdiag: np.ndarray, n: int, risk_weights: WeightSequence) -> np.ndarray:
+    """Whether t_j**2 / (j * max(w_j, 1)) >= log(n) / n, for each entry of ``tdiag``."""
+    j = np.arange(1, tdiag.size + 1, dtype=float)
+    w_floored = np.maximum(risk_weights.values(tdiag.size), 1.0)
+    return tdiag * tdiag / (j * w_floored) >= math.log(n) / n
 
 
 def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> int:
-    """``dimension_cutoff_from_diagonal`` on the sample's own diagonal.
+    """Data-driven dimension cutoff from the sample's diagonal t_1, t_2, ...
 
-    Reads the sample's shared diagonal prefix at lengths 8, 16, 32, ...
-    (capped at ``dimension_cap``) and stops once the cutoff falls short of
-    the length read, so it evaluates at most max(8, 2 * (cutoff + 1))
-    entries and later fits of the same sample reuse them.
+    One short of the first index j whose squared entry, relative to j and
+    max(w_j, 1), falls below log(n)/n (at least 1), or ``dimension_cap``
+    when no index up to it misbehaves.  The walk reads the sample's shared
+    diagonal prefix, so later fits of the same sample reuse what it read.
     """
-    cap = dimension_cap(risk_weights, sample.n)
-    k = min(_SCAN_START, cap)
-    while True:
-        tdiag, _ = empirical_diagonal(sample, k)
-        cutoff = dimension_cutoff_from_diagonal(tdiag, sample.n, risk_weights)
-        if cutoff < k or k == cap:
-            return cutoff
-        k = min(2 * k, cap)
+    n = sample.n
+    return _prefix_end(
+        lambda k: _diagonal_ok(empirical_diagonal(sample, k)[0], n, risk_weights),
+        dimension_cap(risk_weights, n),
+    )
 
 
 # -- selection ------------------------------------------------------------
@@ -217,12 +200,12 @@ def penalized_select(
     n = sample.n
     cutoff = empirical_dimension_cutoff(sample, risk_weights)
     tdiag, ghat = empirical_diagonal(sample, cutoff)
-    seqs = penalty_sequences_from_diagonal(tdiag, n, risk_weights)
+    eff = effective_dimension_from_diagonal(tdiag, n, risk_weights)
     coeffs = _diagonal_fit(tdiag, ghat, n).coeffs
     contrast = np.array([-weighted_norm_sq(coeffs[:k], risk_weights)
                          for k in range(1, cutoff + 1)])
     y2 = float(np.mean(sample.y * sample.y))
-    penalty = penalty_const * y2 * seqs.effective_dim / n
+    penalty = penalty_const * y2 * eff / n
     criterion = contrast + penalty
     k_sel = int(np.argmin(criterion)) + 1
     return SelectionTrace(
@@ -232,7 +215,7 @@ def penalized_select(
         y_second_moment=y2,
         contrast=contrast,
         penalty=penalty,
-        effective_dim=seqs.effective_dim,
+        effective_dim=eff,
         criterion=criterion,
         k_selected=k_sel,
         estimate=_diagonal_fit(tdiag[:k_sel], ghat[:k_sel], n),
@@ -253,12 +236,14 @@ def oracle_dimension(
 
     The objective at k is max(w_k / g_k, sum_{j<=k} w_j / (n l_j)) with w
     the risk weights, g the smoothness weights and l the operator weights;
-    the search is exhaustive over 1..k_max with ties to the smallest k.
+    the search is exhaustive over 1..k_max, and within any custom table,
+    with ties to the smallest k.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _limit(k_max, risk_weights, smoothness_weights, operator_weights)
     w = risk_weights.values(k_max)
     g = smoothness_weights.values(k_max)
     lam = operator_weights.values(k_max)

@@ -6,6 +6,9 @@ shared with the library: numpy's log and libm's disagree by one ulp on
 some inputs, which would turn an exactness check into a tolerance check.
 The logic under test -- running maxima, cumulative sums, stability
 indicators, block scans, argmin tie breaking -- is all re-derived here.
+``scan_cutoffs`` keeps the vectorised scan over every N up to n that the
+library's cutoff walk replaced; it checks the walk at sizes the loops
+cannot reach.
 The simulator's joint density and regression coefficients are restated
 in their defining form, as a design product and as padded coefficient
 vectors, and its rejection sampler as a loop that judges whole batches.
@@ -23,14 +26,15 @@ from npiv import simulate
 from npiv.basis import WeightSequence, weighted_norm_sq
 from npiv.estimator import diagonal_estimate, empirical_diagonal
 from npiv.selection import (
+    _diagonal_ok,
+    _prefix_end,
     dimension_cap,
     dimension_cutoff,
-    dimension_cutoff_from_diagonal,
     dimension_cutoff_lower,
+    effective_dimension,
+    effective_dimension_from_diagonal,
     empirical_dimension_cutoff,
     oracle_dimension,
-    penalty_sequences,
-    penalty_sequences_from_diagonal,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -195,11 +199,11 @@ def bf_penalty_sequences(risk_weights, operator_weights, k_max):
 
 
 def bf_penalty_from_diagonal(tdiag, n, risk_weights):
-    """Empirical flavour: per-k stability indicator zeroes all three."""
+    """Empirical effective dimension list: a per-k stability indicator zeroes it."""
     t = [float(v) for v in tdiag]
     k_max = len(t)
     w = [float(v) for v in risk_weights.values(k_max)]
-    ampl, floored, eff = [], [], []
+    eff = []
     run_a = -math.inf
     run_f = -math.inf
     min_tsq = math.inf
@@ -209,14 +213,10 @@ def bf_penalty_from_diagonal(tdiag, n, risk_weights):
         run_a = max(run_a, _div(w[k - 1], tsq))
         run_f = max(run_f, _div(max(w[k - 1], 1.0), tsq))
         if min_tsq >= 1.0 / n:
-            ampl.append(run_a)
-            floored.append(run_f)
             eff.append(k * run_a * _log(max(run_f, k + 2.0)) / _log(k + 2.0))
         else:
-            ampl.append(0.0)
-            floored.append(0.0)
             eff.append(0.0)
-    return ampl, floored, eff
+    return eff
 
 
 def bf_dimension_cutoff(risk_weights, operator_weights, link_constant, n):
@@ -253,6 +253,29 @@ def bf_cutoff_from_diagonal(tdiag, n, risk_weights):
     return cap
 
 
+def walk_cutoff_from_diagonal(tdiag, n, risk_weights):
+    """The library's cutoff walk over an explicit diagonal, capped at its length."""
+    t = np.asarray(tdiag, dtype=float)
+    cap = min(dimension_cap(risk_weights, n), t.size)
+    return _prefix_end(lambda k: _diagonal_ok(t[:k], n, risk_weights), cap)
+
+
+def scan_cutoffs(risk_weights, operator_weights, link_constant, n):
+    """``dimension_cutoff`` and ``dimension_cutoff_lower`` by one scan over every N up to the limit."""
+    m = min([n] + [len(w.table) for w in (risk_weights, operator_weights) if w.table is not None])
+    w = risk_weights.values(m)
+    lam = operator_weights.values(m)
+    eff = effective_dimension(risk_weights, operator_weights, m)
+    lhs = 7.0 * math.log(n) - n * lam / (288.0 * link_constant)
+    rhs = 7.0 * math.log(2016.0 * link_constant / lam[0])
+    hits = np.nonzero((lhs <= rhs) & (eff / n <= 1.0))[0]
+    cap = int(hits[-1]) + 1 if hits.size else 1
+    j = np.arange(1, cap + 1, dtype=float)
+    ok = lam[:cap] / (j * np.maximum(w[:cap], 1.0)) >= 4.0 * link_constant * math.log(n) / n
+    hits = np.nonzero(ok)[0]
+    return cap, int(hits[-1]) + 1 if hits.size else 1
+
+
 def bf_oracle_dimension(risk_weights, smoothness_weights, operator_weights, n, k_max):
     w = [float(v) for v in risk_weights.values(k_max)]
     g = [float(v) for v in smoothness_weights.values(k_max)]
@@ -287,7 +310,7 @@ def rebuild_trace(sample, weights, penalty_const):
     """
     cutoff = empirical_dimension_cutoff(sample, weights)
     tdiag, _ = empirical_diagonal(sample, cutoff)
-    eff = penalty_sequences_from_diagonal(tdiag, sample.n, weights).effective_dim
+    eff = effective_dimension_from_diagonal(tdiag, sample.n, weights)
     y2 = float(np.mean(sample.y * sample.y))
     contrast, penalty, criterion = [], [], []
     for k in range(1, cutoff + 1):
@@ -352,23 +375,13 @@ def check_instance(rng):
 
     bad = []
 
-    seqs = penalty_sequences(rw, ow, k_max)
-    ra, rf, re = bf_penalty_sequences(rw, ow, k_max)
     for name, lib, ref in (
-        ("amplification", seqs.amplification, ra),
-        ("amplification_floored", seqs.amplification_floored, rf),
-        ("effective_dim", seqs.effective_dim, re),
-    ):
-        d = _diff(list(zip(map(float, lib), ref)))
-        if d:
-            bad.append((name, d[:3]))
-
-    eseqs = penalty_sequences_from_diagonal(tdiag, n, rw)
-    ea, ef, ee = bf_penalty_from_diagonal(tdiag, n, rw)
-    for name, lib, ref in (
-        ("emp_amplification", eseqs.amplification, ea),
-        ("emp_floored", eseqs.amplification_floored, ef),
-        ("emp_effective_dim", eseqs.effective_dim, ee),
+        ("effective_dim", effective_dimension(rw, ow, k_max), bf_penalty_sequences(rw, ow, k_max)[2]),
+        (
+            "emp_effective_dim",
+            effective_dimension_from_diagonal(tdiag, n, rw),
+            bf_penalty_from_diagonal(tdiag, n, rw),
+        ),
     ):
         d = _diff(list(zip(map(float, lib), ref)))
         if d:
@@ -379,7 +392,7 @@ def check_instance(rng):
         ("dimension_cap", dimension_cap(rw, n), bf_dimension_cap(rw, n)),
         (
             "cutoff_from_diagonal",
-            dimension_cutoff_from_diagonal(tdiag, n, rw),
+            walk_cutoff_from_diagonal(tdiag, n, rw),
             bf_cutoff_from_diagonal(tdiag, n, rw),
         ),
         ("cutoff_lower", dimension_cutoff_lower(rw, ow, link, n), bf_cutoff_lower(rw, ow, link, n)),

@@ -21,8 +21,8 @@ from npiv.estimator import Sample, load_csv, risk_weighted, write_csv
 from npiv.selection import (
     dimension_cutoff,
     dimension_cutoff_lower,
+    effective_dimension,
     oracle_dimension,
-    penalty_sequences,
 )
 from npiv.simulate import generate_sample, make_operator, make_structural, sampler_doubles
 
@@ -648,7 +648,7 @@ def test_oracle_rows_match_library(capsys):
         assert row["rate"] == rate
         assert row["cutoff"] == dimension_cutoff(CONST, poly1, 1.0, n)
         assert row["cutoff_lower"] == dimension_cutoff_lower(CONST, poly1, 1.0, n)
-        eff = penalty_sequences(CONST, poly1, k_best).effective_dim[k_best - 1]
+        eff = effective_dimension(CONST, poly1, k_best)[k_best - 1]
         assert row["effective_dim_at_k"] == float(eff)
 
 
@@ -673,6 +673,27 @@ def test_oracle_csv_format(tmp_path, capsys):
     assert lines[0] == "n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k"
     assert len(lines) == 3
     assert lines[1].startswith("1000,3,0.014,")
+
+
+def test_oracle_custom_tables_cap_the_search(capsys):
+    base = ["oracle", "--smoothness-weights", "sobolev:2", "--n-grid", "100", "--format", "json"]
+    for extra in (
+        ["--risk-weights", "custom:1,2,3", "--operator-weights", "poly:1"],
+        ["--operator-weights", "custom:1,0.5,0.3", "--k-max", "3"],
+    ):
+        assert main(base + extra) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert 1 <= row["k_best"] <= 3
+        assert 1 <= row["cutoff_lower"] <= row["cutoff"] <= 3
+    # a table long enough for every answer prints the rows of the weights it lists
+    printed = []
+    for risk in ("custom:" + ",".join(["1"] * 20), "const"):
+        argv = ["oracle", "--risk-weights", risk, "--smoothness-weights", "sobolev:2",
+                "--operator-weights", "poly:1", "--n-grid", "10,20,1000"]
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].count("\n") == 4
 
 
 def test_oracle_usage_errors(capsys):

@@ -1,6 +1,7 @@
-"""Tests for penalty sequences, dimension cutoffs and penalised selection."""
+"""Tests for effective dimensions, dimension cutoffs and penalised selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,12 @@ from npiv.estimator import Sample, diagonal_estimate, empirical_diagonal
 from npiv.selection import (
     dimension_cap,
     dimension_cutoff,
-    dimension_cutoff_from_diagonal,
     dimension_cutoff_lower,
+    effective_dimension,
+    effective_dimension_from_diagonal,
     empirical_dimension_cutoff,
     oracle_dimension,
     penalized_select,
-    penalty_sequences,
-    penalty_sequences_from_diagonal,
 )
 from npiv.simulate import generate_sample, make_operator, make_structural, sample_joint
 
@@ -34,22 +34,20 @@ POLY1 = WeightSequence.polynomial_decay(1.0)
 
 
 def test_penalty_hand_values():
-    seqs = penalty_sequences(CONST, POLY1, 3)
-    assert_array_equal(seqs.amplification, [1.0, 4.0, 9.0])
-    assert_array_equal(seqs.amplification_floored, [1.0, 4.0, 9.0])
-    assert seqs.effective_dim[0] == 1.0
-    assert seqs.effective_dim[1] == 8.0  # 2 * 4 * ln(4)/ln(4)
+    eff = effective_dimension(CONST, POLY1, 3)
+    assert eff[0] == 1.0
+    assert eff[1] == 8.0  # 2 * 4 * ln(4)/ln(4)
     # 3 * 9 * ln(9)/ln(5)
-    assert seqs.effective_dim[2] == 36.86073450224321
-    assert seqs.effective_dim[2] == pytest.approx(27.0 * math.log(9.0) / math.log(5.0), rel=1e-14)
+    assert eff[2] == 36.86073450224321
+    assert eff[2] == pytest.approx(27.0 * math.log(9.0) / math.log(5.0), rel=1e-14)
+    # the amplifications behind them, and the same delta from the reference loop
+    assert ref.bf_penalty_sequences(CONST, POLY1, 3) == ([1.0, 4.0, 9.0], [1.0, 4.0, 9.0], list(eff))
 
 
 def test_penalty_floor_differs_for_small_weights():
     # risk weights below 1 are floored inside the log but not outside
-    seqs = penalty_sequences(POLY1, CONST, 2)
-    assert_array_equal(seqs.amplification, [1.0, 1.0])
-    assert_array_equal(seqs.amplification_floored, [1.0, 1.0])
-    assert_array_equal(seqs.effective_dim, [1.0, 2.0])
+    assert_array_equal(effective_dimension(POLY1, CONST, 2), [1.0, 2.0])
+    assert ref.bf_penalty_sequences(POLY1, CONST, 2) == ([1.0, 1.0], [1.0, 1.0], [1.0, 2.0])
 
 
 def test_penalty_invariants():
@@ -57,42 +55,39 @@ def test_penalty_invariants():
     for _ in range(20):
         rw = ref.random_weights(rng, 40)
         ow = ref.random_weights(rng, 40)
-        seqs = penalty_sequences(rw, ow, 30)
-        ampl = seqs.amplification
-        assert np.all(np.diff(ampl[np.isfinite(ampl)]) >= 0.0)
-        finite = np.isfinite(seqs.effective_dim)
+        eff = effective_dimension(rw, ow, 30)
+        ampl = np.array(ref.bf_penalty_sequences(rw, ow, 30)[0])
+        # nondecreasing, so the cutoff walk may stop at the first delta_k > n
+        assert np.all(eff[1:] >= eff[:-1])
+        finite = np.isfinite(eff)
         k = np.arange(1, 31)[finite]
         # the log factor is at least 1, so delta_k >= k * Delta_k
-        assert np.all(seqs.effective_dim[finite] >= k * ampl[finite] * (1.0 - 1e-12))
+        assert np.all(eff[finite] >= k * ampl[finite] * (1.0 - 1e-12))
 
 
 def test_penalty_validation():
     with pytest.raises(ValueError, match="k_max"):
-        penalty_sequences(CONST, POLY1, 0)
+        effective_dimension(CONST, POLY1, 0)
     with pytest.raises(ValueError, match="diagonal entry"):
-        penalty_sequences_from_diagonal(np.zeros(0), 5, CONST)
+        effective_dimension_from_diagonal(np.zeros(0), 5, CONST)
     with pytest.raises(ValueError, match="sample size"):
-        penalty_sequences_from_diagonal(np.ones(3), 0, CONST)
+        effective_dimension_from_diagonal(np.ones(3), 0, CONST)
 
 
 def test_empirical_penalty_stability_indicator():
     # a zero diagonal entry zeroes that dimension and every larger one
-    seqs = penalty_sequences_from_diagonal(np.array([1.0, 0.0, 1.0]), 100, CONST)
-    assert seqs.amplification[0] == 1.0
-    assert_array_equal(seqs.amplification[1:], [0.0, 0.0])
-    assert_array_equal(seqs.effective_dim[1:], [0.0, 0.0])
+    eff = effective_dimension_from_diagonal(np.array([1.0, 0.0, 1.0]), 100, CONST)
+    assert_array_equal(eff, [1.0, 0.0, 0.0])
 
 
 def test_empirical_matches_known_for_exact_entries():
     # with t_j = sqrt(l_j) exactly representable (powers of two), the
-    # empirical sequences agree with the known-weight ones bit for bit
+    # empirical effective dimension agrees with the known-weight one bit for bit
     lam = WeightSequence.custom([4.0 ** -j for j in range(6)])
     tdiag = np.array([2.0 ** -j for j in range(6)])
-    known = penalty_sequences(CONST, lam, 6)
-    emp = penalty_sequences_from_diagonal(tdiag, 10**9, CONST)
-    assert_array_equal(known.amplification, emp.amplification)
-    assert_array_equal(known.amplification_floored, emp.amplification_floored)
-    assert_array_equal(known.effective_dim, emp.effective_dim)
+    assert_array_equal(
+        effective_dimension(CONST, lam, 6), effective_dimension_from_diagonal(tdiag, 10**9, CONST)
+    )
 
 
 def test_empirical_amplification_consistency_monte_carlo():
@@ -102,8 +97,10 @@ def test_empirical_amplification_consistency_monte_carlo():
     tdiag, _ = empirical_diagonal(s, 2)
     # sd of psi_2(W) psi_2(Z) is sqrt(1 - t_2^2); three standard errors
     assert abs(tdiag[1] - 0.4) < 3.0 * math.sqrt(1.0 - 0.16) / math.sqrt(z.size)
-    seqs = penalty_sequences_from_diagonal(tdiag, s.n, CONST)
-    assert seqs.amplification[1] == max(1.0, 1.0 / (tdiag[1] * tdiag[1]))
+    # delta_2 = 2 * Delta_2 * log(max(Delta_2, 4)) / log(4), Delta_2 = max(1, 1 / t_2**2)
+    ampl = max(1.0, 1.0 / (tdiag[1] * tdiag[1]))
+    eff = effective_dimension_from_diagonal(tdiag, s.n, CONST)
+    assert eff[1] == 2.0 * ampl * np.log(max(ampl, 4.0)) / np.log(4.0)
 
 
 # -- dimension cutoffs ----------------------------------------------------
@@ -116,6 +113,9 @@ def test_dimension_cutoff_examples():
         dimension_cutoff(CONST, CONST, 1.0, 0)
     with pytest.raises(ValueError, match="link constant"):
         dimension_cutoff(CONST, CONST, 0.0, 10)
+    # a custom table bounds the search
+    assert dimension_cutoff(CONST, WeightSequence.custom([1.0, 0.5, 0.3]), 1.0, 100) == 3
+    assert dimension_cutoff(WeightSequence.custom([1.0] * 5), CONST, 1.0, 100) == 5
 
 
 def test_dimension_cutoff_polynomial_values():
@@ -148,12 +148,18 @@ def test_dimension_cap():
 
 
 def test_cutoff_from_diagonal_examples():
-    assert dimension_cutoff_from_diagonal(np.ones(5), 2, CONST) == 2
-    assert dimension_cutoff_from_diagonal(np.ones(5), 1, CONST) == 1
-    # a dead second entry stops the scan at 1
-    assert dimension_cutoff_from_diagonal(np.array([1.0, 0.0, 1.0]), 100, CONST) == 1
+    for cutoff in (ref.walk_cutoff_from_diagonal, ref.bf_cutoff_from_diagonal):
+        assert cutoff(np.ones(5), 2, CONST) == 2
+        assert cutoff(np.ones(5), 1, CONST) == 1
+        # a dead second entry stops the scan at 1
+        assert cutoff(np.array([1.0, 0.0, 1.0]), 100, CONST) == 1
+        # an entry exactly on the threshold t_j**2 / j = log(n) / n passes
+        on = 0.8023560088723958
+        assert on * on / 2.0 == math.log(5) / 5
+        assert cutoff(np.array([1.0, on, 0.0]), 5, CONST) == 2
+    # the walk's limit, dimension_cap, validates the sample size
     with pytest.raises(ValueError, match="sample size"):
-        dimension_cutoff_from_diagonal(np.ones(3), 0, CONST)
+        dimension_cap(CONST, 0)
 
 
 def test_empirical_cutoff_zero_entry_sample():
@@ -257,7 +263,72 @@ def test_cutoff_walk_spanning_several_steps_matches_full_diagonal(evaluated):
     assert cutoff > 32
     assert evaluated() == 64
     full, _ = empirical_diagonal(Sample(s.y, s.z, s.w), dimension_cap(CONST, n))
-    assert cutoff == dimension_cutoff_from_diagonal(full, n, CONST)
+    assert cutoff == ref.bf_cutoff_from_diagonal(full, n, CONST)
+
+
+_RISK = (
+    CONST,
+    WeightSequence.sobolev(0.5),
+    WeightSequence.derivative(1),
+    WeightSequence.derivative(2),
+    WeightSequence.custom(np.linspace(1.0, 40.0, 40)),
+)
+_OPERATOR = (
+    POLY1,
+    WeightSequence.polynomial_decay(0.3),
+    WeightSequence.exponential_decay(0.5),
+    WeightSequence.exponential_decay(1.0),
+    CONST,
+    WeightSequence.sobolev(1.0),
+    WeightSequence.custom([1.0, 0.5, 0.3]),
+)
+
+
+def test_known_cutoff_walk_matches_full_scans():
+    # constant and growing operator weights walk to n itself, decaying ones stop early
+    grid = (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 1000, 5000, 10**5)
+    for rw in _RISK:
+        for ow in _OPERATOR:
+            for i, n in enumerate(grid):
+                link = (0.5, 1.0, 4.0)[i % 3]
+                got = (dimension_cutoff(rw, ow, link, n), dimension_cutoff_lower(rw, ow, link, n))
+                assert got == ref.scan_cutoffs(rw, ow, link, n), (rw, ow, n)
+    for rw, ow in zip(_RISK[:4] * 2, _OPERATOR[:6] + _OPERATOR[:2]):
+        n = 2 * 10**6
+        got = (dimension_cutoff(rw, ow, 1.0, n), dimension_cutoff_lower(rw, ow, 1.0, n))
+        assert got == ref.scan_cutoffs(rw, ow, 1.0, n), (rw, ow)
+
+
+def test_known_cutoff_walk_with_the_effective_dimension_bound_on_a_walk_step():
+    # n is picked so that delta_N <= n holds exactly up to an N just before, on or
+    # just past the walk's reads at k = 8, 16 and 32
+    checked = 0
+    for rw in _RISK[:4]:
+        for ow in _OPERATOR[:6]:
+            eff = effective_dimension(rw, ow, 34)
+            for end in (7, 8, 9, 15, 16, 17, 31, 32, 33):
+                if not np.isfinite(eff[end]):
+                    continue
+                for n in {math.ceil(eff[end - 1]), math.ceil(eff[end]) - 1}:
+                    if not (eff[end - 1] / n <= 1.0 < eff[end] / n and n <= 10**6):
+                        continue
+                    got = (dimension_cutoff(rw, ow, 1.0, n), dimension_cutoff_lower(rw, ow, 1.0, n))
+                    assert got == ref.scan_cutoffs(rw, ow, 1.0, n), (rw, ow, n)
+                    checked += 1
+    assert checked >= 50
+
+
+def test_known_cutoffs_cost_follows_the_answer():
+    # an n-long scan at n = 2e7 holds several 160 MB arrays; the walk reads a few dozen entries
+    for ow in (POLY1, WeightSequence.exponential_decay(1.0)):
+        tracemalloc.start()
+        try:
+            dimension_cutoff(CONST, ow, 1.0, 2 * 10**7)
+            dimension_cutoff_lower(CONST, ow, 1.0, 2 * 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_cutoff_lower_examples():
@@ -439,6 +510,15 @@ def test_oracle_examples():
         oracle_dimension(CONST, CONST, CONST, 0, 5)
     with pytest.raises(ValueError, match="k_max"):
         oracle_dimension(CONST, CONST, CONST, 5, 0)
+
+
+def test_oracle_searches_within_custom_tables():
+    sob2 = WeightSequence.sobolev(2.0)
+    short = WeightSequence.custom([1.0, 0.5, 0.3])
+    assert oracle_dimension(CONST, sob2, short, 100, 200) == oracle_dimension(CONST, sob2, short, 100, 3)
+    ones = WeightSequence.custom([1.0] * 20)
+    assert oracle_dimension(ones, sob2, POLY1, 1000, 200) == oracle_dimension(CONST, sob2, POLY1, 1000, 200)
+    assert oracle_dimension(CONST, ones, CONST, 1000, 200) == oracle_dimension(CONST, CONST, CONST, 1000, 20)
 
 
 def test_oracle_growth_with_sample_size():
