@@ -20,9 +20,6 @@ SQRT2 = math.sqrt(2.0)
 # strictly positive while downstream ratios harmlessly overflow to inf.
 _TINY = np.nextafter(0.0, 1.0)
 
-_PARAM_KINDS = ("sobolev", "derivative", "polynomial_decay", "exponential_decay")
-_ALL_KINDS = ("constant", "custom") + _PARAM_KINDS
-
 
 def frequency(j: int) -> int:
     """Frequency of basis index ``j`` (0 for the constant)."""
@@ -38,33 +35,29 @@ def _checked_points(points) -> np.ndarray:
     return pts
 
 
-def trig_columns(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Evaluate selected basis functions at ``points``; shape (n, len(indices)).
+def trig_columns(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Evaluate basis functions lo..hi (1-based, inclusive) at ``points``; shape (n, hi - lo + 1).
 
     cos and sin of 2*pi*x are taken once per point; frequency f + 1 follows
     from f by the rotation (c, s) <- (c*c1 - s*s1, s*c1 + c*s1) in separately
     rounded real operations (numpy's complex multiply rounds one element
     differently from several).  Each entry is thus within O(f * eps) of
     sqrt(2) * cos or sin of 2*pi*f*x, at most sqrt(2) in size, and a bitwise
-    pure function of (point, index), so a subset, prefix or row slice matches
-    the full design bit for bit.  The result is column-major: each column is
-    one contiguous row of a buffer.
+    pure function of (point, index), so a range or row slice matches the full
+    design bit for bit.  The result is column-major: each column is one
+    contiguous row of a buffer.
     """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"basis indices must satisfy 1 <= lo <= hi, got lo={lo}, hi={hi}")
     pts = _checked_points(points)
-    idx = np.asarray(indices, dtype=int)
-    bad = idx[idx < 1]
-    if bad.size:
-        raise ValueError(f"basis index must be >= 1, got {bad[0]}")
-    out = np.empty((idx.size, pts.size))
-    out[idx == 1] = 1.0
-    rows = [[] for _ in range(frequency(int(idx.max(initial=1))) + 1)]
-    for pos, j in enumerate(idx.tolist()):
-        rows[frequency(j)].append((pos, j % 2))
-    if len(rows) > 1:
+    out = np.empty((hi - lo + 1, pts.size))
+    if lo == 1:
+        out[0] = 1.0
+    if hi > 1:
         tmp = (2.0 * math.pi) * pts
         c1, s1 = np.cos(tmp), np.sin(tmp)
         c, s, cs1 = c1.copy(), s1.copy(), np.empty_like(tmp)
-        for f in range(1, len(rows)):
+        for f in range(1, frequency(hi) + 1):
             if f > 1:
                 np.multiply(c, s1, out=cs1)
                 np.multiply(c, c1, out=c)
@@ -72,8 +65,8 @@ def trig_columns(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
                 np.subtract(c, tmp, out=c)
                 np.multiply(s, c1, out=s)
                 np.add(s, cs1, out=s)
-            for pos, odd in rows[f]:
-                np.multiply(s if odd else c, SQRT2, out=out[pos])
+            for j in range(max(lo, 2 * f), min(hi, 2 * f + 1) + 1):
+                np.multiply(s if j % 2 else c, SQRT2, out=out[j - lo])
         np.clip(out, -SQRT2, SQRT2, out=out)
     return out.T
 
@@ -82,7 +75,7 @@ def trig_design(points: np.ndarray, k: int) -> np.ndarray:
     """Design matrix of the first ``k`` basis functions at ``points``."""
     if k < 1:
         raise ValueError(f"design width must be >= 1, got {k}")
-    return trig_columns(points, np.arange(1, k + 1))
+    return trig_columns(points, 1, k)
 
 
 def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
@@ -118,10 +111,11 @@ def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
 class WeightSequence:
     """Strictly positive weights w_1, w_2, ... evaluated lazily by index.
 
-    Built-in kinds are normalised so that w_1 = 1.  ``sobolev(r)`` and
-    ``derivative(s)`` grow like j**(2r) and j**(2s); ``polynomial_decay(a)``
-    falls like j**(-2a) and ``exponential_decay(a)`` like exp(-j**(2a)).
-    ``custom`` wraps an explicit table and only covers its own length.
+    Three kinds, normalised so that w_1 = 1: ``power`` weights j**(2p) for a
+    finite p of either sign, ``exponential`` weights exp(-j**(2a)) for a > 0,
+    and ``custom``, an explicit table that only covers its own length.
+    ``constant()``, ``sobolev(r)``, ``derivative(s)`` and
+    ``polynomial_decay(a)`` are power weights with p = 0, r, s and -a.
     """
 
     kind: str
@@ -129,42 +123,43 @@ class WeightSequence:
     table: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _ALL_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in _PARAM_KINDS:
-            if self.param is None:
-                raise ValueError(f"weight kind {self.kind!r} needs a parameter")
-            if self.kind in ("polynomial_decay", "exponential_decay") and self.param <= 0:
-                raise ValueError("decay exponent must be positive")
-            if self.kind in ("sobolev", "derivative") and self.param < 0:
-                raise ValueError("growth exponent must be nonnegative")
         if self.kind == "custom":
             if not self.table:
                 raise ValueError("custom weights need a nonempty table")
             if any(not math.isfinite(v) or v <= 0 for v in self.table):
                 raise ValueError("custom weights must be finite and strictly positive")
+        elif self.kind not in ("power", "exponential"):
+            raise ValueError(f"unknown weight kind {self.kind!r}")
+        elif self.param is None:
+            raise ValueError(f"weight kind {self.kind!r} needs a parameter")
+        elif not math.isfinite(self.param):
+            raise ValueError("weight exponent must be finite")
+        elif self.kind == "exponential" and self.param <= 0:
+            raise ValueError("decay exponent must be positive")
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def constant(cls) -> "WeightSequence":
-        return cls("constant")
+        return cls("power", param=0.0)
 
     @classmethod
     def sobolev(cls, r: float) -> "WeightSequence":
-        return cls("sobolev", param=float(r))
+        if r < 0:
+            raise ValueError("growth exponent must be nonnegative")
+        return cls("power", param=float(r))
 
-    @classmethod
-    def derivative(cls, s: float) -> "WeightSequence":
-        return cls("derivative", param=float(s))
+    derivative = sobolev
 
     @classmethod
     def polynomial_decay(cls, a: float) -> "WeightSequence":
-        return cls("polynomial_decay", param=float(a))
+        if a <= 0:
+            raise ValueError("decay exponent must be positive")
+        return cls("power", param=-float(a))
 
     @classmethod
     def exponential_decay(cls, a: float) -> "WeightSequence":
-        return cls("exponential_decay", param=float(a))
+        return cls("exponential", param=float(a))
 
     @classmethod
     def custom(cls, values) -> "WeightSequence":
@@ -184,17 +179,10 @@ class WeightSequence:
                     f"custom weight table has {len(self.table)} entries, index {k} requested"
                 )
             return np.array(self.table[:k], dtype=float)
-        j = np.arange(1, k + 1, dtype=float)
-        if self.kind == "constant":
-            return np.ones(k)
         # Growth weights past the double range become inf, a handled case.
         with np.errstate(over="ignore"):
-            if self.kind in ("sobolev", "derivative"):
-                w = j ** (2.0 * self.param)
-            elif self.kind == "polynomial_decay":
-                w = np.maximum(j ** (-2.0 * self.param), _TINY)
-            else:  # exponential_decay
-                w = np.maximum(np.exp(-(j ** (2.0 * self.param))), _TINY)
+            powers = np.arange(1, k + 1, dtype=float) ** (2.0 * self.param)
+            w = np.maximum(powers if self.kind == "power" else np.exp(-powers), _TINY)
         w[0] = 1.0
         return w
 

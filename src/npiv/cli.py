@@ -335,7 +335,7 @@ def cmd_estimate(args) -> int:
                 f"--derivative-order {args.derivative_order} overflows the derivative coefficients"
             ) from None
     if args.truth is not None:
-        report["risk"] = float(risk_weighted(fit, _truth_from_file(args.truth), weights))
+        report["risk"] = float(risk_weighted(fit, _truth_from_file(args.truth).coeffs, weights))
         report["risk_weights"] = args.risk_weights
     _emit_json(report, args.out)
     return 0
@@ -444,8 +444,8 @@ def _study_worker(task: tuple) -> StudyRow:
     weights = WeightSequence.derivative(order)
     sample = generate_sample(phi, op, sigma, n, seed)
     trace = penalized_select(sample, weights, penalty_const)
-    risk = risk_weighted(trace.estimate, phi, weights)
-    fixed_risk = risk_weighted(diagonal_estimate(sample, oracle_k), phi, weights)
+    risk = risk_weighted(trace.estimate, phi.coeffs, weights)
+    fixed_risk = risk_weighted(diagonal_estimate(sample, oracle_k), phi.coeffs, weights)
     return StudyRow(
         n,
         rep,

@@ -159,9 +159,8 @@ def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"design width must be >= 1, got {k}")
     tdiag, ghat = sample._diagonal
     if k > len(tdiag):
-        idx = np.arange(len(tdiag) + 1, k + 1)
-        pw = trig_columns(sample.w, idx)
-        pz = trig_columns(sample.z, idx)
+        pw = trig_columns(sample.w, len(tdiag) + 1, k)
+        pz = trig_columns(sample.z, len(tdiag) + 1, k)
         tdiag.extend((pw * pz).mean(axis=0))
         ghat.extend((pw * sample.y[:, None]).mean(axis=0))
     return np.array(tdiag[:k]), np.array(ghat[:k])
@@ -250,21 +249,14 @@ def derivative_coeffs(est: GalerkinEstimate, s: int) -> np.ndarray:
     return out
 
 
-def _truth_coeffs(truth) -> np.ndarray:
-    coeffs = getattr(truth, "coeffs", truth)
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("truth coefficients must be one-dimensional")
-    return arr
+def risk_weighted(est: GalerkinEstimate, truth: np.ndarray, weights: WeightSequence) -> float:
+    """Exact weighted squared distance between an estimate and truth coefficients.
 
-
-def risk_weighted(est: GalerkinEstimate, truth, weights: WeightSequence) -> float:
-    """Exact weighted squared distance between estimate and truth.
-
-    The truth may be a structural spec or a bare coefficient vector; the
-    shorter of the two vectors counts as zero-padded to the longer one.
+    The shorter of the two vectors counts as zero-padded to the longer one.
     """
-    b = _truth_coeffs(truth)
+    b = np.asarray(truth, dtype=float)
+    if b.ndim != 1:
+        raise ValueError("truth coefficients must be one-dimensional")
     diff = np.zeros(max(est.k, b.size))
     diff[: b.size] = b
     diff[: est.k] = est.coeffs - diff[: est.k]

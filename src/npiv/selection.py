@@ -126,11 +126,10 @@ def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
     return int(hits[-1]) + 1 if hits.size else 1
 
 
-def _diagonal_ok(tdiag: np.ndarray, n: int, risk_weights: WeightSequence) -> np.ndarray:
-    """Whether t_j**2 / (j * max(w_j, 1)) >= log(n) / n, for each entry of ``tdiag``."""
-    j = np.arange(1, tdiag.size + 1, dtype=float)
-    w_floored = np.maximum(risk_weights.values(tdiag.size), 1.0)
-    return tdiag * tdiag / (j * w_floored) >= math.log(n) / n
+def _estimable(lam: np.ndarray, n: int, risk_weights: WeightSequence, c: float) -> np.ndarray:
+    """Whether l_j / (j * max(w_j, 1)) >= c * log(n) / n, for each entry of ``lam``."""
+    j = np.arange(1, lam.size + 1, dtype=float)
+    return lam / (j * np.maximum(risk_weights.values(lam.size), 1.0)) >= c * math.log(n) / n
 
 
 def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> int:
@@ -143,7 +142,7 @@ def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> 
     """
     n = sample.n
     return _prefix_end(
-        lambda k: _diagonal_ok(empirical_diagonal(sample, k)[0], n, risk_weights),
+        lambda k: _estimable(np.square(empirical_diagonal(sample, k)[0]), n, risk_weights, 1.0),
         dimension_cap(risk_weights, n),
     )
 
@@ -269,10 +268,6 @@ def dimension_cutoff_lower(
     data-driven cutoff can reach.
     """
     cap = dimension_cutoff(risk_weights, operator_weights, link_constant, n)
-    w = risk_weights.values(cap)
     lam = operator_weights.values(cap)
-    j = np.arange(1, cap + 1, dtype=float)
-    thr = 4.0 * link_constant * math.log(n) / n
-    ok = lam / (j * np.maximum(w, 1.0)) >= thr
-    hits = np.nonzero(ok)[0]
+    hits = np.flatnonzero(_estimable(lam, n, risk_weights, 4.0 * link_constant))
     return int(hits[-1]) + 1 if hits.size else 1

@@ -26,7 +26,7 @@ from npiv import simulate
 from npiv.basis import WeightSequence, weighted_norm_sq
 from npiv.estimator import diagonal_estimate, empirical_diagonal
 from npiv.selection import (
-    _diagonal_ok,
+    _estimable,
     _prefix_end,
     dimension_cap,
     dimension_cutoff,
@@ -257,7 +257,7 @@ def walk_cutoff_from_diagonal(tdiag, n, risk_weights):
     """The library's cutoff walk over an explicit diagonal, capped at its length."""
     t = np.asarray(tdiag, dtype=float)
     cap = min(dimension_cap(risk_weights, n), t.size)
-    return _prefix_end(lambda k: _diagonal_ok(t[:k], n, risk_weights), cap)
+    return _prefix_end(lambda k: _estimable(t[:k] * t[:k], n, risk_weights, 1.0), cap)
 
 
 def scan_cutoffs(risk_weights, operator_weights, link_constant, n):

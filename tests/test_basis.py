@@ -25,7 +25,7 @@ from _reference import psi, trig_columns_loop, trig_error_bound
 
 def _at(j, s):
     """Basis function j at the single point s."""
-    return trig_columns(np.array([s]), np.array([j]))[0, 0]
+    return trig_columns(np.array([s]), j, j)[0, 0]
 
 
 def test_basis_function_examples():
@@ -38,7 +38,7 @@ def test_basis_function_examples():
 
 def test_trig_eval_domain():
     # The domain of a single basis function psi_j(s): j >= 1, s in [0, 1].
-    with pytest.raises(ValueError, match="index must be >= 1"):
+    with pytest.raises(ValueError, match="1 <= lo <= hi, got lo=0"):
         _at(0, 0.5)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         _at(2, -0.1)
@@ -57,21 +57,21 @@ def test_frequency_pairing():
 def test_trig_columns_matches_scalar():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.0, 1.0, 40)
-    idx = np.array([1, 2, 3, 6, 11])
-    cols = trig_columns(pts, idx)
+    idx = np.arange(1, 12)
+    cols = trig_columns(pts, 1, 11)
     ref = np.array([[psi(j, s) for j in idx] for s in pts])
     assert np.all(np.abs(cols - ref) <= trig_error_bound(idx))
 
 
 def test_trig_columns_validation():
     with pytest.raises(ValueError, match="one-dimensional"):
-        trig_columns(np.zeros((2, 2)), np.array([1]))
+        trig_columns(np.zeros((2, 2)), 1, 1)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        trig_columns(np.array([0.5, 1.5]), np.array([1]))
-    with pytest.raises(ValueError, match="index must be >= 1"):
-        trig_columns(np.array([0.5]), np.array([0]))
-    with pytest.raises(ValueError, match="index must be >= 1, got -4$"):
-        trig_columns(np.array([0.5]), np.array([3, 2, -4, 0]))
+        trig_columns(np.array([0.5, 1.5]), 1, 1)
+    with pytest.raises(ValueError, match="1 <= lo <= hi, got lo=0, hi=3$"):
+        trig_columns(np.array([0.5]), 0, 3)
+    with pytest.raises(ValueError, match="1 <= lo <= hi, got lo=3, hi=2$"):
+        trig_columns(np.array([0.5]), 3, 2)
     with pytest.raises(ValueError, match="width must be >= 1"):
         trig_design(np.array([0.5]), 0)
 
@@ -83,7 +83,7 @@ def test_design_prefixes_bitwise():
     pts = rng.uniform(0.0, 1.0, 64)
     big = trig_design(pts, 9)
     assert_array_equal(trig_design(pts, 3), big[:, :3])
-    assert_array_equal(trig_columns(pts, np.array([2, 5, 9])), big[:, [1, 4, 8]])
+    assert_array_equal(trig_columns(pts, 2, 9), big[:, 1:])
 
 
 def _bits(a):
@@ -91,32 +91,41 @@ def _bits(a):
 
 
 @pytest.mark.parametrize(
-    "n, idx",
+    "n, lo, hi",
     [
-        (100, np.arange(1, 41)),  # range starting at the constant
-        (100, np.arange(2, 31)),  # range starting at an even (cosine) index
-        (100, np.arange(3, 30)),  # range starting at an odd (sine) index
-        (57, np.array([9, 2, 1, 14, 2, 9, 1, 3])),  # unordered, repeated
-        (1, np.arange(1, 12)),
-        (1, np.array([7])),
-        (40, np.array([], dtype=int)),
-        (0, np.arange(1, 6)),
-        (1500, np.arange(1, 201)),
-        (16000, np.arange(1, 65)),
+        pytest.param(100, 1, 40, id="100-idx0"),  # range starting at the constant
+        pytest.param(100, 2, 30, id="100-idx1"),  # range starting at an even (cosine) index
+        pytest.param(100, 3, 29, id="100-idx2"),  # range starting at an odd (sine) index
+        pytest.param(1, 1, 11, id="1-idx4"),
+        pytest.param(1, 7, 7, id="1-idx5"),
+        pytest.param(0, 1, 5, id="0-idx7"),
+        pytest.param(1500, 1, 200, id="1500-idx8"),
+        pytest.param(16000, 1, 64, id="16000-idx9"),
     ],
 )
-def test_trig_columns_matches_column_loop_bitwise(n, idx):
+def test_trig_columns_matches_column_loop_bitwise(n, lo, hi):
     # within the recurrence's error bound of the column loop, and bit for
     # bit the full design's columns
     pts = np.random.default_rng(n).uniform(0.0, 1.0, n)
     if n >= 2:
         pts[:2] = (0.0, 1.0)
-    cols = trig_columns(pts, idx)
+    idx = np.arange(lo, hi + 1)
+    cols = trig_columns(pts, lo, hi)
     ref = trig_columns_loop(pts, idx)
     assert cols.shape == ref.shape
     assert np.all(np.abs(cols - ref) <= trig_error_bound(idx))
-    if idx.size:
-        assert _bits(cols) == _bits(trig_design(pts, idx.max())[:, idx - 1])
+    assert _bits(cols) == _bits(trig_design(pts, hi)[:, lo - 1:])
+
+
+def test_trig_columns_every_range_is_a_design_slice():
+    # every range 1 <= lo <= hi <= 64 is the full design's columns bit for
+    # bit, at the quarter points, random points and no points at all
+    pts = np.concatenate([[0.0, 0.25, 0.5, 1.0], np.random.default_rng(65).uniform(0.0, 1.0, 12)])
+    for x in (pts, pts[:0]):
+        for hi in range(1, 65):
+            design = trig_design(x, hi)
+            for lo in range(1, hi + 1):
+                assert _bits(trig_columns(x, lo, hi)) == _bits(design[:, lo - 1:])
 
 
 def test_trig_columns_design_wider_than_one_block():
@@ -124,9 +133,9 @@ def test_trig_columns_design_wider_than_one_block():
     k = (1 << 15) + 3
     pts = np.array([0.0, 0.3, 0.71, 1.0])
     idx = np.arange(1, k + 1)
-    full = trig_columns(pts, idx)
+    full = trig_columns(pts, 1, k)
     assert np.all(np.abs(full - trig_columns_loop(pts, idx)) <= trig_error_bound(idx))
-    assert _bits(trig_columns(pts, idx[-5:])) == _bits(full[:, -5:])
+    assert _bits(trig_columns(pts, k - 4, k)) == _bits(full[:, -5:])
 
 
 def test_trig_columns_error_bound_past_largest_cutoff():
@@ -136,7 +145,7 @@ def test_trig_columns_error_bound_past_largest_cutoff():
     pts = np.concatenate([[0.0, 1.0], np.random.default_rng(600).uniform(0.0, 1.0, 15998)])
     for lo in range(1, 601, 100):
         idx = np.arange(lo, lo + 100)
-        err = np.abs(trig_columns(pts, idx) - trig_columns_loop(pts, idx)).max(axis=0)
+        err = np.abs(trig_columns(pts, lo, lo + 99) - trig_columns_loop(pts, idx)).max(axis=0)
         assert np.all(err <= trig_error_bound(idx))
         if lo == 1:
             assert_array_equal(err[:3], 0.0)
@@ -148,14 +157,13 @@ def test_trig_columns_position_independent():
     # for bit: no alignment, SIMD lane or short-array path may move an entry.
     rng = np.random.default_rng(64)
     pts = np.concatenate([rng.uniform(0.0, 1.0, 45), [0.0, 1.0, 0.5, 0.25]])
-    idx = np.arange(1, 65)
-    ref = trig_columns(pts, idx)
+    ref = trig_columns(pts, 1, 64)
     for off in range(17):
         for length in (1, 2, 3, 8, 17, 32):
             seg = slice(off, off + length)
             host = rng.uniform(0.0, 1.0, off + length + 7)
             host[seg] = pts[seg]
-            assert _bits(trig_columns(host[seg], idx)) == _bits(ref[seg])
+            assert _bits(trig_columns(host[seg], 1, 64)) == _bits(ref[seg])
 
 
 def test_orthonormality_midpoint_quadrature():
@@ -252,6 +260,20 @@ def test_polynomial_weights_underflow_saturates():
     assert_array_equal(WeightSequence.polynomial_decay(538.0).values(4), [1.0, tiny, tiny, tiny])
 
 
+def test_power_weights_pinned():
+    # constant, Sobolev, derivative and polynomial decay weights are one
+    # power law j**(2p), floored at the smallest positive double, w_1 = 1
+    assert WeightSequence.sobolev(1.5) == WeightSequence.derivative(1.5)
+    assert WeightSequence.constant() == WeightSequence.sobolev(0)
+    tiny = np.nextafter(0.0, 1.0)
+    j = np.arange(1, 5001, dtype=float)
+    for a in (0.26, 1, 2.5, 400, 538):
+        expected = np.maximum(j ** (-2.0 * a), tiny)
+        expected[0] = 1.0
+        for k in (1, 2, 3, 64, 5000):
+            assert _bits(WeightSequence.polynomial_decay(a).values(k)) == _bits(expected[:k])
+
+
 def test_custom_weights():
     w = WeightSequence.custom([1.0, 0.5, 0.25])
     assert_array_equal(w.values(3), [1.0, 0.5, 0.25])
@@ -278,7 +300,9 @@ def test_weight_validation():
     with pytest.raises(ValueError, match="unknown weight kind"):
         WeightSequence("triangular")
     with pytest.raises(ValueError, match="needs a parameter"):
-        WeightSequence("sobolev")
+        WeightSequence("power")
+    with pytest.raises(ValueError, match="must be finite"):
+        WeightSequence("power", math.inf)
     w = WeightSequence.constant()
     assert w.values(0).size == 0
     with pytest.raises(ValueError, match=">= 0"):
@@ -286,8 +310,8 @@ def test_weight_validation():
 
 
 def test_parse_weights():
-    assert parse_weights("const").kind == "constant"
-    assert parse_weights("constant").kind == "constant"
+    assert parse_weights("const") == WeightSequence.constant()
+    assert parse_weights("constant") == WeightSequence.constant()
     assert_array_equal(parse_weights("sobolev:2").values(2), [1.0, 16.0])
     assert parse_weights("deriv:1") == WeightSequence.derivative(1.0)
     assert parse_weights("derivative:1") == WeightSequence.derivative(1.0)

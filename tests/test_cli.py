@@ -394,7 +394,7 @@ def test_estimate_with_truth_reports_risk(tmp_path, capsys):
     from npiv.estimator import diagonal_estimate
 
     phi = make_structural(1.0, 2.0, profile="custom", coeffs=[1.0, 0.5])
-    expected = risk_weighted(diagonal_estimate(s, 2), phi, CONST)
+    expected = risk_weighted(diagonal_estimate(s, 2), phi.coeffs, CONST)
     assert report["risk"] == expected
     assert report["risk_weights"] == "const"
 
@@ -711,6 +711,28 @@ def test_oracle_usage_errors(capsys):
     assert f"--n-grid {10**12} {_TOO_LARGE}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "flag, kind",
+    [
+        ("--smoothness-weights", "sobolev"),
+        ("--risk-weights", "derivative"),
+        ("--operator-weights", "poly"),
+        ("--operator-weights", "exp"),
+    ],
+)
+def test_oracle_non_finite_weight_parameter_exits_2(capsys, flag, kind, value):
+    # nan passes every sign comparison, so finiteness is checked on its own;
+    # the last occurrence of a repeated flag wins
+    base = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1",
+            "--n-grid", "5"]
+    assert main(base + [flag, f"{kind}:{value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"npiv: error: bad weight spec '{kind}:{value}': ")
+    assert "Traceback" not in captured.err
+
+
 # -- rate study -----------------------------------------------------------
 
 
@@ -824,7 +846,9 @@ def test_rate_study_bytes_match_column_loop_basis(tmp_path, capsys, monkeypatch,
     ]
     assert "npiv.basis" in {mod.__name__ for mod in bound}
     for mod in bound:
-        monkeypatch.setattr(mod, "trig_columns", trig_columns_loop)
+        monkeypatch.setattr(
+            mod, "trig_columns", lambda x, lo, hi: trig_columns_loop(x, np.arange(lo, hi + 1))
+        )
     assert main(["rate-study", cfg, "--out", str(tmp_path / "loop.json")]) == 0
     capsys.readouterr()
     _assert_close_report(

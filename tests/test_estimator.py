@@ -418,7 +418,7 @@ def test_risk_weighted_examples():
     long_fit = GalerkinEstimate(np.array([1.0, 0.0, 0.25]), 3, thresholded=False, mode="general")
     assert risk_weighted(long_fit, truth[:2], const) == 0.3125
     spec = StructuralSpec(coeffs=truth, smoothness=1.0, radius=3.0)
-    assert risk_weighted(fit, spec, const) == 0.3125
+    assert risk_weighted(fit, spec.coeffs, const) == 0.3125
 
     perfect = GalerkinEstimate(truth, 3, thresholded=False, mode="general")
     assert risk_weighted(perfect, truth, const) == 0.0
@@ -531,6 +531,6 @@ def test_structural_truth_padding():
     fit = GalerkinEstimate(phi.coeffs[:5].copy(), 5, thresholded=False, mode="diagonal")
     tail = phi.coeffs[5:]
     expected = float(np.dot(tail, tail))
-    assert risk_weighted(fit, phi, WeightSequence.constant()) == pytest.approx(
+    assert risk_weighted(fit, phi.coeffs, WeightSequence.constant()) == pytest.approx(
         expected, rel=1e-12
     )
