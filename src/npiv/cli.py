@@ -43,9 +43,11 @@ from .simulate import (
     OperatorSpec,
     StructuralSpec,
     generate_sample,
+    generate_samples,
     make_operator,
     make_structural,
     noise_sigma_for_snr,
+    proposal_batch,
     sampler_doubles,
     task_seed,
 )
@@ -67,6 +69,9 @@ class InternalError(Exception):
 _MAX_BYTES = 1 << 30
 # Bytes a rate study holds per (n, replication) cell: its task, result row and index entry.
 _CELL_BYTES = 512
+# Proposals one block of study replications (of one n) may draw together, each replication
+# counted at ``proposal_batch(op, n)``; a block shares its sampler's and truth's calls.
+_BLOCK_PROPOSALS = 1 << 16
 
 
 def _check_size(what: str, count: int, each: int = 8) -> None:
@@ -438,24 +443,25 @@ class StudyRow(NamedTuple):
     oracle_risk: float
 
 
-def _study_worker(task: tuple) -> StudyRow:
-    phi, op, sigma, order, penalty_const, oracle_k, n, rep, master = task
-    seed = task_seed(master, n, rep)
+def _study_worker(task: tuple, sample) -> StudyRow:
+    phi, op, sigma, order, penalty_const, oracle_k, n, rep, seed = task
     weights = WeightSequence.derivative(order)
-    sample = generate_sample(phi, op, sigma, n, seed)
     trace = penalized_select(sample, weights, penalty_const)
     risk = risk_weighted(trace.estimate, phi.coeffs, weights)
     fixed_risk = risk_weighted(diagonal_estimate(sample, oracle_k), phi.coeffs, weights)
-    return StudyRow(
-        n,
-        rep,
-        seed,
-        trace.k_selected,
-        trace.cutoff,
-        bool(trace.estimate.thresholded),
-        float(risk),
-        float(fixed_risk),
-    )
+    return StudyRow(n, rep, seed, trace.k_selected, trace.cutoff, bool(trace.estimate.thresholded),
+                    float(risk), float(fixed_risk))
+
+
+def _study_block(block: tuple) -> list[StudyRow]:
+    """Rows of a block of replications of one n: samples drawn together, the rest per sample."""
+    phi, op, sigma, order, penalty_const, oracle_k, n, reps, master = block
+    seeds = [task_seed(master, n, rep) for rep in reps]
+    samples = generate_samples(phi, op, sigma, n, seeds)
+    return [
+        _study_worker((phi, op, sigma, order, penalty_const, oracle_k, n, rep, seed), sample)
+        for rep, seed, sample in zip(reps, seeds, samples)
+    ]
 
 
 def run_rate_study(
@@ -472,8 +478,8 @@ def run_rate_study(
 ) -> tuple[dict, list[StudyRow]]:
     """Run the Monte Carlo study; returns (report dict, replication rows).
 
-    Rows are keyed by (n, replication) with per-task seeds derived from the
-    master seed, so the output is identical for any worker count.
+    Rows are keyed by (n, replication) with per-task seeds derived from the master
+    seed, so the output is identical for any worker count and any block layout.
     """
     weights = WeightSequence.derivative(order)
     smooth_w = WeightSequence.sobolev(phi.smoothness)
@@ -483,21 +489,25 @@ def run_rate_study(
         k_best, rate = oracle_dimension(weights, smooth_w, op.weights, n, min(n, k_max))
         oracle_per_n[n] = (k_best, rate)
 
-    tasks = [
-        (phi, op, sigma, order, penalty_const, oracle_per_n[n][0], n, rep, master)
-        for n in grid
-        for rep in range(reps)
-    ]
+    blocks = []
+    for n in grid:
+        # the fewest near-equal blocks under the cap; one replication each at n = 1, whose
+        # truths generate_samples evaluates row by row, so such a block has none to share
+        size = 1 if n == 1 else max(1, _BLOCK_PROPOSALS // proposal_batch(op, n))
+        count = -(-reps // size)
+        blocks += [
+            (phi, op, sigma, order, penalty_const, oracle_per_n[n][0], n,
+             range(reps * i // count, reps * (i + 1) // count), master)
+            for i in range(count)
+        ]
     if jobs == 1:
-        results = [_study_worker(t) for t in tasks]
+        results = [row for block in blocks for row in _study_block(block)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_study_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
-            )
+            results = [row for rows in pool.map(_study_block, blocks) for row in rows]
     by_cell = {(r.n, r.replication): r for r in results}
-    if len(by_cell) != len(tasks):
-        raise InternalError("study produced duplicate (n, replication) cells")
+    if len(by_cell) != len(grid) * reps:
+        raise InternalError("study produced duplicate or missing (n, replication) cells")
 
     regime = "fs" if op.decay == "polynomial" else "is"
     p, s, a = phi.smoothness, order, op.a

@@ -9,6 +9,7 @@ ellipsoid, and responses add centred noise with a pinned fourth moment.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,47 +163,63 @@ def proposal_batch(op: OperatorSpec, n: int) -> int:
 
 
 def sampler_doubles(op: OperatorSpec, n: int) -> int:
-    """Doubles ``sample_joint`` holds at its peak while drawing n pairs.
+    """Doubles ``sample_joint`` holds at its peak while drawing n pairs for one seed.
 
     Its first batch of m = ``proposal_batch(op, n)`` proposals is the largest.  Counted
     per proposal: z, w and u (3), and in ``joint_density`` on a first slice of at most
     m / 1.2 + 17 the sum so far, 2c, b_1, b_2 and scratch (5).  tracemalloc measured at
-    most 7.4 a proposal.
+    most 7.4 a proposal.  A sequence of seeds holds the sum over its seeds.
     """
     return 8 * proposal_batch(op, n)
 
 
-def sample_joint(op: OperatorSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_joint(op: OperatorSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs (z, w) from the joint density by rejection sampling.
 
     Proposals are uniform on the unit square with the constant envelope
     1 + 2 * sum_{j>=2} |t_j|, drawn in whole batches but judged in slices sized
     to the missing pairs, up to the n-th acceptance.  Deterministic for a given seed.
+    For a sequence of seeds, z and w are (len(seeds), n) arrays whose row r is, bit for
+    bit, the draw for ``seeds[r]`` alone: each round judges the slices of all unfinished
+    rows in one ``joint_density`` call, whose input a new batch's first slice is drawn into.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if op.density_floor < 0.0:
         raise ValueError("operator density floor is negative, not a valid density")
-    rng = stream_rng(seed, STREAM_JOINT)
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)  # not an array: one past 2**63 makes it float64
+    rngs = [stream_rng(s, STREAM_JOINT) for s in seeds]
     envelope = _envelope(op)
-    zs: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-    have = start = m = 0
-    while have < n:
-        if start == m:
-            m, start = proposal_batch(op, n - have), 0
-            z = rng.random(m)
-            w = rng.random(m)
-            u = rng.random(m)
-        part = slice(start, min(m, start + int(math.ceil((n - have) * envelope)) + 16))
-        keep = joint_density(op, z[part], w[part]) >= u[part] * envelope
-        zs.append(z[part][keep])
-        ws.append(w[part][keep])
-        have += int(keep.sum())
-        start = part.stop
-    z = np.concatenate(zs)[:n]
-    w = np.concatenate(ws)[:n]
-    return z, w
+    rest = [np.empty((3, 0))] * len(seeds)  # each row's unjudged z, w and u
+    have = [0] * len(seeds)
+    out = None
+    while rows := [r for r, h in enumerate(have) if h < n]:
+        batch = [proposal_batch(op, n - have[r]) if rest[r].size == 0 else 0 for r in rows]
+        ends = list(itertools.accumulate(
+            min(m or rest[r].shape[1], math.ceil((n - have[r]) * envelope) + 16)
+            for r, m in zip(rows, batch)
+        ))
+        part = np.empty((3, ends[-1]))
+        for r, m, a, b in zip(rows, batch, [0] + ends, ends):
+            if m:  # a new batch: each of its z, w and u is drawn as slice then remainder
+                rest[r] = np.empty((3, m - (b - a)))
+                for i in range(3):
+                    rngs[r].random(out=part[i, a:b])
+                    rngs[r].random(out=rest[r][i])
+            else:
+                part[:, a:b] = rest[r][:, : b - a]
+                rest[r] = rest[r][:, b - a :]
+        density = joint_density(op, part[0], part[1])
+        if out is None:  # only now, with the density's scratch rows freed
+            out = np.empty((2, len(seeds), n))
+        for r, a, b in zip(rows, [0] + ends, ends):
+            keep = density[a:b] >= part[2, a:b] * envelope
+            got = part[:2, a:b][:, keep][:, : n - have[r]]
+            out[:, r, have[r] : have[r] + got.shape[1]] = got
+            have[r] += got.shape[1]
+    z, w = out if out is not None else np.empty((2, 0, n))
+    return (z[0], w[0]) if single else (z, w)
 
 
 @dataclass(frozen=True)
@@ -308,22 +325,35 @@ def noise_sigma_for_snr(phi: StructuralSpec, snr: float) -> float:
     return 3.0 ** 0.25 * math.sqrt(signal_var) / snr
 
 
-def generate_sample(
-    phi: StructuralSpec, op: OperatorSpec, sigma: float, n: int, seed: int
-) -> Sample:
-    """Draw a sample y = phi(z) + u with (z, w) from the joint density.
+def generate_samples(
+    phi: StructuralSpec, op: OperatorSpec, sigma: float, n: int, seeds
+) -> list[Sample]:
+    """Draw a sample y = phi(z) + u with (z, w) from the joint density for each seed.
 
     The noise is Gaussian with standard deviation sigma / 3**(1/4), which
     pins its fourth moment to exactly sigma**4.  The joint draw and the
-    noise use separate streams of the same seed.
+    noise use separate streams of the same seed.  One ``sample_joint`` call draws
+    every (z, w) and the truth is evaluated once on their concatenated z, so
+    sample r equals, bit for bit, the one drawn for ``seeds[r]`` alone.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    z, w = sample_joint(op, n, seed)
-    signal = phi(z)
-    if sigma > 0:
-        u = stream_rng(seed, STREAM_NOISE).normal(0.0, sigma / 3.0 ** 0.25, n)
-        y = signal + u
-    else:
-        y = signal
-    return Sample(y=y, z=z, w=w)
+    seeds = list(seeds)
+    z, w = sample_joint(op, n, seeds)
+    if n > 1:
+        signal = phi(z.ravel()).reshape(z.shape)
+    else:  # evaluate_coeffs rounds a lone point otherwise than one inside a longer array
+        signal = np.array([phi(row) for row in z]).reshape(z.shape)
+    samples = []
+    for seed, y, z_r, w_r in zip(seeds, signal, z, w):
+        if sigma > 0:
+            y = y + stream_rng(seed, STREAM_NOISE).normal(0.0, sigma / 3.0 ** 0.25, n)
+        samples.append(Sample(y=y, z=z_r, w=w_r))
+    return samples
+
+
+def generate_sample(
+    phi: StructuralSpec, op: OperatorSpec, sigma: float, n: int, seed: int
+) -> Sample:
+    """``generate_samples`` for the one seed ``seed``."""
+    return generate_samples(phi, op, sigma, n, [seed])[0]

@@ -813,6 +813,37 @@ def test_rate_study_bytes_do_not_depend_on_jobs(grid, reps, seed, operator):
                 assert one.read() == two.read()
 
 
+def test_rate_study_bytes_do_not_depend_on_blocks(tmp_path, capsys, monkeypatch):
+    # one replication per block (the layout of one task per cell) and the default
+    # blocks, each at --jobs 1 and 2, write the same bytes; n = 1 and 2 are in the grid
+    cfg = _study_config(tmp_path)
+    flags = ["--n-grid", "1,2,3,50,300", "--replications", "70", "--seed", "4"]
+    sizes = []
+    real_block = cli._study_block
+
+    def recording_block(block):
+        sizes.append((block[6], len(block[7])))
+        return real_block(block)
+
+    outputs = []
+    for proposals in (1, cli._BLOCK_PROPOSALS):
+        monkeypatch.setattr(cli, "_BLOCK_PROPOSALS", proposals)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"p{proposals}j{jobs}.json"
+            if jobs == "1":
+                monkeypatch.setattr(cli, "_study_block", recording_block)
+            assert main(["rate-study", cfg, "--out", str(out), "--jobs", jobs, *flags]) == 0
+            monkeypatch.setattr(cli, "_study_block", real_block)
+            outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+    capsys.readouterr()
+    assert all(o == outputs[0] for o in outputs)
+    per_cell, default = sizes[:350], sizes[350:]
+    assert {size for _, size in per_cell} == {1}
+    assert [size for n, size in default if n == 1] == [1] * 70
+    # 1,024 proposals a replication at these n: 70 replications make two blocks of 35
+    assert [size for n, size in default if n > 1] == [35] * 8
+
+
 def _assert_close_report(kernel, loop, rtol):
     """Integers, booleans and strings equal; floats within ``rtol``."""
     if isinstance(kernel, dict):

@@ -11,7 +11,7 @@ import scipy.stats as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from npiv import basis, simulate
-from npiv.basis import WeightSequence, trig_design, weighted_norm_sq
+from npiv.basis import WeightSequence, evaluate_coeffs, trig_design, weighted_norm_sq
 from npiv.estimator import empirical_diagonal
 from npiv.simulate import (
     STREAM_JOINT,
@@ -19,6 +19,7 @@ from npiv.simulate import (
     OperatorSpec,
     StructuralSpec,
     generate_sample,
+    generate_samples,
     joint_density,
     make_operator,
     make_structural,
@@ -314,20 +315,73 @@ def test_sample_joint_matches_full_batches_across_small_batches(monkeypatch):
     assert split > 0
 
 
+# Study seeds of one (master, n), some below 2**63 and some past it: as a numpy
+# array the list would be float64, not the seeds.
+_MIXED_SEEDS = [task_seed(3, 100, r) for r in range(8)]
+
+
+@pytest.mark.parametrize("trunc", [2, 5, 8, 64])
+def test_sample_joint_rows_match_single_seeds(trunc):
+    # each row keeps its own stream, batches and slices while the rows share
+    # the density calls, so row r is the draw for seeds[r] alone
+    op = make_operator("polynomial", 1.0, truncation=trunc)
+    seeds = _MIXED_SEEDS + list(range(5))
+    assert {s >= 2**63 for s in seeds} == {True, False}
+    for n in (1, 2, 7, 100, 1000):
+        z, w = sample_joint(op, n, seeds)
+        assert z.shape == w.shape == (len(seeds), n)
+        for r, seed in enumerate(seeds):
+            z_r, w_r = sample_joint(op, n, seed)
+            assert z_r.shape == w_r.shape == (n,)
+            assert_array_equal(z[r], z_r)
+            assert_array_equal(w[r], w_r)
+
+
+def test_sample_joint_rows_match_single_seeds_across_small_batches(monkeypatch):
+    # with batches of 512 the slices of a row straddle several batches, and rows
+    # need different numbers of rounds; the block makes one density call a round
+    op = make_operator("polynomial", 1.0, truncation=5)
+    monkeypatch.setattr(simulate, "proposal_batch", lambda op, n: 512)
+    calls = []
+    real_density = simulate.joint_density
+
+    def counting_density(op, z, w):
+        calls.append(len(z))
+        return real_density(op, z, w)
+
+    monkeypatch.setattr(simulate, "joint_density", counting_density)
+    for n in (1, 7, 1000):
+        calls.clear()
+        z, w = sample_joint(op, n, _MIXED_SEEDS)
+        block_calls, rounds = len(calls), []
+        for r, seed in enumerate(_MIXED_SEEDS):
+            calls.clear()
+            sample_joint(op, n, seed)
+            rounds.append(len(calls))
+            z_ref, w_ref = sample_joint_full_batch(op, n, seed)
+            assert_array_equal(z[r], z_ref)
+            assert_array_equal(w[r], w_ref)
+        assert block_calls == max(rounds)
+        if n == 1000:
+            assert min(rounds) >= 4 and len(set(rounds)) > 1
+
+
 @pytest.mark.parametrize("trunc", [2, 5, 8, 64])
 def test_sample_joint_peak_memory(trunc):
     # the CLI bounds the sampler by sampler_doubles, so that must cover
-    # everything sample_joint holds at once
+    # everything sample_joint holds at once, and R seeds at most R times that
     op = make_operator("polynomial", 1.0, truncation=trunc)
-    for n in (16000, 200000):
-        sample_joint(op, n, 0)  # first-call allocations are not the sampler's
+    for n, seeds in ((16000, 1), (200000, 1), (100, range(1, 65)), (16000, [1, 2, 3]),
+                     (200000, [1, 2, 3])):
+        rows = 1 if seeds == 1 else len(seeds)
+        sample_joint(op, n, 0 if seeds == 1 else [0] * rows)  # first-call allocations
         tracemalloc.start()
         try:
-            sample_joint(op, n, 1)
+            sample_joint(op, n, seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * sampler_doubles(op, n)
+        assert peak <= 8 * rows * sampler_doubles(op, n)
 
 
 def test_sample_joint_reproducible():
@@ -497,6 +551,36 @@ def test_generate_sample_builds_no_response_design(monkeypatch):
     assert widths == []
     basis.trig_design(s.z, op.truncation)  # the counter is live
     assert widths == [op.truncation]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 8000])
+def test_generate_samples_match_single_seeds(n):
+    # one sampler call and one truth evaluation per block, and the same bits as
+    # drawing each seed alone; a one-point block evaluates its truth row by row
+    phi = make_structural(2.0, 1.0, truncation=200)
+    op = make_operator("polynomial", 1.0, truncation=5)
+    sigma = noise_sigma_for_snr(phi, 2.0)
+    seeds = _MIXED_SEEDS + [task_seed(1, n, r) for r in range(56)]
+    single = {seed: generate_sample(phi, op, sigma, n, seed) for seed in seeds}
+    for size in (1, 2, 7, 64):
+        block = generate_samples(phi, op, sigma, n, seeds[:size])
+        assert len(block) == size
+        for seed, s in zip(seeds, block):
+            assert_array_equal(s.y, single[seed].y)
+            assert_array_equal(s.z, single[seed].z)
+            assert_array_equal(s.w, single[seed].w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 100])
+def test_evaluate_coeffs_of_a_block_matches_its_rows(n):
+    # generate_samples relies on this for rows of two or more points
+    rng = np.random.default_rng(n)
+    for coeffs in (rng.standard_normal(41), make_structural(2.0, 1.0, truncation=200).coeffs):
+        rows = rng.random((9, n))
+        rows[0, 0], rows[-1, -1] = 0.0, 1.0
+        assert_array_equal(
+            evaluate_coeffs(coeffs, rows.ravel()), np.concatenate([evaluate_coeffs(coeffs, r) for r in rows])
+        )
 
 
 def test_generate_sample_validation():
