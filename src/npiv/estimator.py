@@ -61,9 +61,9 @@ class Sample:
         return self.y.size
 
     @cached_property
-    def _diagonal(self) -> tuple[list, list]:
-        """The (t, g) diagonal prefix, grown in place by ``empirical_diagonal``."""
-        return [], []
+    def _diagonal(self) -> tuple[_DiagonalStore, int]:
+        """The store holding this sample's diagonal prefix, and its row there."""
+        return _DiagonalStore([self]), 0
 
 
 CSV_HEADER = ("y", "z", "w")
@@ -143,27 +143,64 @@ def empirical_operator_matrix(sample: Sample, k: int) -> np.ndarray:
     return pw.T @ pz / sample.n
 
 
+# Most points one fill call hands to ``trig_columns`` (a row of more goes alone).
+_FILL_POINTS = 2 ** 13
+
+
+class _DiagonalStore:
+    """One (t, g) diagonal prefix per row for equal-size samples drawn together.
+
+    It keeps the members' arrays, not the samples: a sample and its store
+    form no reference cycle, so a block is freed as soon as its samples are.
+    """
+
+    def __init__(self, samples) -> None:
+        self.y, self.z, self.w = ([getattr(s, v) for s in samples] for v in "yzw")
+        self.t = self.g = np.empty((len(samples), 0))
+
+    def grow(self, k: int) -> None:
+        """Extend every row's prefix to k, in one basis call per variable and row group."""
+        (m, lo), n = self.t.shape, self.y[0].size
+        t, g = np.empty((m, k)), np.empty((m, k))
+        t[:, :lo], g[:, :lo] = self.t, self.g
+        step = max(1, _FILL_POINTS // n)
+        for r in range(0, m, step):
+            rows = slice(r, r + step)
+            pw = trig_columns(np.concatenate(self.w[rows]), lo + 1, k).T.reshape(k - lo, -1, n)
+            pz = trig_columns(np.concatenate(self.z[rows]), lo + 1, k).T.reshape(k - lo, -1, n)
+            t[rows, lo:] = (pw * pz).mean(axis=-1).T
+            g[rows, lo:] = (pw * np.stack(self.y[rows])).mean(axis=-1).T
+        self.t, self.g = t, g
+
+
+def _share_diagonal(samples: list[Sample]) -> None:
+    """Give equal-size samples drawn together one diagonal store."""
+    store = _DiagonalStore(samples)
+    for row, sample in enumerate(samples):
+        object.__setattr__(sample, "_diagonal", (store, row))
+
+
 def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal operator entries and moment vector for indices 1..k.
 
-    Returns (t, g) with t_j = mean psi_j(w_i) psi_j(z_i) and
-    g_j = mean y_i psi_j(w_i).  The sample keeps one prefix of these
-    entries, and a larger k evaluates only the missing columns.  Each basis
-    entry is a bitwise pure function of its point and index, and the means
-    are reduced along the contiguous columns of ``trig_columns``'s
-    column-major output, so prefixes are bitwise identical however they
-    grew, as nesting and selection traces require.  Over C-order columns the
-    same means would sum in another order.
+    Returns fresh arrays (t, g) with t_j = mean psi_j(w_i) psi_j(z_i) and
+    g_j = mean y_i psi_j(w_i).  Samples drawn together by ``generate_samples``
+    share one store of these prefixes (any other sample has its own).  A k
+    beyond the store's prefix grows every member to k, evaluating only the
+    missing columns on the members' concatenated points, ``_FILL_POINTS`` at
+    most (or one row) per ``trig_columns`` call.  Each basis entry is a
+    bitwise pure function of its point and index, and each mean is reduced
+    along one member's contiguous stretch of a column of the column-major
+    design (C-order columns would sum in another order), so prefixes are
+    bitwise identical however, and beside whichever members, they grew, as
+    nesting and selection traces require.
     """
     if k < 1:
         raise ValueError(f"design width must be >= 1, got {k}")
-    tdiag, ghat = sample._diagonal
-    if k > len(tdiag):
-        pw = trig_columns(sample.w, len(tdiag) + 1, k)
-        pz = trig_columns(sample.z, len(tdiag) + 1, k)
-        tdiag.extend((pw * pz).mean(axis=0))
-        ghat.extend((pw * sample.y[:, None]).mean(axis=0))
-    return np.array(tdiag[:k]), np.array(ghat[:k])
+    store, row = sample._diagonal
+    if k > store.t.shape[1]:
+        store.grow(k)
+    return store.t[row, :k].copy(), store.g[row, :k].copy()
 
 
 # -- estimators -----------------------------------------------------------

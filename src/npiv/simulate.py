@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import WeightSequence, _checked_points, evaluate_coeffs, weighted_norm_sq
-from .estimator import Sample
+from .estimator import Sample, _share_diagonal
 
 # Independent random streams per seed.
 STREAM_JOINT = 0
@@ -334,7 +334,8 @@ def generate_samples(
     pins its fourth moment to exactly sigma**4.  The joint draw and the
     noise use separate streams of the same seed.  One ``sample_joint`` call draws
     every (z, w) and the truth is evaluated once on their concatenated z, so
-    sample r equals, bit for bit, the one drawn for ``seeds[r]`` alone.
+    sample r equals, bit for bit, the one drawn for ``seeds[r]`` alone.  The
+    samples share one diagonal-moment store (see ``empirical_diagonal``).
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
@@ -349,6 +350,7 @@ def generate_samples(
         if sigma > 0:
             y = y + stream_rng(seed, STREAM_NOISE).normal(0.0, sigma / 3.0 ** 0.25, n)
         samples.append(Sample(y=y, z=z_r, w=w_r))
+    _share_diagonal(samples)
     return samples
 
 

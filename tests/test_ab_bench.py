@@ -55,3 +55,47 @@ def test_main_exit_status_follows_the_verdict(tmp_path, monkeypatch, capsys, cha
     monkeypatch.setattr(ab_bench, "compare", lambda *args: _report(change_p50))
     assert ab_bench.main(["--parent-dir", str(tmp_path), "--pairs", "2"]) == status
     assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: ")
+
+
+def _claim_report(parent, change):
+    return {"study-small-n": {"failed": {"parent": 0, "change": 0},
+                              "metrics": [ab_bench.summarise(P50, parent, change)]}}
+
+
+def test_verdict_applies_the_gain_rule_to_claims():
+    claim = [("study-small-n", "latency_p50_ms")]
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    ok, line = ab_bench.verdict(_claim_report(parent, [p - 20.0 for p in parent]), claim)
+    assert ok and line.endswith(", claim study-small-n:latency_p50_ms holds")
+    # 8 of 10 pairs won: the medians differ by far more than the IQR, yet the claim fails
+    change = [p - 20.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
+    ok, line = ab_bench.verdict(_claim_report(parent, change), claim)
+    assert not ok
+    assert line == "verdict: FAIL: claim study-small-n:latency_p50_ms won 8/10 pairs, fewer than 9/10"
+    # 10 of 10 pairs won by a hair: inside the parent's IQR of 99.25-101
+    ok, line = ab_bench.verdict(_claim_report(parent, [p - 0.5 for p in parent]), claim)
+    assert not ok and line == ("verdict: FAIL: claim study-small-n:latency_p50_ms medians do not differ "
+                               "in its favour by more than the parent's IQR")
+    # without the claim the same runs pass
+    assert ab_bench.verdict(_claim_report(parent, [p - 0.5 for p in parent]))[0]
+
+
+@pytest.mark.parametrize("change_p50, status", [([40.0, 41.0], 0), ([100.0, 100.5], 1)])
+def test_main_exit_status_follows_the_claim(tmp_path, monkeypatch, capsys, change_p50, status):
+    # 100.0, 100.5 against 100.0, 101.0 win 1 of 2 pairs, within the bound
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text("")
+    monkeypatch.setattr(ab_bench, "compare", lambda *args: _report(change_p50))
+    argv = ["--parent-dir", str(tmp_path), "--pairs", "2", "--claim", "study-fs:latency_p50_ms"]
+    assert ab_bench.main(argv) == status
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: ")
+
+
+@pytest.mark.parametrize("claim", ["study-small-n:latency_p50_ms", "study-fs:latency", "study-fs"])
+def test_main_rejects_a_claim_outside_the_run(tmp_path, capsys, claim):
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main(["--parent-dir", str(tmp_path), "--workload", "study-fs", "--claim", claim])
+    assert exc.value.code == 2
+    assert f"--claim {claim}: expected WORKLOAD:METRIC" in capsys.readouterr().err

@@ -105,6 +105,13 @@ def test_empirical_diagonal_prefix_bitwise():
     assert_array_equal(empirical_diagonal(s, 8)[0], t8)
 
 
+def _block(samples):
+    """Fresh copies of ``samples`` sharing one diagonal store, as generate_samples gives them."""
+    block = [Sample(s.y, s.z, s.w) for s in samples]
+    estimator._share_diagonal(block)
+    return block
+
+
 def test_diagonal_prefix_independent_of_growth_order():
     # every sample keeps one growing prefix; entries must not depend on the
     # steps it grew in, so fresh copies grown differently agree bit for bit
@@ -117,6 +124,18 @@ def test_diagonal_prefix_independent_of_growth_order():
             tk, gk = empirical_diagonal(fresh, k)
             assert_array_equal(tk, whole[0][:k])
             assert_array_equal(gk, whole[1][:k])
+    # a block grows all its members when any one asks; whichever asks first,
+    # and in whatever order the others follow, each equals its sample alone
+    for n in (1, 3, 1500):
+        alone = [_random_sample(rng, n) for _ in range(5)]
+        wholes = [empirical_diagonal(Sample(a.y, a.z, a.w), 37) for a in alone]
+        for first in range(len(alone)):
+            block = _block(alone)
+            for k in (1, 8, 16, 37):
+                for r in [first] + [r for r in rng.permutation(len(block)) if r != first]:
+                    tk, gk = empirical_diagonal(block[r], k)
+                    assert_array_equal(tk, wholes[r][0][:k])
+                    assert_array_equal(gk, wholes[r][1][:k])
 
 
 def test_empirical_diagonal_returns_copies():
@@ -127,6 +146,74 @@ def test_empirical_diagonal_returns_copies():
     fresh = empirical_diagonal(Sample(s.y, s.z, s.w), 4)
     assert_array_equal(empirical_diagonal(s, 4)[0], fresh[0])
     assert_array_equal(empirical_diagonal(s, 4)[1], fresh[1])
+    # the same holds for a member of a block, for itself and its neighbours
+    rng = np.random.default_rng(7)
+    alone = [_random_sample(rng, 30) for _ in range(3)]
+    block = _block(alone)
+    for r in range(3):
+        t, g = empirical_diagonal(block[r], 4)
+        t[:] = 0.0
+        g[:] = 0.0
+    for b, a in zip(block, alone):
+        assert_array_equal(empirical_diagonal(b, 4)[0], empirical_diagonal(a, 4)[0])
+        assert_array_equal(empirical_diagonal(b, 4)[1], empirical_diagonal(a, 4)[1])
+
+
+# n around the pairwise-summation blocks (128 values) and the fill groups (2**13 points)
+_BLOCK_NS = (1, 2, 3, 5, 100, 127, 128, 129, 1023, 1024, 1025, 2000, 4000, 8191, 8192, 8193, 16000)
+
+
+@pytest.mark.parametrize(
+    "n, fill_points", [(n, None) for n in _BLOCK_NS] + [(n, 7) for n in _BLOCK_NS if n <= 1025]
+)
+def test_block_diagonal_matches_each_row_alone(n, fill_points, monkeypatch):
+    # each row of a block store, grown over the ranges 1-3, 1-8, 9-16 and 17-32,
+    # equals bit for bit its sample's one-row store and the plain column means;
+    # stores with R * n > _FILL_POINTS split over several fill groups (at the
+    # default from n = 2000 on; a limit of 7 points splits the small n too)
+    if fill_points is not None:
+        monkeypatch.setattr(estimator, "_FILL_POINTS", fill_points)
+    rng = np.random.default_rng(n)
+    for rows in (1, 2, 3, 7):
+        alone = [_random_sample(rng, n) for _ in range(rows)]
+        for steps in ([3], [8], [8, 16], [16, 32]):
+            block = _block(alone)
+            for k in steps:
+                empirical_diagonal(block[-1], k)
+            k = steps[-1]
+            for b, a in zip(block, alone):
+                pw, pz = trig_design(a.w, k), trig_design(a.z, k)
+                for mine, own, plain in zip(
+                    empirical_diagonal(b, k),
+                    empirical_diagonal(Sample(a.y, a.z, a.w), k),
+                    ((pw * pz).mean(axis=0), (pw * a.y[:, None]).mean(axis=0)),
+                ):
+                    assert_array_equal(mine, own)
+                    assert_array_equal(mine, plain)
+
+
+def test_block_fills_in_bounded_groups(monkeypatch):
+    # one trig_columns call per variable and group of at most _FILL_POINTS points
+    # (or one row), and only the missing columns; later members reuse the fill
+    calls = []
+    real = estimator.trig_columns
+
+    def counting(points, lo, hi):
+        calls.append((points.size, lo, hi))
+        return real(points, lo, hi)
+
+    monkeypatch.setattr(estimator, "trig_columns", counting)
+    rng = np.random.default_rng(9)
+    for n, rows, sizes in ((400, 40, [8000, 8000]), (3000, 5, [6000, 6000, 3000]), (9000, 2, [9000, 9000])):
+        block = _block([_random_sample(rng, n) for _ in range(rows)])
+        calls.clear()
+        for b in block:
+            empirical_diagonal(b, 8)
+        assert calls == [(size, 1, 8) for size in sizes for _ in "wz"]
+        calls.clear()
+        empirical_diagonal(block[0], 5)
+        empirical_diagonal(block[1], 11)
+        assert calls == [(size, 9, 11) for size in sizes for _ in "wz"]
 
 
 def test_diagonal_range_validation():

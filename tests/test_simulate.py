@@ -1,16 +1,18 @@
 """Tests for the joint-density simulator and structural truth construction."""
 
+import gc
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.stats as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from npiv import basis, simulate
+from npiv import basis, estimator, simulate
 from npiv.basis import WeightSequence, evaluate_coeffs, trig_design, weighted_norm_sq
 from npiv.estimator import empirical_diagonal
 from npiv.simulate import (
@@ -569,6 +571,29 @@ def test_generate_samples_match_single_seeds(n):
             assert_array_equal(s.y, single[seed].y)
             assert_array_equal(s.z, single[seed].z)
             assert_array_equal(s.w, single[seed].w)
+
+
+def test_generate_samples_frees_a_block_without_the_cyclic_collector(monkeypatch):
+    # the samples share one diagonal store, filled in one basis call per
+    # variable; it keeps the members' arrays, not the samples, so deleting
+    # the list frees every sample by reference counting
+    sizes = []
+    real = estimator.trig_columns
+    monkeypatch.setattr(estimator, "trig_columns", lambda x, lo, hi: sizes.append(x.size) or real(x, lo, hi))
+    phi = make_structural(2.0, 1.0, truncation=200)
+    op = make_operator("polynomial", 1.0, truncation=5)
+    gc.collect()
+    gc.disable()
+    try:
+        block = generate_samples(phi, op, 0.5, 50, range(4))
+        for s in block:
+            empirical_diagonal(s, 8)
+        assert sizes == [200, 200]
+        refs = [weakref.ref(s) for s in block]
+        del block, s
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 100])

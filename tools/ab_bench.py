@@ -17,6 +17,14 @@ differ by more than the parent's interquartile range, and whether the
 change's median is worse than the parent's by more than the metric's bound.
 A closing verdict line follows; the exit status is 1 when some metric is
 worse than its bound or the change failed more operations than the parent.
+
+``--claim WORKLOAD:METRIC`` (repeatable) names a gain claimed before
+measuring.  The verdict then also requires, for each claim, that the change
+won at least 9 of every 10 pairs and that the medians differ, in the better
+direction, by more than the parent's interquartile range:
+
+    python3 tools/ab_bench.py --parent-dir ../npiv-parent --workload study-small-n \
+        --pairs 10 --claim study-small-n:latency_p50_ms
 """
 
 from __future__ import annotations
@@ -120,7 +128,20 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def verdict(report: dict) -> tuple[bool, str]:
+def claim_problems(report: dict, claims: list[tuple[str, str]]) -> list[str]:
+    """Why each claimed gain falls short of 9/10 pairs won and medians beyond the parent's IQR."""
+    problems = []
+    for workload, metric in claims:
+        s = next(s for s in report[workload]["metrics"] if s["metric"] == metric)
+        name = f"claim {workload}:{metric}"
+        if 10 * s["wins"] < 9 * s["pairs"]:
+            problems.append(f"{name} won {s['wins']}/{s['pairs']} pairs, fewer than 9/10")
+        if not s["beyond_parent_iqr"]:
+            problems.append(f"{name} medians do not differ in its favour by more than the parent's IQR")
+    return problems
+
+
+def verdict(report: dict, claims: list[tuple[str, str]] = ()) -> tuple[bool, str]:
     """Whether the change passes, and one line that says why."""
     problems = [
         f"{workload} {s['metric']} is worse than its bound"
@@ -133,9 +154,11 @@ def verdict(report: dict) -> tuple[bool, str]:
         for workload, entry in report.items()
         if entry["failed"]["change"] > entry["failed"]["parent"]
     ]
+    problems += claim_problems(report, claims)
     if problems:
         return False, "verdict: FAIL: " + "; ".join(problems)
-    return True, "verdict: PASS: no metric worse than its bound, no more failed operations than the parent"
+    held = "".join(f", claim {w}:{m} holds" for w, m in claims)
+    return True, f"verdict: PASS: no metric worse than its bound, no more failed operations than the parent{held}"
 
 
 def main(argv=None) -> int:
@@ -145,9 +168,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
+                        help="a claimed gain the verdict also tests (9/10 pairs won, beyond the parent's IQR)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed < 0 or not args.seconds > 0:
         parser.error("--pairs must be >= 1, --seed >= 0 and --seconds > 0")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        metrics = {m["name"] for m in json.load(fh)["end_to_end"]}
+    claims = [tuple(c.partition(":")[::2]) for c in args.claim]
+    for (workload, metric), text in zip(claims, args.claim):
+        if workload not in args.workload or metric not in metrics:
+            parser.error(f"--claim {text}: expected WORKLOAD:METRIC with a workload given to --workload "
+                         f"and an end-to-end metric of BENCHMARK.json")
     if not os.path.isfile(os.path.join(args.parent_dir, "benchmarks", "run.py")):
         parser.error(f"--parent-dir {args.parent_dir} has no benchmarks/run.py")
 
@@ -155,7 +187,7 @@ def main(argv=None) -> int:
         print(msg, file=sys.stderr, flush=True)
 
     report = compare(os.path.abspath(args.parent_dir), args.workload, args.pairs, args.seed, args.seconds, log)
-    ok, line = verdict(report)
+    ok, line = verdict(report, claims)
     print(format_report(report))
     print(line)
     return 0 if ok else 1
