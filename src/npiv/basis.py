@@ -88,7 +88,10 @@ def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
     |omega| = 1 the rounding error is O(F * eps * sum_j |c_j|) at every point,
     z = 0 and 1 included.  Real Clenshaw, as in ``simulate.joint_density``, would
     need a second recurrence for the sine terms, and its F**2 * eps error near
-    z = 0 and 1 matters for truths of F = 100 frequencies.
+    z = 0 and 1 matters for truths of F = 100 frequencies.  numpy's complex
+    multiply rounds a one-element array otherwise than a longer one, so a lone
+    point is summed as two copies of itself: each value is a bitwise pure
+    function of its point, alone or inside any array.
     """
     c = np.asarray(coeffs, dtype=float)
     scalar = np.isscalar(points) or np.ndim(points) == 0
@@ -96,14 +99,14 @@ def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
     d = c[1::2].astype(complex)
     sin = c[2::2]
     d.imag[: sin.size] = -sin
-    omega = (2j * math.pi) * pts
+    omega = (2j * math.pi) * (np.repeat(pts, 2) if pts.size == 1 else pts)
     np.exp(omega, out=omega)
-    acc = np.zeros(pts.size, dtype=complex)
+    acc = np.zeros(omega.size, dtype=complex)
     for d_f in d[::-1]:
         acc *= omega
         acc += d_f
     acc *= omega
-    vals = (c[0] if c.size else 0.0) + SQRT2 * acc.real
+    vals = (c[0] if c.size else 0.0) + SQRT2 * acc.real[: pts.size]
     return float(vals[0]) if scalar else vals
 
 
@@ -111,9 +114,9 @@ def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
 class WeightSequence:
     """Strictly positive weights w_1, w_2, ... evaluated lazily by index.
 
-    Three kinds, normalised so that w_1 = 1: ``power`` weights j**(2p) for a
-    finite p of either sign, ``exponential`` weights exp(-j**(2a)) for a > 0,
-    and ``custom``, an explicit table that only covers its own length.
+    Three kinds: ``power`` weights j**(2p) for a finite p of either sign and
+    ``exponential`` weights exp(-j**(2a)) for a > 0, both with w_1 = 1, and
+    ``custom``, an explicit table taken as given that covers only its length.
     ``constant()``, ``sobolev(r)``, ``derivative(s)`` and
     ``polynomial_decay(a)`` are power weights with p = 0, r, s and -a.
     """

@@ -139,14 +139,20 @@ def _check_keys(section: str, obj: dict) -> None:
         obj[key] = _checked(f"{section}.{key}", _SECTION_KEYS[section][key][0], value)
 
 
-def load_config(path) -> dict:
+def _load_object(path, what: str) -> dict:
+    """The JSON object in file ``path``; ``what`` names it when the file holds another value."""
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
+def load_config(path) -> dict:
+    cfg = _load_object(path, "config")
     unknown = set(cfg) - set(_SECTION_KEYS)
     if unknown:
         raise UsageError(f"{path}: unknown config sections: {', '.join(sorted(unknown))}")
@@ -297,13 +303,7 @@ def cmd_simulate(args) -> int:
 
 
 def _truth_from_file(path) -> StructuralSpec:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise UsageError(f"{path}: truth spec must be a JSON object")
+    obj = _load_object(path, "truth spec")
     if "structural" not in obj:
         obj = {"structural": obj}
     _check_keys("structural", obj["structural"])
@@ -491,9 +491,8 @@ def run_rate_study(
 
     blocks = []
     for n in grid:
-        # the fewest near-equal blocks under the cap; one replication each at n = 1, whose
-        # truths generate_samples evaluates row by row, so such a block has none to share
-        size = 1 if n == 1 else max(1, _BLOCK_PROPOSALS // proposal_batch(op, n))
+        # the fewest near-equal blocks under the cap
+        size = max(1, _BLOCK_PROPOSALS // proposal_batch(op, n))
         count = -(-reps // size)
         blocks += [
             (phi, op, sigma, order, penalty_const, oracle_per_n[n][0], n,

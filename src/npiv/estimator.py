@@ -210,19 +210,6 @@ def _zero(k: int, mode: str) -> GalerkinEstimate:
     return GalerkinEstimate(np.zeros(k), k, thresholded=True, mode=mode)
 
 
-def _stable_prefix(tdiag: np.ndarray, n: int) -> np.ndarray:
-    """For each k, whether the threshold min_{j<=k} t_j**2 >= 1/n holds."""
-    return np.minimum.accumulate(tdiag * tdiag) >= 1.0 / n
-
-
-def _diagonal_fit(tdiag: np.ndarray, ghat: np.ndarray, n: int) -> GalerkinEstimate:
-    """g_j / t_j for j = 1..k, or the zero estimate when the threshold fails at k."""
-    k = tdiag.size
-    if not _stable_prefix(tdiag, n).all():
-        return _zero(k, "diagonal")
-    return GalerkinEstimate(ghat / tdiag, k, thresholded=False, mode="diagonal")
-
-
 def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """Solve the k x k empirical moment system, or fall back to zero.
 
@@ -248,7 +235,10 @@ def diagonal_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """Coefficient-wise estimate g_j / t_j, guarded by min_j t_j**2 >= 1/n."""
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    return _diagonal_fit(*empirical_diagonal(sample, k), sample.n)
+    tdiag, ghat = empirical_diagonal(sample, k)
+    if np.min(tdiag * tdiag) < 1.0 / sample.n:
+        return _zero(k, "diagonal")
+    return GalerkinEstimate(ghat / tdiag, k, thresholded=False, mode="diagonal")
 
 
 # -- derived quantities ---------------------------------------------------

@@ -2,9 +2,11 @@
 
 The selection rule minimises a penalised contrast over candidate dimensions:
 the negative weighted norm of the diagonal coefficient estimate plus a
-penalty proportional to an effective-dimension sequence.  Both the penalty
-and the search range come in two flavours, one computed from the operator's
-known weight sequence and one from the sample alone.
+penalty proportional to the effective dimension of the sample's squared
+diagonal.  The effective dimension has one definition, which the
+known-weights cutoff also applies to the operator's weight sequence; the
+search range is that cutoff when the weights are known, and one read from
+the sample alone otherwise.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import WeightSequence, weighted_norm_sq
-from .estimator import (
-    GalerkinEstimate,
-    Sample,
-    _diagonal_fit,
-    _stable_prefix,
-    empirical_diagonal,
-)
+from .estimator import GalerkinEstimate, Sample, empirical_diagonal
 
 _SCAN_START = 8
 
@@ -43,23 +39,6 @@ def effective_dimension(
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     return _effective_dim(risk_weights.values(k_max), operator_weights.values(k_max))
-
-
-def effective_dimension_from_diagonal(
-    tdiag: np.ndarray, n: int, risk_weights: WeightSequence
-) -> np.ndarray:
-    """Empirical effective dimensions from diagonal operator entries, l_j = t_j**2.
-
-    Each dimension k carries its own stability indicator: whenever some
-    squared entry among the first k falls below 1/n, delta_k is zero.
-    """
-    t = np.asarray(tdiag, dtype=float)
-    if t.size < 1:
-        raise ValueError("need at least one diagonal entry")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    eff = _effective_dim(risk_weights.values(t.size), t * t)
-    return np.where(_stable_prefix(t, n), eff, 0.0)
 
 
 # -- dimension cutoffs ----------------------------------------------------
@@ -199,8 +178,8 @@ def penalized_select(
     n = sample.n
     cutoff = empirical_dimension_cutoff(sample, risk_weights)
     tdiag, ghat = empirical_diagonal(sample, cutoff)
-    eff = effective_dimension_from_diagonal(tdiag, n, risk_weights)
-    coeffs = _diagonal_fit(tdiag, ghat, n).coeffs
+    eff = _effective_dim(risk_weights.values(cutoff), tdiag * tdiag)
+    coeffs = ghat / tdiag
     contrast = np.array([-weighted_norm_sq(coeffs[:k], risk_weights)
                          for k in range(1, cutoff + 1)])
     y2 = float(np.mean(sample.y * sample.y))
@@ -217,7 +196,7 @@ def penalized_select(
         effective_dim=eff,
         criterion=criterion,
         k_selected=k_sel,
-        estimate=_diagonal_fit(tdiag[:k_sel], ghat[:k_sel], n),
+        estimate=GalerkinEstimate(coeffs[:k_sel], k_sel, thresholded=False, mode="diagonal"),
     )
 
 

@@ -341,10 +341,7 @@ def generate_samples(
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     seeds = list(seeds)
     z, w = sample_joint(op, n, seeds)
-    if n > 1:
-        signal = phi(z.ravel()).reshape(z.shape)
-    else:  # evaluate_coeffs rounds a lone point otherwise than one inside a longer array
-        signal = np.array([phi(row) for row in z]).reshape(z.shape)
+    signal = phi(z.ravel()).reshape(z.shape)
     samples = []
     for seed, y, z_r, w_r in zip(seeds, signal, z, w):
         if sigma > 0:

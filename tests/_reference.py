@@ -4,8 +4,8 @@ Everything here recomputes selection-support quantities with plain Python
 loops in index order.  Only the weight tables and the elementwise log are
 shared with the library: numpy's log and libm's disagree by one ulp on
 some inputs, which would turn an exactness check into a tolerance check.
-The logic under test -- running maxima, cumulative sums, stability
-indicators, block scans, argmin tie breaking -- is all re-derived here.
+The logic under test -- running maxima, cumulative sums, block scans,
+argmin tie breaking -- is all re-derived here.
 ``scan_cutoffs`` keeps the vectorised scan over every N up to n that the
 library's cutoff walk replaced; it checks the walk at sizes the loops
 cannot reach.
@@ -32,7 +32,6 @@ from npiv.selection import (
     dimension_cutoff,
     dimension_cutoff_lower,
     effective_dimension,
-    effective_dimension_from_diagonal,
     empirical_dimension_cutoff,
     oracle_dimension,
 )
@@ -198,27 +197,6 @@ def bf_penalty_sequences(risk_weights, operator_weights, k_max):
     return ampl, floored, eff
 
 
-def bf_penalty_from_diagonal(tdiag, n, risk_weights):
-    """Empirical effective dimension list: a per-k stability indicator zeroes it."""
-    t = [float(v) for v in tdiag]
-    k_max = len(t)
-    w = [float(v) for v in risk_weights.values(k_max)]
-    eff = []
-    run_a = -math.inf
-    run_f = -math.inf
-    min_tsq = math.inf
-    for k in range(1, k_max + 1):
-        tsq = t[k - 1] * t[k - 1]
-        min_tsq = min(min_tsq, tsq)
-        run_a = max(run_a, _div(w[k - 1], tsq))
-        run_f = max(run_f, _div(max(w[k - 1], 1.0), tsq))
-        if min_tsq >= 1.0 / n:
-            eff.append(k * run_a * _log(max(run_f, k + 2.0)) / _log(k + 2.0))
-        else:
-            eff.append(0.0)
-    return eff
-
-
 def bf_dimension_cutoff(risk_weights, operator_weights, link_constant, n):
     lam = [float(v) for v in operator_weights.values(n)]
     _, _, eff = bf_penalty_sequences(risk_weights, operator_weights, n)
@@ -310,7 +288,7 @@ def rebuild_trace(sample, weights, penalty_const):
     """
     cutoff = empirical_dimension_cutoff(sample, weights)
     tdiag, _ = empirical_diagonal(sample, cutoff)
-    eff = effective_dimension_from_diagonal(tdiag, sample.n, weights)
+    eff = effective_dimension(weights, WeightSequence.custom(tdiag * tdiag), cutoff)
     y2 = float(np.mean(sample.y * sample.y))
     contrast, penalty, criterion = [], [], []
     for k in range(1, cutoff + 1):
@@ -375,17 +353,10 @@ def check_instance(rng):
 
     bad = []
 
-    for name, lib, ref in (
-        ("effective_dim", effective_dimension(rw, ow, k_max), bf_penalty_sequences(rw, ow, k_max)[2]),
-        (
-            "emp_effective_dim",
-            effective_dimension_from_diagonal(tdiag, n, rw),
-            bf_penalty_from_diagonal(tdiag, n, rw),
-        ),
-    ):
-        d = _diff(list(zip(map(float, lib), ref)))
-        if d:
-            bad.append((name, d[:3]))
+    d = _diff(list(zip(map(float, effective_dimension(rw, ow, k_max)),
+                       bf_penalty_sequences(rw, ow, k_max)[2])))
+    if d:
+        bad.append(("effective_dim", d[:3]))
 
     pairs = [
         ("dimension_cutoff", dimension_cutoff(rw, ow, link, n), bf_dimension_cutoff(rw, ow, link, n)),

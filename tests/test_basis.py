@@ -166,6 +166,24 @@ def test_trig_columns_position_independent():
             assert _bits(trig_columns(host[seg], 1, 64)) == _bits(ref[seg])
 
 
+def test_evaluate_coeffs_position_independent():
+    # The same points passed as views of lengths 1 to 32 at offsets 0-16 inside
+    # longer arrays, or one by one as Python floats, give the values of one call
+    # over all points bit for bit: a lone point rounds as it does inside an array.
+    rng = np.random.default_rng(41)
+    coeffs = rng.standard_normal(41)
+    pts = np.concatenate([rng.uniform(0.0, 1.0, 2000), [0.0, 1.0, 0.5, 0.25]])
+    ref = evaluate_coeffs(coeffs, pts)
+    for off in range(17):
+        for length in (1, 2, 3, 8, 17, 32):
+            seg = slice(off, off + length)
+            host = rng.uniform(0.0, 1.0, off + length + 7)
+            host[seg] = pts[seg]
+            assert _bits(evaluate_coeffs(coeffs, host[seg])) == _bits(ref[seg])
+    lone = np.array([evaluate_coeffs(coeffs, float(x)) for x in pts])
+    assert _bits(lone) == _bits(ref)
+
+
 def test_orthonormality_midpoint_quadrature():
     m = 16384
     grid = (np.arange(m) + 0.5) / m

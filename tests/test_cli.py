@@ -1,12 +1,20 @@
-"""End-to-end tests of the command-line interface, run in-process."""
+"""End-to-end tests of the command-line interface.
+
+They run in-process, apart from the checks at the end, which run
+``python -m npiv.cli`` in a fresh interpreter where a RuntimeWarning is an
+error, as the installed ``npiv`` script runs.
+"""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -839,9 +847,8 @@ def test_rate_study_bytes_do_not_depend_on_blocks(tmp_path, capsys, monkeypatch)
     assert all(o == outputs[0] for o in outputs)
     per_cell, default = sizes[:350], sizes[350:]
     assert {size for _, size in per_cell} == {1}
-    assert [size for n, size in default if n == 1] == [1] * 70
     # 1,024 proposals a replication at these n: 70 replications make two blocks of 35
-    assert [size for n, size in default if n > 1] == [35] * 8
+    assert [size for _, size in default] == [35] * 10
 
 
 def _assert_close_report(kernel, loop, rtol):
@@ -966,3 +973,39 @@ def test_rate_study_usage_errors(tmp_path, capsys):
         assert "the risk at n=20 overflows" in capsys.readouterr().err
 
     assert not (tmp_path / "o.json").exists()
+
+
+# -- fresh interpreter ----------------------------------------------------
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_cli(*args, timeout=60):
+    """Run ``python -m npiv.cli ARGS`` with RuntimeWarnings as errors; returns its stdout."""
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    done = subprocess.run([sys.executable, "-m", "npiv.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_oracle_row_at_twenty_million_is_exact_within_20_s():
+    # the known-weight cutoffs read a few dozen weights here, not 2e7 of them
+    out = _run_cli("oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1",
+                   "--n-grid", "20000000", timeout=20)
+    assert out.splitlines()[-1] == "20000000,13,4.095e-05,32,32,4161.808917758912"
+
+
+def test_simulate_select_estimate_at_operator_truncation_64(tmp_path):
+    cfg = _write_config(tmp_path, "t64.json", structural={"smoothness": 2.0, "radius": 1.0},
+                        operator={"decay": "polynomial", "a": 1.0, "truncation": 64})
+    for n in (1, 5000):
+        csv_path = tmp_path / f"t64_{n}.csv"
+        _run_cli("simulate", cfg, "--out", csv_path, "--n", n, "--seed", 0)
+        assert csv_path.read_bytes().count(b"\n") == n + 1
+    sample = tmp_path / "t64_5000.csv"
+    _run_cli("select", sample, "--penalty-const", 0.75, "--out", tmp_path / "select.json")
+    truth = tmp_path / "truth.json"
+    truth.write_text('{"structural": {"smoothness": 2.0, "radius": 1.0}}')
+    _run_cli("estimate", sample, "--k", 12, "--truth", truth, "--out", tmp_path / "estimate.json")

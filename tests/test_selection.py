@@ -17,7 +17,6 @@ from npiv.selection import (
     dimension_cutoff,
     dimension_cutoff_lower,
     effective_dimension,
-    effective_dimension_from_diagonal,
     empirical_dimension_cutoff,
     oracle_dimension,
     penalized_select,
@@ -68,26 +67,6 @@ def test_penalty_invariants():
 def test_penalty_validation():
     with pytest.raises(ValueError, match="k_max"):
         effective_dimension(CONST, POLY1, 0)
-    with pytest.raises(ValueError, match="diagonal entry"):
-        effective_dimension_from_diagonal(np.zeros(0), 5, CONST)
-    with pytest.raises(ValueError, match="sample size"):
-        effective_dimension_from_diagonal(np.ones(3), 0, CONST)
-
-
-def test_empirical_penalty_stability_indicator():
-    # a zero diagonal entry zeroes that dimension and every larger one
-    eff = effective_dimension_from_diagonal(np.array([1.0, 0.0, 1.0]), 100, CONST)
-    assert_array_equal(eff, [1.0, 0.0, 0.0])
-
-
-def test_empirical_matches_known_for_exact_entries():
-    # with t_j = sqrt(l_j) exactly representable (powers of two), the
-    # empirical effective dimension agrees with the known-weight one bit for bit
-    lam = WeightSequence.custom([4.0 ** -j for j in range(6)])
-    tdiag = np.array([2.0 ** -j for j in range(6)])
-    assert_array_equal(
-        effective_dimension(CONST, lam, 6), effective_dimension_from_diagonal(tdiag, 10**9, CONST)
-    )
 
 
 def test_empirical_amplification_consistency_monte_carlo():
@@ -99,7 +78,7 @@ def test_empirical_amplification_consistency_monte_carlo():
     assert abs(tdiag[1] - 0.4) < 3.0 * math.sqrt(1.0 - 0.16) / math.sqrt(z.size)
     # delta_2 = 2 * Delta_2 * log(max(Delta_2, 4)) / log(4), Delta_2 = max(1, 1 / t_2**2)
     ampl = max(1.0, 1.0 / (tdiag[1] * tdiag[1]))
-    eff = effective_dimension_from_diagonal(tdiag, s.n, CONST)
+    eff = effective_dimension(CONST, WeightSequence.custom(tdiag * tdiag), 2)
     assert eff[1] == 2.0 * ampl * np.log(max(ampl, 4.0)) / np.log(4.0)
 
 
@@ -488,12 +467,18 @@ _PHI = make_structural(2.0, 1.0, truncation=30)
 @example(1, 0, ("polynomial", 1.0), CONST)
 @example(2, 1, ("exponential", 1.0), WeightSequence.derivative(1))
 @example(3, 2, ("polynomial", 2.0), WeightSequence.sobolev(2.0))
+# w_1 = 5 > 1: index 1 fails the cutoff's test at n = 10 (1/5 < log(10)/10) and the
+# cutoff is 1 anyway; each custom table here is also shorter than n
+@example(10, 3, ("polynomial", 1.0), WeightSequence.custom([5.0, 1.0, 1000.0]))
+@example(2000, 4, ("exponential", 0.5), WeightSequence.custom([5.0, 1.0, 1000.0]))
+@example(4000, 5, ("polynomial", 0.5), WeightSequence.custom([1.0, 1.0, 1.0]))
 def test_every_dimension_within_the_cutoff_passes_the_threshold(n, seed, operator, weights):
     # t_1 = 1, and the cutoff admits j >= 2 only when t_j**2 >= 2 log(n) / n > 1/n,
     # which is why penalized_select fits the whole cutoff without a zero fallback
     s = generate_sample(_PHI, make_operator(*operator), 0.3, n, seed)
     cutoff = empirical_dimension_cutoff(s, weights)
-    assert estimator._stable_prefix(empirical_diagonal(s, cutoff)[0], n).all()
+    t = empirical_diagonal(s, cutoff)[0]
+    assert np.min(t * t) >= 1.0 / n
     assert not penalized_select(s, weights, 0.75).estimate.thresholded
 
 

@@ -596,9 +596,9 @@ def test_generate_samples_frees_a_block_without_the_cyclic_collector(monkeypatch
         gc.enable()
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
 def test_evaluate_coeffs_of_a_block_matches_its_rows(n):
-    # generate_samples relies on this for rows of two or more points
+    # generate_samples relies on this at every n
     rng = np.random.default_rng(n)
     for coeffs in (rng.standard_normal(41), make_structural(2.0, 1.0, truncation=200).coeffs):
         rows = rng.random((9, n))
