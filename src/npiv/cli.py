@@ -33,8 +33,7 @@ from .estimator import (
     write_csv,
 )
 from .selection import (
-    dimension_cutoff,
-    dimension_cutoff_lower,
+    dimension_cutoffs,
     effective_dimension,
     oracle_dimension,
     penalized_select,
@@ -409,13 +408,14 @@ def cmd_oracle(args) -> int:
         k_max = min(n, args.k_max)
         k_best, rate = oracle_dimension(risk_w, smooth_w, op_w, n, k_max)
         eff = effective_dimension(risk_w, op_w, k_best)[k_best - 1]
+        cutoff, lower = dimension_cutoffs(risk_w, op_w, args.link_constant, n)
         rows.append(
             {
                 "n": int(n),
                 "k_best": int(k_best),
                 "rate": float(rate),
-                "cutoff": int(dimension_cutoff(risk_w, op_w, args.link_constant, n)),
-                "cutoff_lower": int(dimension_cutoff_lower(risk_w, op_w, args.link_constant, n)),
+                "cutoff": int(cutoff),
+                "cutoff_lower": int(lower),
                 "effective_dim_at_k": float(eff),
             }
         )
@@ -431,15 +431,16 @@ def cmd_oracle(args) -> int:
 
 
 class StudyRow(NamedTuple):
-    """One replication of a rate study, in the column order of ``study.csv``."""
+    """One replication of a rate study: the columns of ``study.csv``, in order."""
 
     n: int
     replication: int
     seed: int
     k_selected: int
     cutoff: int
-    thresholded: bool
+    thresholded: int
     risk: float
+    oracle_k: int
     oracle_risk: float
 
 
@@ -449,8 +450,8 @@ def _study_worker(task: tuple, sample) -> StudyRow:
     trace = penalized_select(sample, weights, penalty_const)
     risk = risk_weighted(trace.estimate, phi.coeffs, weights)
     fixed_risk = risk_weighted(diagonal_estimate(sample, oracle_k), phi.coeffs, weights)
-    return StudyRow(n, rep, seed, trace.k_selected, trace.cutoff, bool(trace.estimate.thresholded),
-                    float(risk), float(fixed_risk))
+    return StudyRow(n, rep, seed, trace.k_selected, trace.cutoff, int(trace.estimate.thresholded),
+                    float(risk), oracle_k, float(fixed_risk))
 
 
 def _study_block(block: tuple) -> list[StudyRow]:
@@ -478,35 +479,31 @@ def run_rate_study(
 ) -> tuple[dict, list[StudyRow]]:
     """Run the Monte Carlo study; returns (report dict, replication rows).
 
-    Rows are keyed by (n, replication) with per-task seeds derived from the master
+    Rows come in (n, replication) order with per-task seeds derived from the master
     seed, so the output is identical for any worker count and any block layout.
     """
     weights = WeightSequence.derivative(order)
     smooth_w = WeightSequence.sobolev(phi.smoothness)
 
-    oracle_per_n = {}
+    known, blocks = {}, []
     for n in grid:
         k_best, rate = oracle_dimension(weights, smooth_w, op.weights, n, min(n, k_max))
-        oracle_per_n[n] = (k_best, rate)
-
-    blocks = []
-    for n in grid:
+        known[n] = (k_best, rate, *dimension_cutoffs(weights, op.weights, op.link_constant, n))
         # the fewest near-equal blocks under the cap
         size = max(1, _BLOCK_PROPOSALS // proposal_batch(op, n))
         count = -(-reps // size)
         blocks += [
-            (phi, op, sigma, order, penalty_const, oracle_per_n[n][0], n,
+            (phi, op, sigma, order, penalty_const, k_best, n,
              range(reps * i // count, reps * (i + 1) // count), master)
             for i in range(count)
         ]
     if jobs == 1:
-        results = [row for block in blocks for row in _study_block(block)]
+        rows = [row for block in blocks for row in _study_block(block)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [row for rows in pool.map(_study_block, blocks) for row in rows]
-    by_cell = {(r.n, r.replication): r for r in results}
-    if len(by_cell) != len(grid) * reps:
-        raise InternalError("study produced duplicate or missing (n, replication) cells")
+            rows = [row for cells in pool.map(_study_block, blocks) for row in cells]
+    if [(r.n, r.replication) for r in rows] != [(n, rep) for n in grid for rep in range(reps)]:
+        raise InternalError("study rows are not one per (n, replication) cell in grid order")
 
     regime = "fs" if op.decay == "polynomial" else "is"
     p, s, a = phi.smoothness, order, op.a
@@ -518,19 +515,17 @@ def run_rate_study(
         slope_axis = "log_log_n"
 
     per_n = []
-    medians = []
-    for n in grid:
-        rows = [by_cell[(n, rep)] for rep in range(reps)]
-        risks = np.array([r.risk for r in rows])
+    for i, n in enumerate(grid):
+        cells = rows[i * reps:(i + 1) * reps]
+        risks = np.array([r.risk for r in cells])
         if not np.all(np.isfinite(risks)):
             raise UsageError(f"the risk at n={n} overflows; lower the noise or the derivative order")
         if risks.min() < 0:
             raise InternalError("negative risk in study results")
-        fixed_risks = np.array([r.oracle_risk for r in rows])
-        ks = np.array([r.k_selected for r in rows])
-        k_best, rate = oracle_per_n[n]
+        fixed_risks = np.array([r.oracle_risk for r in cells])
+        ks = np.array([r.k_selected for r in cells])
+        k_best, rate, cutoff, lower = known[n]
         q25, q50, q75 = (float(np.quantile(risks, q)) for q in (0.25, 0.5, 0.75))
-        medians.append(q50)
         per_n.append(
             {
                 "n": int(n),
@@ -541,16 +536,15 @@ def run_rate_study(
                 "oracle_k": int(k_best),
                 "oracle_rate": float(rate),
                 "oracle_risk_median": float(np.median(fixed_risks)),
-                "cutoff_known": int(dimension_cutoff(weights, op.weights, op.link_constant, n)),
-                "cutoff_lower": int(
-                    dimension_cutoff_lower(weights, op.weights, op.link_constant, n)
-                ),
+                "cutoff_known": int(cutoff),
+                "cutoff_lower": int(lower),
             }
         )
     xs = np.log(np.array(grid, dtype=float))
     if slope_axis == "log_log_n":
         xs = np.log(xs)
-    fitted = float(np.polyfit(xs, np.log(np.array(medians)), 1)[0]) if len(grid) >= 2 else None
+    ys = np.log([row["risk_median"] for row in per_n])
+    fitted = float(np.polyfit(xs, ys, 1)[0]) if len(grid) >= 2 else None
 
     report = {
         "schema": SCHEMA,
@@ -571,8 +565,7 @@ def run_rate_study(
         "theoretical_slope": float(theoretical),
         "slope_axis": slope_axis,
     }
-    ordered_rows = [by_cell[(n, rep)] for n in grid for rep in range(reps)]
-    return report, ordered_rows
+    return report, rows
 
 
 def cmd_rate_study(args) -> int:
@@ -583,18 +576,22 @@ def cmd_rate_study(args) -> int:
     order, penalty_const = selection_from_config(cfg)
     study = _section(cfg, "study")
 
+    grid_name = "--n-grid" if args.n_grid else "study.n_grid"
     if args.n_grid:
         grid = _parse_n_grid(args.n_grid)
     elif study["n_grid"] is not None:
-        grid = _check_n_grid(study["n_grid"], "study.n_grid")
+        grid = _check_n_grid(study["n_grid"], grid_name)
     else:
         raise UsageError("no sample-size grid: set study.n_grid or pass --n-grid")
+    if op.decay != "polynomial" and grid[0] < 2:
+        raise UsageError(f"{grid_name} must start at n >= 2 under exponential decay: "
+                         f"the slope axis log log n is undefined at n = 1")
     reps = args.replications if args.replications is not None else study["replications"]
     if reps < 1:
         raise UsageError(f"replications must be >= 1, got {reps}")
     reps_name = "study.replications" if args.replications is None else "--replications"
     _check_size(f"{reps_name} {_size(reps)} over {len(grid)} sample sizes", reps * len(grid), _CELL_BYTES)
-    _check_sampler(op, grid[-1], "--n-grid" if args.n_grid else "study.n_grid")
+    _check_sampler(op, grid[-1], grid_name)
     master = args.seed if args.seed is not None else study["seed"]
     if master < 0:
         raise UsageError(f"seed must be nonnegative, got {master}")
@@ -618,14 +615,10 @@ def cmd_rate_study(args) -> int:
 
     base = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
     _emit_json(report, base + ".json")
-    oracle_k = {row["n"]: row["oracle_k"] for row in report["per_n"]}
     with open(base + ".csv", "w") as fh:
-        fh.write("n,replication,seed,k_selected,cutoff,thresholded,risk,oracle_k,oracle_risk\n")
+        fh.write(",".join(StudyRow._fields) + "\n")
         for row in rows:
-            fh.write(
-                f"{row.n},{row.replication},{row.seed},{row.k_selected},{row.cutoff},"
-                f"{int(row.thresholded)},{row.risk!r},{oracle_k[row.n]},{row.oracle_risk!r}\n"
-            )
+            fh.write(",".join(map(repr, row)) + "\n")
     return 0
 
 

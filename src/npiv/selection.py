@@ -67,19 +67,28 @@ def _prefix_end(ok, limit: int) -> int:
         k = min(2 * k, limit)
 
 
-def dimension_cutoff(
+def _last_hit(ok: np.ndarray) -> int:
+    """1-based index of the last entry of ``ok`` that holds, else 1."""
+    hits = np.flatnonzero(ok)
+    return int(hits[-1]) + 1 if hits.size else 1
+
+
+def dimension_cutoffs(
     risk_weights: WeightSequence,
     operator_weights: WeightSequence,
     link_constant: float,
     n: int,
-) -> int:
-    """Largest admissible dimension for a known operator weight sequence.
+) -> tuple[int, int]:
+    """Largest admissible dimension for known operator weights, and its lower diagnostic.
 
-    The largest N <= n, and within any custom table, whose effective
-    dimension stays below n and whose operator weight is not yet
+    The cutoff is the largest N <= n, and within any custom table, whose
+    effective dimension stays below n and whose operator weight is not yet
     exponentially small relative to n (checked in log domain); 1 when no N
     qualifies.  The effective dimension is nondecreasing, so the first
     condition holds on a prefix, found by a walk whose cost follows its end.
+    The lower cutoff, a diagnostic for how far the data-driven cutoff can
+    reach, is the largest j up to it (at least 1) with
+    l_j / (j * max(w_j, 1)) >= 4 * link_constant * log(n) / n.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
@@ -92,17 +101,15 @@ def dimension_cutoff(
     lam = operator_weights.values(end)
     lhs = 7.0 * math.log(n) - n * lam / (288.0 * link_constant)
     rhs = 7.0 * math.log(2016.0 * link_constant / lam[0])
-    hits = np.flatnonzero(lhs <= rhs)
-    return int(hits[-1]) + 1 if hits.size else 1
+    cutoff = _last_hit(lhs <= rhs)
+    return cutoff, _last_hit(_estimable(lam[:cutoff], n, risk_weights, 4.0 * link_constant))
 
 
 def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
     """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1)."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    ok = np.maximum.accumulate(risk_weights.values(_limit(n, risk_weights))) <= n
-    hits = np.nonzero(ok)[0]
-    return int(hits[-1]) + 1 if hits.size else 1
+    return _last_hit(np.maximum.accumulate(risk_weights.values(_limit(n, risk_weights))) <= n)
 
 
 def _estimable(lam: np.ndarray, n: int, risk_weights: WeightSequence, c: float) -> np.ndarray:
@@ -200,7 +207,7 @@ def penalized_select(
     )
 
 
-# -- oracle and diagnostics -----------------------------------------------
+# -- oracle ---------------------------------------------------------------
 
 
 def oracle_dimension(
@@ -231,22 +238,3 @@ def oracle_dimension(
     objective = np.maximum(bias, variance)
     k_best = int(np.argmin(objective)) + 1
     return k_best, float(objective[k_best - 1])
-
-
-def dimension_cutoff_lower(
-    risk_weights: WeightSequence,
-    operator_weights: WeightSequence,
-    link_constant: float,
-    n: int,
-) -> int:
-    """Largest dimension whose operator weight is safely estimable.
-
-    Searches j = 1..dimension_cutoff(...) for the largest j with
-    l_j / (j * max(w_j, 1)) >= 4 * link_constant * log(n) / n, returning 1
-    when no index qualifies.  Useful as a diagnostic for how far the
-    data-driven cutoff can reach.
-    """
-    cap = dimension_cutoff(risk_weights, operator_weights, link_constant, n)
-    lam = operator_weights.values(cap)
-    hits = np.flatnonzero(_estimable(lam, n, risk_weights, 4.0 * link_constant))
-    return int(hits[-1]) + 1 if hits.size else 1

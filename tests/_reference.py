@@ -29,8 +29,7 @@ from npiv.selection import (
     _estimable,
     _prefix_end,
     dimension_cap,
-    dimension_cutoff,
-    dimension_cutoff_lower,
+    dimension_cutoffs,
     effective_dimension,
     empirical_dimension_cutoff,
     oracle_dimension,
@@ -239,7 +238,7 @@ def walk_cutoff_from_diagonal(tdiag, n, risk_weights):
 
 
 def scan_cutoffs(risk_weights, operator_weights, link_constant, n):
-    """``dimension_cutoff`` and ``dimension_cutoff_lower`` by one scan over every N up to the limit."""
+    """``dimension_cutoffs`` by one scan over every N up to the limit."""
     m = min([n] + [len(w.table) for w in (risk_weights, operator_weights) if w.table is not None])
     w = risk_weights.values(m)
     lam = operator_weights.values(m)
@@ -358,15 +357,16 @@ def check_instance(rng):
     if d:
         bad.append(("effective_dim", d[:3]))
 
+    cutoff, lower = dimension_cutoffs(rw, ow, link, n)
     pairs = [
-        ("dimension_cutoff", dimension_cutoff(rw, ow, link, n), bf_dimension_cutoff(rw, ow, link, n)),
+        ("dimension_cutoff", cutoff, bf_dimension_cutoff(rw, ow, link, n)),
         ("dimension_cap", dimension_cap(rw, n), bf_dimension_cap(rw, n)),
         (
             "cutoff_from_diagonal",
             walk_cutoff_from_diagonal(tdiag, n, rw),
             bf_cutoff_from_diagonal(tdiag, n, rw),
         ),
-        ("cutoff_lower", dimension_cutoff_lower(rw, ow, link, n), bf_cutoff_lower(rw, ow, link, n)),
+        ("cutoff_lower", lower, bf_cutoff_lower(rw, ow, link, n)),
     ]
     k_lib, v_lib = oracle_dimension(rw, sw, ow, n, k_max)
     k_ref, v_ref = bf_oracle_dimension(rw, sw, ow, n, k_max)

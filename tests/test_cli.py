@@ -27,8 +27,7 @@ from npiv.basis import WeightSequence
 from npiv.cli import StudyRow, console_main, main, run_rate_study
 from npiv.estimator import Sample, load_csv, risk_weighted, write_csv
 from npiv.selection import (
-    dimension_cutoff,
-    dimension_cutoff_lower,
+    dimension_cutoffs,
     effective_dimension,
     oracle_dimension,
 )
@@ -654,8 +653,7 @@ def test_oracle_rows_match_library(capsys):
         k_best, rate = oracle_dimension(CONST, sob2, poly1, n, min(n, 200))
         assert row["k_best"] == k_best
         assert row["rate"] == rate
-        assert row["cutoff"] == dimension_cutoff(CONST, poly1, 1.0, n)
-        assert row["cutoff_lower"] == dimension_cutoff_lower(CONST, poly1, 1.0, n)
+        assert (row["cutoff"], row["cutoff_lower"]) == dimension_cutoffs(CONST, poly1, 1.0, n)
         eff = effective_dimension(CONST, poly1, k_best)[k_best - 1]
         assert row["effective_dim_at_k"] == float(eff)
 
@@ -920,15 +918,55 @@ def test_rate_study_oracle_columns_match_library(tmp_path, capsys):
         assert row["oracle_rate"] == rate
 
 
-def test_rate_study_rows_are_named_in_csv_order():
-    # the fields keep the column order of study.csv, so positional reads of
-    # a row (n first, cutoff fifth) stay valid
+def test_rate_study_rows_are_named_in_csv_order(tmp_path, capsys, monkeypatch):
+    # the fields are the columns of study.csv, in order, so positional reads of
+    # a row (n first, cutoff fifth) stay valid and a row printed is its line
     assert StudyRow._fields[:5] == ("n", "replication", "seed", "k_selected", "cutoff")
     phi = make_structural(2.0, 1.0, truncation=30)
     op = make_operator("polynomial", 1.0, truncation=4)
     _, rows = run_rate_study(phi, op, 0.3, 0, 0.75, [300], 2, 1)
     assert [(r.n, r.replication) for r in rows] == [(300, 0), (300, 1)]
     assert all(isinstance(r, StudyRow) for r in rows)
+
+    written = []
+
+    def recording_study(*args, **kwargs):
+        report, rows = run_rate_study(*args, **kwargs)
+        written.extend(rows)
+        return report, rows
+
+    monkeypatch.setattr(cli, "run_rate_study", recording_study)
+    out = tmp_path / "study.json"
+    assert main(["rate-study", _study_config(tmp_path), "--out", str(out), "--replications", "2"]) == 0
+    capsys.readouterr()
+    header, *lines = out.with_suffix(".csv").read_text().splitlines()
+    assert header.split(",") == list(StudyRow._fields)
+    assert len(lines) == len(written) == 4
+    assert all(type(v) in (int, float) for row in written for v in row)
+    assert lines[3] == ",".join(str(v) for v in written[3])
+    assert lines[3].split(",")[7] == str(json.loads(out.read_text())["per_n"][1]["oracle_k"])
+
+
+def test_rate_study_exponential_grid_from_n_1_exits_2_before_sampling(tmp_path, capfd, monkeypatch):
+    # the is regime fits its slope on log log n, which has no value at n = 1
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a study sample was drawn")
+
+    monkeypatch.setattr(cli, "generate_samples", no_draws)
+    out = str(tmp_path / "o.json")
+    cfg = _study_config(tmp_path, "exp.json", decay="exponential", a=0.5)
+    exp_op = {"decay": "exponential", "a": 0.5, "truncation": 4}
+    grid_cfg = _write_config(tmp_path, "grid.json", operator=exp_op, study={"n_grid": [1, 50]})
+    for argv, name in (
+        ([cfg, "--n-grid", "1,50"], "--n-grid"),
+        ([cfg, "--n-grid", "1"], "--n-grid"),
+        ([grid_cfg], "study.n_grid"),
+    ):
+        assert main(["rate-study", *argv, "--out", out]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"npiv: error: {name} must start at n >= 2 under exponential decay")
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1009,3 +1047,29 @@ def test_simulate_select_estimate_at_operator_truncation_64(tmp_path):
     truth = tmp_path / "truth.json"
     truth.write_text('{"structural": {"smoothness": 2.0, "radius": 1.0}}')
     _run_cli("estimate", sample, "--k", 12, "--truth", truth, "--out", tmp_path / "estimate.json")
+
+
+def test_oracle_weight_forms_run_warning_free():
+    # constant, Sobolev and polynomial weights, a custom risk table, and a custom
+    # operator table as long as --k-max
+    base = ("oracle", "--smoothness-weights", "sobolev:2", "--n-grid", 100)
+    for flags in (
+        ("--operator-weights", "poly:1"),
+        ("--risk-weights", "custom:1,2,3", "--operator-weights", "poly:1"),
+        ("--operator-weights", "custom:1,0.5,0.3", "--k-max", 3),
+    ):
+        header, row = _run_cli(*base, *flags).splitlines()
+        assert header == "n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k"
+        assert row.startswith("100,")
+
+
+def test_rate_study_bytes_at_operator_truncation_64_do_not_depend_on_jobs(tmp_path):
+    # at n = 400 a block holds 40 samples, whose shared moment store fills in two groups of points
+    cfg = _write_config(tmp_path, "t64.json", structural={"smoothness": 2.0, "radius": 1.0},
+                        operator={"decay": "polynomial", "a": 1.0, "truncation": 64})
+    for jobs in (1, 2):
+        _run_cli("rate-study", cfg, "--n-grid", "200,400", "--replications", 40, "--jobs", jobs,
+                 "--out", tmp_path / f"study{jobs}.json")
+    for ext in ("json", "csv"):
+        one, two = ((tmp_path / f"study{jobs}.{ext}").read_bytes() for jobs in (1, 2))
+        assert one and one == two

@@ -14,8 +14,7 @@ from npiv.basis import WeightSequence
 from npiv.estimator import Sample, diagonal_estimate, empirical_diagonal
 from npiv.selection import (
     dimension_cap,
-    dimension_cutoff,
-    dimension_cutoff_lower,
+    dimension_cutoffs,
     effective_dimension,
     empirical_dimension_cutoff,
     oracle_dimension,
@@ -86,33 +85,33 @@ def test_empirical_amplification_consistency_monte_carlo():
 
 
 def test_dimension_cutoff_examples():
-    assert dimension_cutoff(CONST, CONST, 1.0, 100) == 100
-    assert dimension_cutoff(CONST, CONST, 1.0, 1) == 1
+    assert dimension_cutoffs(CONST, CONST, 1.0, 100)[0] == 100
+    assert dimension_cutoffs(CONST, CONST, 1.0, 1)[0] == 1
     with pytest.raises(ValueError, match="sample size"):
-        dimension_cutoff(CONST, CONST, 1.0, 0)
+        dimension_cutoffs(CONST, CONST, 1.0, 0)
     with pytest.raises(ValueError, match="link constant"):
-        dimension_cutoff(CONST, CONST, 0.0, 10)
+        dimension_cutoffs(CONST, CONST, 0.0, 10)
     # a custom table bounds the search
-    assert dimension_cutoff(CONST, WeightSequence.custom([1.0, 0.5, 0.3]), 1.0, 100) == 3
-    assert dimension_cutoff(WeightSequence.custom([1.0] * 5), CONST, 1.0, 100) == 5
+    assert dimension_cutoffs(CONST, WeightSequence.custom([1.0, 0.5, 0.3]), 1.0, 100)[0] == 3
+    assert dimension_cutoffs(WeightSequence.custom([1.0] * 5), CONST, 1.0, 100)[0] == 5
 
 
 def test_dimension_cutoff_polynomial_values():
     # the exponential smallness condition is vacuous until n is past the
     # (2016 d)**7 crossover, so the cutoff dips before growing like n**(1/3)
-    got = {n: dimension_cutoff(CONST, POLY1, 1.0, n) for n in (10**3, 10**4, 10**5, 10**6)}
+    got = {n: dimension_cutoffs(CONST, POLY1, 1.0, n)[0] for n in (10**3, 10**4, 10**5, 10**6)}
     assert got == {10**3: 8, 10**4: 1, 10**5: 3, 10**6: 8}
 
 
 def test_dimension_cutoff_monotone_past_crossover():
     grid = (20000, 50000, 100000, 1000000)
-    vals = [dimension_cutoff(CONST, POLY1, 1.0, n) for n in grid]
+    vals = [dimension_cutoffs(CONST, POLY1, 1.0, n)[0] for n in grid]
     assert vals == sorted(vals)
 
 
 def test_dimension_cutoff_exponential_values():
     expw = WeightSequence.exponential_decay(1.0)
-    got = [dimension_cutoff(CONST, expw, 1.0, n) for n in (10**5, 3 * 10**5, 10**6, 2 * 10**6)]
+    got = [dimension_cutoffs(CONST, expw, 1.0, n)[0] for n in (10**5, 3 * 10**5, 10**6, 2 * 10**6)]
     assert got == [1, 1, 2, 2]  # log-like growth under exponential decay
 
 
@@ -270,11 +269,11 @@ def test_known_cutoff_walk_matches_full_scans():
         for ow in _OPERATOR:
             for i, n in enumerate(grid):
                 link = (0.5, 1.0, 4.0)[i % 3]
-                got = (dimension_cutoff(rw, ow, link, n), dimension_cutoff_lower(rw, ow, link, n))
+                got = dimension_cutoffs(rw, ow, link, n)
                 assert got == ref.scan_cutoffs(rw, ow, link, n), (rw, ow, n)
     for rw, ow in zip(_RISK[:4] * 2, _OPERATOR[:6] + _OPERATOR[:2]):
         n = 2 * 10**6
-        got = (dimension_cutoff(rw, ow, 1.0, n), dimension_cutoff_lower(rw, ow, 1.0, n))
+        got = dimension_cutoffs(rw, ow, 1.0, n)
         assert got == ref.scan_cutoffs(rw, ow, 1.0, n), (rw, ow)
 
 
@@ -291,7 +290,7 @@ def test_known_cutoff_walk_with_the_effective_dimension_bound_on_a_walk_step():
                 for n in {math.ceil(eff[end - 1]), math.ceil(eff[end]) - 1}:
                     if not (eff[end - 1] / n <= 1.0 < eff[end] / n and n <= 10**6):
                         continue
-                    got = (dimension_cutoff(rw, ow, 1.0, n), dimension_cutoff_lower(rw, ow, 1.0, n))
+                    got = dimension_cutoffs(rw, ow, 1.0, n)
                     assert got == ref.scan_cutoffs(rw, ow, 1.0, n), (rw, ow, n)
                     checked += 1
     assert checked >= 50
@@ -302,8 +301,7 @@ def test_known_cutoffs_cost_follows_the_answer():
     for ow in (POLY1, WeightSequence.exponential_decay(1.0)):
         tracemalloc.start()
         try:
-            dimension_cutoff(CONST, ow, 1.0, 2 * 10**7)
-            dimension_cutoff_lower(CONST, ow, 1.0, 2 * 10**7)
+            dimension_cutoffs(CONST, ow, 1.0, 2 * 10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,13 +309,11 @@ def test_known_cutoffs_cost_follows_the_answer():
 
 
 def test_cutoff_lower_examples():
-    assert dimension_cutoff_lower(CONST, CONST, 1.0, 2) == 1
+    assert dimension_cutoffs(CONST, CONST, 1.0, 2)[1] == 1
     # at n = 1e6 the stability inequality alone reaches j = 26, but the
     # admissible range caps the diagnostic at its own limit
     n = 10**6
-    cap = dimension_cutoff(CONST, POLY1, 1.0, n)
-    assert cap == 8
-    assert dimension_cutoff_lower(CONST, POLY1, 1.0, n) == 8
+    assert dimension_cutoffs(CONST, POLY1, 1.0, n) == (8, 8)
     thr = 4.0 * math.log(n) / n
     lam = POLY1.values(100)
     uncapped = max(j for j in range(1, 101) if lam[j - 1] / j >= thr)
