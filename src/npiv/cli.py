@@ -465,6 +465,12 @@ def _study_block(block: tuple) -> list[StudyRow]:
     ]
 
 
+def _check_slope_axis(op: OperatorSpec, grid: list[int], name: str) -> None:
+    if op.decay != "polynomial" and min(grid, default=2) < 2:
+        raise ValueError(f"{name} must start at n >= 2 under exponential decay: "
+                         f"the slope axis log log n is undefined at n = 1")
+
+
 def run_rate_study(
     phi: StructuralSpec,
     op: OperatorSpec,
@@ -482,6 +488,7 @@ def run_rate_study(
     Rows come in (n, replication) order with per-task seeds derived from the master
     seed, so the output is identical for any worker count and any block layout.
     """
+    _check_slope_axis(op, grid, "grid")
     weights = WeightSequence.derivative(order)
     smooth_w = WeightSequence.sobolev(phi.smoothness)
 
@@ -583,9 +590,7 @@ def cmd_rate_study(args) -> int:
         grid = _check_n_grid(study["n_grid"], grid_name)
     else:
         raise UsageError("no sample-size grid: set study.n_grid or pass --n-grid")
-    if op.decay != "polynomial" and grid[0] < 2:
-        raise UsageError(f"{grid_name} must start at n >= 2 under exponential decay: "
-                         f"the slope axis log log n is undefined at n = 1")
+    _check_slope_axis(op, grid, grid_name)
     reps = args.replications if args.replications is not None else study["replications"]
     if reps < 1:
         raise UsageError(f"replications must be >= 1, got {reps}")

@@ -10,8 +10,10 @@ the zero estimate when the inversion is too ill-conditioned to trust.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,7 +74,9 @@ CSV_HEADER = ("y", "z", "w")
 def load_csv(path) -> Sample:
     """Read a sample from CSV with header ``y,z,w``.
 
-    Errors carry the offending 1-based data row number.
+    One ``np.loadtxt`` call parses the data rows, kept when it gives one row per
+    line left (it skips blank ones) that ``Sample`` accepts.  Else, or for a pipe,
+    the row loop reads the rows and names the first bad one by its 1-based number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -82,6 +86,17 @@ def load_csv(path) -> Sample:
             raise ValueError(f"{path}: empty file, expected header y,z,w") from None
         if tuple(h.strip() for h in header) != CSV_HEADER:
             raise ValueError(f"{path}: expected header y,z,w, got {','.join(header)!r}")
+        if fh.seekable():
+            with warnings.catch_warnings(), contextlib.suppress(ValueError), open(path) as text:
+                warnings.simplefilter("ignore", UserWarning)  # a body of blank lines holds "no data"
+                lines, last = 0, "\n"  # universal newlines end every line of ``text`` with "\n"
+                while chunk := text.read(1 << 20):
+                    lines, last = lines + chunk.count("\n"), chunk[-1]
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+                if data.shape == (lines + (last != "\n") - reader.line_num, 3):
+                    return Sample(*data.T)
+            fh.seek(0)
+            next(reader)
         ys, zs, ws = [], [], []
         for row_no, row in enumerate(reader, start=1):
             if len(row) != 3:

@@ -537,6 +537,7 @@ def test_select_non_finite_report_exits_2_without_output(tmp_path, capsys):
 def test_select_usage_errors(tmp_path, capsys):
     u = np.linspace(0.0, 1.0, 10)
     path = _sample_csv(tmp_path, Sample(np.ones(10), u, u))
+    assert main(["select", str(tmp_path / "none.csv")]) == 3
     assert main(["select", path, "--penalty-const", "0"]) == 2
     assert main(["select", path, "--risk-weights", "nope"]) == 2
     capsys.readouterr()
@@ -967,6 +968,9 @@ def test_rate_study_exponential_grid_from_n_1_exits_2_before_sampling(tmp_path, 
         assert captured.out == ""
         assert captured.err.startswith(f"npiv: error: {name} must start at n >= 2 under exponential decay")
     assert not (tmp_path / "o.json").exists()
+    with pytest.raises(ValueError, match="^grid must start at n >= 2 under exponential decay"):
+        run_rate_study(make_structural(2.0, 1.0, truncation=8), make_operator("exponential", 0.5, truncation=4),
+                       0.3, 0, 0.75, [1, 50], 2, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

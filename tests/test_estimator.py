@@ -1,6 +1,8 @@
 """Tests for empirical moments, the thresholded solvers and derived risks."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from npiv.estimator import (
 )
 from npiv.simulate import StructuralSpec, make_structural
 
-from _reference import psi
+from _reference import psi, read_sample_csv
 
 
 def _random_sample(rng, n):
@@ -573,6 +575,111 @@ def test_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "y,z,w"
 
 
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _UNIT, _UNIT), min_size=1, max_size=40))
+def test_csv_round_trip_is_bitwise(rows):
+    s = Sample(*(np.array(col) for col in zip(*rows)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(s, f"{tmp}/s.csv")
+        back = load_csv(f"{tmp}/s.csv")
+    for a, b in ((back.y, s.y), (back.z, s.z), (back.w, s.w)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _columns(path):
+    s = load_csv(path)
+    return s.y, s.z, s.w
+
+
+def _outcome(read, path):
+    """The columns' bytes, or the text of the ValueError ``read`` raised."""
+    try:
+        return [np.asarray(col).tobytes() for col in read(path)]
+    except ValueError as exc:
+        return str(exc)
+
+
+# bodies where numpy's parser and float() might part, each column in turn
+_SPELLINGS = ["nan", "NaN", "-nan", "inf", "-INF", "Infinity", "-iNfInItY", "1e400", "-1e400", "5e-324",
+              "2.2250738585072e-309", "0." + "1" * 60, "1_0", "0_5", "١", "٠.٥", "１", '"0.5"', "", " 0.5 ",
+              "\t0.5\t", "\u00a00.5", "-0", "0x1p-1", ".5", "1.", "+.5e0"]
+_BODIES = {f"{s!r} in {c}": ",".join(s if i == c else "0.5" for i, c in enumerate("yzw")) + "\n" for s in _SPELLINGS
+           for c in "yzw"}
+_BODIES.update({
+    "quoted": '"0.5",0.5,0.5\n',
+    "quoted comma": '"0,5",0.5,0.5\n',
+    "quoted newline": '"0.5\n",0.5,0.5\n',
+    "blank line in the middle": "0.5,0.5,0.5\n\n0.5,0.5,0.5\n",
+    "trailing blank line": "0.5,0.5,0.5\n\n",
+    "blank lines only": "\n\n",
+    "whitespace-only line": "0.5,0.5,0.5\n \t \n0.5,0.5,0.5\n",
+    "CRLF": "0.5,0.5,0.5\r\n0.25,0.5,0.75\r\n",
+    "lone CR": "0.5,0.5,0.5\r0.25,0.5,0.75\r",
+    "lone CR beside a blank CRLF line": "0.5,0.5,0.5\r0.25,0.5,0.75\n\r\n",
+    "no final newline": "0.5,0.5,0.5\n0.25,0.5,0.75",
+    "blank line and no final newline": "0.5,0.5,0.5\n\n0.25,0.5,0.75",
+    "4 fields": "0.5,0.5,0.5,0.5\n",
+    "2 fields in every row": "0.5,0.5\n0.5,0.5\n",
+    "empty field": "0.5,,0.5\n",
+    "trailing comma": "0.5,0.5,\n",
+    "comment sign": "0.5,0.5,0.5 # note\n",
+})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", _BODIES.values(), ids=_BODIES.keys())
+def test_csv_reads_as_the_row_loop(tmp_path, body):
+    # the same bits, or the same error, as csv.reader and float() row by row
+    path = tmp_path / "s.csv"
+    for head in ("y,z,w\n", "y,z,w\r\n", " y , z ,w\n"):
+        path.write_bytes((head + body).encode())
+        assert _outcome(_columns, path) == _outcome(read_sample_csv, path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data", [
+    b"", b"y,z,w", b"y,z,w\n", b"y,z,w\r\n", b"\xef\xbb\xbfy,z,w\n0.5,0.5,0.5\n", b'"y\n",z,w\n0.5,0.5,0.5\n',
+    b"y,z,w\n0.5,0.5,0.5\n\xff\xfe,0.5,0.5\n", b"y,z,w\n0.5,0.5,\xe9\n",
+], ids=["empty", "header only", "header line only", "CRLF header only", "BOM", "header over two lines",
+        "not UTF-8", "latin-1 letter"])
+def test_csv_headers_and_bytes_read_as_the_row_loop(tmp_path, data):
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    assert _outcome(_columns, path) == _outcome(read_sample_csv, path)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "lone CR"])
+def test_csv_vectorised_parse_reads_every_line_end(tmp_path, monkeypatch, end):
+    # over 1 MiB, so the line count reads more than one chunk
+    rows = end.join([b"y,z,w"] + [b"0.5,0.25,0.75", b"-1.5,1,0"] * 50_000)
+    path = tmp_path / "s.csv"
+    for data in (rows + end, rows):
+        path.write_bytes(data)
+        expected = _outcome(read_sample_csv, path)
+        with monkeypatch.context() as m:
+            m.setattr(estimator, "float", None, raising=False)  # the row loop would call float()
+            assert _outcome(_columns, path) == expected
+    path.write_bytes(rows + end + end)  # a last, blank, line, which the row loop rejects
+    message = _outcome(read_sample_csv, path)
+    assert message.endswith("row 100001: expected 3 fields, got 0") and _outcome(_columns, path) == message
+
+
+def test_csv_from_a_pipe():
+    # as from the shell's <(...): a pipe cannot be read twice, so it goes to the row loop
+    r, w = os.pipe()
+    try:
+        os.write(w, b"y,z,w\n0.5,0.25,0.75\n")
+        os.close(w)
+        s = load_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert (s.y.tolist(), s.z.tolist(), s.w.tolist()) == ([0.5], [0.25], [0.75])
+
+
+@pytest.mark.filterwarnings("error")
 def test_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
 
@@ -608,6 +715,12 @@ def test_csv_errors(tmp_path):
         path.write_text(f"y,z,w\n0.1,0.2,0.3\n{value},0.5,0.5\n")
         with pytest.raises(ValueError, match=f"row 2: y={value} is not finite"):
             load_csv(path)
+
+    rows = ["0.5,0.25,0.75"] * 4000
+    rows[3000] = "0.5,x,0.75"
+    path.write_text("y,z,w\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="row 3001: non-numeric field"):
+        load_csv(path)
 
 
 def test_structural_truth_padding():
