@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -96,37 +97,64 @@ def _check_sampler(op: OperatorSpec, n: int, name: str) -> None:
 
 # -- config handling ------------------------------------------------------
 
-# Each key a config section accepts, with its JSON type and default (None: unset).
-# Ranges are checked by the library constructors and, after a flag override, by the command.
+# Each key a config section accepts: its JSON type, its default (None: unset) and, where no
+# library constructor checks it, its range for ``_in_range``.  A flag is held to its key's range.
 _SECTION_KEYS = {
-    "structural": {"profile": ("string", "power_law"), "smoothness": ("number", 2.0),
-                   "radius": ("number", 1.0), "truncation": ("integer", 200),
-                   "coeffs": ("list of numbers", None)},
-    "operator": {"decay": ("string", "polynomial"), "a": ("number", 1.0),
-                 "truncation": ("integer", 64)},
-    "noise": {"sigma": ("number", None), "snr": ("number", None)},
-    "selection": {"derivative_order": ("integer", 0), "penalty_const": ("number", 540.0)},
-    "study": {"n_grid": ("list", None), "replications": ("integer", 50), "seed": ("integer", 0),
-              "k_max": ("integer", 200)},
+    "structural": {"profile": ("string", "power_law", None), "smoothness": ("number", 2.0, None),
+                   "radius": ("number", 1.0, None), "truncation": ("integer", 200, None),
+                   "coeffs": ("list of numbers", None, None)},
+    "operator": {"decay": ("string", "polynomial", None), "a": ("number", 1.0, None),
+                 "truncation": ("integer", 64, None)},
+    "noise": {"sigma": ("number", None, ">= 0"), "snr": ("number", None, None)},
+    "selection": {"derivative_order": ("integer", 0, ">= 0"), "penalty_const": ("number", 540.0, "> 0")},
+    "study": {"n_grid": ("list", None, None), "replications": ("integer", 50, ">= 1"),
+              "seed": ("integer", 0, ">= 0"), "k_max": ("integer", 200, ">= 1")},
 }
 _JSON_TYPES = {"string": str, "number": (int, float), "integer": (int, float), "list": list,
                "list of numbers": list}
 
 
-def _checked(name: str, kind: str, value):
-    """``value`` as a JSON ``kind``; numbers must be finite doubles, integral floats become ints."""
+def _in_range(name: str, value, least: str):
+    """``value`` if it is ``>= 1``, ``>= 0`` or ``> 0`` and finite, as ``least`` says."""
+    ok, wording = {
+        ">= 1": (value >= 1, "must be >= 1"),
+        ">= 0": (value >= 0, "must be nonnegative"),
+        "> 0": (0 < value <= sys.float_info.max, "must be positive and finite"),
+    }[least]
+    if not ok:
+        raise UsageError(f"{name} {wording}, got {value}")
+    return value
+
+
+def _check_n_grid(grid: list, name: str) -> list[int]:
+    """Reject an empty, non-integer, nonpositive or unsorted sample-size grid."""
+    if not grid:
+        raise UsageError(f"{name} is empty")
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in grid):
+        raise UsageError(f"{name} must list integers >= 1, got {json.dumps(grid)}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise UsageError(f"{name} must be strictly increasing")
+    return grid
+
+
+def _checked(name: str, kind: str, value, least: str | None = None):
+    """``value`` as a JSON ``kind`` within range ``least``: numbers are finite doubles, integral
+    floats become ints, and a ``list`` is a sample-size grid."""
     ok = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
     if not ok or (kind == "integer" and value % 1 != 0):
         raise UsageError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
+    if kind == "list":
+        return _check_n_grid(value, name)
     if kind == "list of numbers":
         return [_checked(f"{name}[{i}]", "number", v) for i, v in enumerate(value)]
     if kind in ("number", "integer") and not abs(value) <= sys.float_info.max:
         raise UsageError(f"{name} must be a finite JSON number, got {json.dumps(value)}")
-    return int(value) if kind == "integer" else value
+    value = int(value) if kind == "integer" else value
+    return value if least is None else _in_range(name, value, least)
 
 
 def _check_keys(section: str, obj: dict) -> None:
-    """Reject unknown keys, mistyped values and non-finite numbers."""
+    """Reject unknown keys, mistyped values, non-finite numbers and values out of range."""
     if not isinstance(obj, dict):
         raise UsageError(f"config section {section!r} must be an object")
     unknown = obj.keys() - _SECTION_KEYS[section]
@@ -135,15 +163,16 @@ def _check_keys(section: str, obj: dict) -> None:
             f"config section {section!r} has unknown keys: {', '.join(sorted(unknown))}"
         )
     for key, value in obj.items():
-        obj[key] = _checked(f"{section}.{key}", _SECTION_KEYS[section][key][0], value)
+        kind, _, least = _SECTION_KEYS[section][key]
+        obj[key] = _checked(f"{section}.{key}", kind, value, least)
 
 
 def _load_object(path, what: str) -> dict:
     """The JSON object in file ``path``; ``what`` names it when the file holds another value."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
             raise UsageError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: {what} must be a JSON object")
@@ -163,7 +192,7 @@ def load_config(path) -> dict:
 def _section(cfg: dict, name: str) -> dict:
     if name in ("structural", "operator", "noise") and name not in cfg:
         raise UsageError(f"config needs {'an' if name == 'operator' else 'a'} {name!r} section")
-    defaults = {key: default for key, (_, default) in _SECTION_KEYS[name].items()}
+    defaults = {key: default for key, (_, default, _) in _SECTION_KEYS[name].items()}
     return {**defaults, **cfg.get(name, {})}
 
 
@@ -189,23 +218,10 @@ def sigma_from_config(cfg: dict, phi: StructuralSpec) -> float:
     sigma, snr = sec["sigma"], sec["snr"]
     if (sigma is None) == (snr is None):
         raise UsageError("noise config needs exactly one of 'sigma' or 'snr'")
-    if snr is None and sigma < 0:
-        raise UsageError(f"bad noise config: sigma must be nonnegative, got {float(sigma)}")
     try:
         return float(sigma) if snr is None else noise_sigma_for_snr(phi, float(snr))
     except ValueError as exc:
         raise UsageError(f"bad noise config: {exc}") from None
-
-
-def selection_from_config(cfg: dict) -> tuple[int, float]:
-    sec = _section(cfg, "selection")
-    s = sec["derivative_order"]
-    if s < 0:
-        raise UsageError(f"derivative_order must be a nonnegative integer, got {s}")
-    const = float(sec["penalty_const"])
-    if not const > 0:
-        raise UsageError(f"penalty_const must be positive, got {const}")
-    return s, const
 
 
 # -- small helpers --------------------------------------------------------
@@ -229,17 +245,6 @@ def _write_text(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _check_n_grid(grid: list, name: str) -> list[int]:
-    """Reject an empty, non-integer, nonpositive or unsorted sample-size grid."""
-    if not grid:
-        raise UsageError(f"{name} is empty")
-    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in grid):
-        raise UsageError(f"{name} must list integers >= 1, got {json.dumps(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise UsageError(f"{name} must be strictly increasing")
-    return grid
 
 
 def _parse_n_grid(text: str) -> list[int]:
@@ -279,10 +284,8 @@ def cmd_simulate(args) -> int:
     phi = structural_from_config(cfg)
     op = operator_from_config(cfg)
     sigma = sigma_from_config(cfg, phi)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    _in_range("--n", args.n, ">= 1")
+    _in_range("--seed", args.seed, ">= 0")
     _check_sampler(op, args.n, "--n")
     sample = generate_sample(phi, op, sigma, args.n, args.seed)
     write_csv(sample, args.out)
@@ -310,11 +313,9 @@ def _truth_from_file(path) -> StructuralSpec:
 
 
 def cmd_estimate(args) -> int:
-    if args.derivative_order < 0:
-        raise UsageError("--derivative-order must be nonnegative")
+    _in_range("--derivative-order", args.derivative_order, ">= 0")
     sample = load_csv(args.sample)
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
+    _in_range("--k", args.k, ">= 1")
     # the general mode also solves a k x k system
     rows = sample.n if args.mode == "diagonal" else max(sample.n, args.k)
     _check_size(f"--k {_size(args.k)} with n={sample.n}", args.k * rows)
@@ -355,9 +356,7 @@ _OFFDIAG_WARN = 6.0
 def cmd_select(args) -> int:
     sample = load_csv(args.sample)
     weights = parse_weights(args.risk_weights)
-    if not 0 < args.penalty_const <= sys.float_info.max:
-        raise UsageError(f"--penalty-const must be positive and finite, got {args.penalty_const}")
-    trace = penalized_select(sample, weights, args.penalty_const)
+    trace = penalized_select(sample, weights, _in_range("--penalty-const", args.penalty_const, "> 0"))
     probe = min(trace.cutoff, 10)
     if probe >= 2:
         mat = empirical_operator_matrix(sample, probe)
@@ -397,10 +396,8 @@ def cmd_oracle(args) -> int:
     risk_w = parse_weights(args.risk_weights)
     smooth_w = parse_weights(args.smoothness_weights)
     op_w = parse_weights(args.operator_weights)
-    if not 0 < args.link_constant <= sys.float_info.max:
-        raise UsageError(f"--link-constant must be positive and finite, got {args.link_constant}")
-    if args.k_max < 1:
-        raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
+    _in_range("--link-constant", args.link_constant, "> 0")
+    _in_range("--k-max", args.k_max, ">= 1")
     grid = _parse_n_grid(args.n_grid)
     _check_size(f"--n-grid {_size(grid[-1])}", grid[-1])
     rows = []
@@ -504,10 +501,12 @@ def run_rate_study(
              range(reps * i // count, reps * (i + 1) // count), master)
             for i in range(count)
         ]
-    if jobs == 1:
+    # the pool starts all its workers at once: no more than there are blocks and CPUs
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers == 1:
         rows = [row for block in blocks for row in _study_block(block)]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for cells in pool.map(_study_block, blocks) for row in cells]
     if [(r.n, r.replication) for r in rows] != [(n, rep) for n in grid for rep in range(reps)]:
         raise InternalError("study rows are not one per (n, replication) cell in grid order")
@@ -580,37 +579,27 @@ def cmd_rate_study(args) -> int:
     phi = structural_from_config(cfg)
     op = operator_from_config(cfg)
     sigma = sigma_from_config(cfg, phi)
-    order, penalty_const = selection_from_config(cfg)
-    study = _section(cfg, "study")
+    selection, study = _section(cfg, "selection"), _section(cfg, "study")
 
     grid_name = "--n-grid" if args.n_grid else "study.n_grid"
-    if args.n_grid:
-        grid = _parse_n_grid(args.n_grid)
-    elif study["n_grid"] is not None:
-        grid = _check_n_grid(study["n_grid"], grid_name)
-    else:
+    grid = _parse_n_grid(args.n_grid) if args.n_grid else study["n_grid"]
+    if grid is None:
         raise UsageError("no sample-size grid: set study.n_grid or pass --n-grid")
     _check_slope_axis(op, grid, grid_name)
-    reps = args.replications if args.replications is not None else study["replications"]
-    if reps < 1:
-        raise UsageError(f"replications must be >= 1, got {reps}")
-    reps_name = "study.replications" if args.replications is None else "--replications"
+    reps, reps_name = study["replications"], "study.replications"
+    if args.replications is not None:
+        reps, reps_name = _in_range("--replications", args.replications, ">= 1"), "--replications"
     _check_size(f"{reps_name} {_size(reps)} over {len(grid)} sample sizes", reps * len(grid), _CELL_BYTES)
     _check_sampler(op, grid[-1], grid_name)
-    master = args.seed if args.seed is not None else study["seed"]
-    if master < 0:
-        raise UsageError(f"seed must be nonnegative, got {master}")
-    if study["k_max"] < 1:
-        raise UsageError(f"study.k_max must be >= 1, got {study['k_max']}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    master = study["seed"] if args.seed is None else _in_range("--seed", args.seed, ">= 0")
+    _in_range("--jobs", args.jobs, ">= 1")
 
     report, rows = run_rate_study(
         phi,
         op,
         sigma,
-        order,
-        penalty_const,
+        selection["derivative_order"],
+        float(selection["penalty_const"]),
         grid,
         reps,
         master,

@@ -72,51 +72,55 @@ CSV_HEADER = ("y", "z", "w")
 
 
 def load_csv(path) -> Sample:
-    """Read a sample from CSV with header ``y,z,w``.
+    """Read a sample from UTF-8 CSV with header ``y,z,w``, after a byte-order mark if any.
 
     One ``np.loadtxt`` call parses the data rows, kept when it gives one row per
     line left (it skips blank ones) that ``Sample`` accepts.  Else, or for a pipe,
     the row loop reads the rows and names the first bad one by its 1-based number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header y,z,w") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"{path}: expected header y,z,w, got {','.join(header)!r}")
-        if fh.seekable():
-            with warnings.catch_warnings(), contextlib.suppress(ValueError), open(path) as text:
-                warnings.simplefilter("ignore", UserWarning)  # a body of blank lines holds "no data"
-                lines, last = 0, "\n"  # universal newlines end every line of ``text`` with "\n"
-                while chunk := text.read(1 << 20):
-                    lines, last = lines + chunk.count("\n"), chunk[-1]
-                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
-                if data.shape == (lines + (last != "\n") - reader.line_num, 3):
-                    return Sample(*data.T)
-            fh.seek(0)
-            next(reader)
-        ys, zs, ws = [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                raise ValueError(f"{path}, row {row_no}: expected 3 fields, got {len(row)}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
             try:
-                y, z, w = (float(v) for v in row)
-            except ValueError:
-                raise ValueError(f"{path}, row {row_no}: non-numeric field") from None
-            if not math.isfinite(y):
-                raise ValueError(f"{path}, row {row_no}: y={y!r} is not finite")
-            if not 0.0 <= z <= 1.0:
-                raise ValueError(f"{path}, row {row_no}: z={z!r} outside [0, 1]")
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"{path}, row {row_no}: w={w!r} outside [0, 1]")
-            ys.append(y)
-            zs.append(z)
-            ws.append(w)
-    if not ys:
-        raise ValueError(f"{path}: no data rows")
-    return Sample(np.array(ys), np.array(zs), np.array(ws))
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file, expected header y,z,w") from None
+            if tuple(h.strip() for h in header) != CSV_HEADER:
+                raise ValueError(f"{path}: expected header y,z,w, got {','.join(header)!r}")
+            if fh.seekable():
+                with (warnings.catch_warnings(), contextlib.suppress(ValueError),
+                      open(path, encoding="utf-8-sig") as text):
+                    warnings.simplefilter("ignore", UserWarning)  # a body of blank lines holds "no data"
+                    lines, last = 0, "\n"  # universal newlines end every line of ``text`` with "\n"
+                    while chunk := text.read(1 << 20):
+                        lines, last = lines + chunk.count("\n"), chunk[-1]
+                    data = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+                    if data.shape == (lines + (last != "\n") - reader.line_num, 3):
+                        return Sample(*data.T)
+                fh.seek(0)
+                next(reader)
+            ys, zs, ws = [], [], []
+            for row_no, row in enumerate(reader, start=1):
+                if len(row) != 3:
+                    raise ValueError(f"{path}, row {row_no}: expected 3 fields, got {len(row)}")
+                try:
+                    y, z, w = (float(v) for v in row)
+                except ValueError:
+                    raise ValueError(f"{path}, row {row_no}: non-numeric field") from None
+                if not math.isfinite(y):
+                    raise ValueError(f"{path}, row {row_no}: y={y!r} is not finite")
+                if not 0.0 <= z <= 1.0:
+                    raise ValueError(f"{path}, row {row_no}: z={z!r} outside [0, 1]")
+                if not 0.0 <= w <= 1.0:
+                    raise ValueError(f"{path}, row {row_no}: w={w!r} outside [0, 1]")
+                ys.append(y)
+                zs.append(z)
+                ws.append(w)
+        if not ys:
+            raise ValueError(f"{path}: no data rows")
+        return Sample(np.array(ys), np.array(zs), np.array(ws))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_csv(sample: Sample, path) -> None:

@@ -92,28 +92,31 @@ def trig_columns_loop(points, indices) -> np.ndarray:
 
 def read_sample_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (y, z, w) columns of a sample CSV, or the ValueError ``load_csv`` raises."""
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected header y,z,w")
-        if [h.strip() for h in header] != ["y", "z", "w"]:
-            raise ValueError(f"{path}: expected header y,z,w, got {','.join(header)!r}")
-        cols = []
-        for row_no, row in enumerate(rows, start=1):
-            where = f"{path}, row {row_no}"
-            if len(row) != 3:
-                raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
-            try:
-                y, z, w = map(float, row)
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric field") from None
-            if not math.isfinite(y):
-                raise ValueError(f"{where}: y={y!r} is not finite")
-            for name, v in (("z", z), ("w", w)):
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{where}: {name}={v!r} outside [0, 1]")
-            cols.append((y, z, w))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected header y,z,w")
+            if [h.strip() for h in header] != ["y", "z", "w"]:
+                raise ValueError(f"{path}: expected header y,z,w, got {','.join(header)!r}")
+            cols = []
+            for row_no, row in enumerate(rows, start=1):
+                where = f"{path}, row {row_no}"
+                if len(row) != 3:
+                    raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+                try:
+                    y, z, w = map(float, row)
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric field") from None
+                if not math.isfinite(y):
+                    raise ValueError(f"{where}: y={y!r} is not finite")
+                for name, v in (("z", z), ("w", w)):
+                    if not 0.0 <= v <= 1.0:
+                        raise ValueError(f"{where}: {name}={v!r} outside [0, 1]")
+                cols.append((y, z, w))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not cols:
         raise ValueError(f"{path}: no data rows")
     return tuple(np.array(c) for c in zip(*cols))

@@ -201,6 +201,76 @@ def test_config_type_errors_name_the_key(tmp_path, capsys, command, sections, pa
     assert "Traceback" not in err
 
 
+def _config_text(**sections) -> str:
+    """A small study config with ``sections`` replaced; a section given as None is left out."""
+    cfg = {
+        "structural": {"truncation": 30},
+        "operator": {"truncation": 5},
+        "noise": {"snr": 2.0},
+        "study": {"n_grid": [20, 40], "replications": 2},
+        **sections,
+    }
+    return json.dumps({name: section for name, section in cfg.items() if section is not None})
+
+
+_SIMULATE = ["simulate", "CFG", "--out", "OUT", "--n", "10"]
+_STUDY = ["rate-study", "CFG", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    pytest.param(_SIMULATE, _config_text(noise=3), 2, "config section 'noise' must be an object",
+                 id="section-not-an-object"),
+    pytest.param(_SIMULATE, "[1]", 2, "CFG: config must be a JSON object", id="config-not-an-object"),
+    pytest.param(["estimate", "SAMPLE", "--k", "2", "--truth", "CFG"], "[1]", 2,
+                 "CFG: truth spec must be a JSON object", id="truth-not-an-object"),
+    pytest.param(_SIMULATE, b'{"noise": "\xff"}', 2,
+                 "CFG: invalid JSON ('utf-8' codec can't decode byte 0xff in position 11: invalid start byte)",
+                 id="config-not-utf-8"),
+    pytest.param(_SIMULATE, _config_text(extra={}), 2, "CFG: unknown config sections: extra",
+                 id="unknown-section"),
+    pytest.param(_SIMULATE, _config_text(structural=None), 2, "config needs a 'structural' section",
+                 id="no-structural"),
+    pytest.param(_SIMULATE, _config_text(operator=None), 2, "config needs an 'operator' section",
+                 id="no-operator"),
+    pytest.param(_SIMULATE, _config_text(noise=None), 2, "config needs a 'noise' section", id="no-noise"),
+    pytest.param(_SIMULATE, _config_text(noise={"sigma": -1}), 2, "noise.sigma must be nonnegative, got -1",
+                 id="noise.sigma"),
+    pytest.param(_STUDY, _config_text(selection={"derivative_order": -1}), 2,
+                 "selection.derivative_order must be nonnegative, got -1", id="selection.derivative_order"),
+    pytest.param(_STUDY, _config_text(selection={"penalty_const": 0}), 2,
+                 "selection.penalty_const must be positive and finite, got 0", id="selection.penalty_const"),
+    pytest.param(_STUDY, _config_text(study={"n_grid": [20], "replications": 0}), 2,
+                 "study.replications must be >= 1, got 0", id="study.replications"),
+    pytest.param(_STUDY, _config_text(study={"n_grid": [20], "seed": -1}), 2,
+                 "study.seed must be nonnegative, got -1", id="study.seed"),
+    pytest.param(_STUDY + ["--seed", "-1"], _config_text(), 2, "--seed must be nonnegative, got -1",
+                 id="--seed"),
+    pytest.param(_STUDY + ["--replications", "0"], _config_text(), 2, "--replications must be >= 1, got 0",
+                 id="--replications"),
+    pytest.param(_STUDY + ["--jobs", "0"], _config_text(), 2, "--jobs must be >= 1, got 0", id="--jobs"),
+    # a key out of range is rejected even where a flag overrides it
+    pytest.param(_STUDY + ["--replications", "3"], _config_text(study={"n_grid": [20], "replications": 0}), 2,
+                 "study.replications must be >= 1, got 0", id="overridden-study.replications"),
+    pytest.param(_STUDY + ["--n-grid", "20,40"], _config_text(study={"n_grid": []}), 2,
+                 "study.n_grid is empty", id="overridden-study.n_grid"),
+    # a broken study invariant, as a block that returns no rows
+    pytest.param(_STUDY, _config_text(), 4,
+                 "study rows are not one per (n, replication) cell in grid order", id="internal-error"),
+])
+def test_config_errors_exit_with_their_message(tmp_path, capsys, monkeypatch, argv, config, code, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
+    u = np.linspace(0.0, 1.0, 10)
+    names = {"CFG": str(cfg), "OUT": str(tmp_path / "out.json"),
+             "SAMPLE": _sample_csv(tmp_path, Sample(np.ones(10), u, u))}
+    if code == 4:
+        monkeypatch.setattr(cli, "_study_block", lambda block: [])
+    assert main([names.get(arg, arg) for arg in argv]) == code
+    kind = "internal error" if code == 4 else "error"
+    assert capsys.readouterr().err == f"npiv: {kind}: {message.replace('CFG', str(cfg))}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_config_integral_floats_are_integers(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -786,6 +856,41 @@ def test_rate_study_exponential_regime(tmp_path, capsys):
     assert report["theoretical_slope"] == -4.0
 
 
+@pytest.mark.parametrize("jobs, cpus, grid, workers", [
+    (10**30, 64, "20,40", 2),  # one block per n
+    (3, 64, "20,40,60,80,100", 3),
+    (5000, 1, "20,40", None),  # None: the blocks run in this process
+    (5000, None, "20,40", None),  # os.cpu_count() cannot tell
+])
+def test_rate_study_workers_are_capped_by_blocks_and_cpus(tmp_path, capsys, monkeypatch, jobs, cpus, grid, workers):
+    argv = ["rate-study", _study_config(tmp_path), "--n-grid", grid, "--replications", "1"]
+    assert main(argv + ["--out", str(tmp_path / "serial.json")]) == 0
+    started = []
+
+    class Pool:
+        """Runs the blocks in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path / "pooled.json")]) == 0
+    capsys.readouterr()
+    assert started == ([] if workers is None else [workers])
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"serial.{ext}").read_bytes() == (tmp_path / f"pooled.{ext}").read_bytes()
+
+
 def test_rate_study_deterministic_across_jobs(tmp_path, capsys):
     cfg = _study_config(tmp_path)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -1022,14 +1127,24 @@ def test_rate_study_usage_errors(tmp_path, capsys):
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _run_cli(*args, timeout=60):
-    """Run ``python -m npiv.cli ARGS`` with RuntimeWarnings as errors; returns its stdout."""
+def _run_cli(*args, timeout=60, env=()):
+    """Run ``python -m npiv.cli ARGS`` with RuntimeWarnings as errors and ``env`` set; returns its stdout."""
     path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning", **dict(env)}
     done = subprocess.run([sys.executable, "-m", "npiv.cli", *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_sample_csv_reads_as_utf8_under_the_c_locale(tmp_path):
+    # a byte-order mark, as spreadsheet exports write it, and the Arabic-Indic digit one
+    rows = [f"{j / 20},{(j + 0.5) / 20},{(j + 0.5) / 20}" for j in range(20)]
+    path = tmp_path / "s.csv"
+    path.write_bytes("\n".join(["\ufeffy,z,w", "\u0661,0.5,0.5", *rows, ""]).encode())
+    utf8 = _run_cli("select", path, env={"PYTHONUTF8": "1"})
+    assert json.loads(utf8)["n"] == 21
+    assert _run_cli("select", path, env={"LC_ALL": "C", "PYTHONUTF8": "0"}) == utf8
 
 
 def test_oracle_row_at_twenty_million_is_exact_within_20_s():

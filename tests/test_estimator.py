@@ -723,6 +723,18 @@ def test_csv_errors(tmp_path):
         load_csv(path)
 
 
+def test_csv_is_utf8_after_an_optional_byte_order_mark(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes("\ufeffy,z,w\n\u0661,0.25,0.75\n".encode())  # the Arabic-Indic digit one
+    s = load_csv(path)
+    assert (s.y.tolist(), s.z.tolist(), s.w.tolist()) == ([1.0], [0.25], [0.75])
+
+    path.write_bytes(b"y,z,w\n0.5,0.5,0.5\n\xff,0.5,0.5\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 def test_structural_truth_padding():
     # risk against a make_structural truth pads the shorter side with zeros
     from npiv.estimator import GalerkinEstimate
