@@ -220,11 +220,12 @@ def parse_weights(spec: str) -> WeightSequence:
     raise ValueError(f"bad weight spec {spec!r}: unknown kind {name!r}")
 
 
-def weighted_norm_sq(coeffs: np.ndarray, weights: WeightSequence) -> float:
-    """Weighted squared norm sum_j w_j c_j**2 of a coefficient vector."""
+def weighted_norm_sq(coeffs: np.ndarray, weights: WeightSequence | np.ndarray) -> float:
+    """Weighted squared norm sum_j w_j c_j**2, with the w_j of a sequence or an array."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
         raise ValueError("coefficient vector must be one-dimensional")
     if c.size == 0:
         return 0.0
-    return float(np.dot(weights.values(c.size), c * c))
+    w = weights.values(c.size) if isinstance(weights, WeightSequence) else weights[: c.size]
+    return float(np.dot(w, c * c))

@@ -26,11 +26,13 @@ import numpy as np
 from .basis import WeightSequence, parse_weights
 from .estimator import (
     diagonal_estimate,
+    diagonal_estimates,
     derivative_coeffs,
     empirical_operator_matrix,
     galerkin_estimate,
     load_csv,
     risk_weighted,
+    risks_weighted,
     write_csv,
 )
 from .selection import (
@@ -38,6 +40,7 @@ from .selection import (
     effective_dimension,
     oracle_dimension,
     penalized_select,
+    select_block,
 )
 from .simulate import (
     OperatorSpec,
@@ -169,7 +172,7 @@ def _check_keys(section: str, obj: dict) -> None:
 
 def _load_object(path, what: str) -> dict:
     """The JSON object in file ``path``; ``what`` names it when the file holds another value."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             obj = json.load(fh)
         except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
@@ -441,24 +444,25 @@ class StudyRow(NamedTuple):
     oracle_risk: float
 
 
-def _study_worker(task: tuple, sample) -> StudyRow:
+def _study_worker(task: tuple, scores: tuple) -> StudyRow:
+    """One replication's row from its block's scores; a selected fit is never the zero fallback."""
     phi, op, sigma, order, penalty_const, oracle_k, n, rep, seed = task
-    weights = WeightSequence.derivative(order)
-    trace = penalized_select(sample, weights, penalty_const)
-    risk = risk_weighted(trace.estimate, phi.coeffs, weights)
-    fixed_risk = risk_weighted(diagonal_estimate(sample, oracle_k), phi.coeffs, weights)
-    return StudyRow(n, rep, seed, trace.k_selected, trace.cutoff, int(trace.estimate.thresholded),
-                    float(risk), oracle_k, float(fixed_risk))
+    k_selected, cutoff, risk, oracle_risk = scores
+    return StudyRow(n, rep, seed, int(k_selected), int(cutoff), 0, float(risk), oracle_k, float(oracle_risk))
 
 
 def _study_block(block: tuple) -> list[StudyRow]:
-    """Rows of a block of replications of one n: samples drawn together, the rest per sample."""
+    """Rows of a block of replications of one n, drawn, selected and scored together."""
     phi, op, sigma, order, penalty_const, oracle_k, n, reps, master = block
     seeds = [task_seed(master, n, rep) for rep in reps]
     samples = generate_samples(phi, op, sigma, n, seeds)
+    weights = WeightSequence.derivative(order)
+    sel = select_block(samples, weights, penalty_const)
+    risks = risks_weighted([c[:k] for c, k in zip(sel.coeffs, sel.k_selected)], phi.coeffs, weights)
+    fixed = risks_weighted(diagonal_estimates(samples, oracle_k)[0], phi.coeffs, weights)
     return [
-        _study_worker((phi, op, sigma, order, penalty_const, oracle_k, n, rep, seed), sample)
-        for rep, seed, sample in zip(reps, seeds, samples)
+        _study_worker((phi, op, sigma, order, penalty_const, oracle_k, n, rep, seed), scores)
+        for rep, seed, *scores in zip(reps, seeds, sel.k_selected, sel.cutoff, risks, fixed)
     ]
 
 

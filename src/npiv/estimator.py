@@ -199,34 +199,37 @@ def _share_diagonal(samples: list[Sample]) -> None:
         object.__setattr__(sample, "_diagonal", (store, row))
 
 
-def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal operator entries and moment vector for indices 1..k.
+def empirical_diagonals(samples, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (len(samples), k) arrays (t, g) of equal-size samples, one row each, with
+    t_j = mean psi_j(w_i) psi_j(z_i) and g_j = mean y_i psi_j(w_i) for j = 1..k.
 
-    Returns fresh arrays (t, g) with t_j = mean psi_j(w_i) psi_j(z_i) and
-    g_j = mean y_i psi_j(w_i).  Samples drawn together by ``generate_samples``
-    share one store of these prefixes (any other sample has its own).  A k
-    beyond the store's prefix grows every member to k, evaluating only the
-    missing columns on the members' concatenated points, ``_FILL_POINTS`` at
-    most (or one row) per ``trig_columns`` call.  Each basis entry is a
-    bitwise pure function of its point and index, and each mean is reduced
-    along one member's contiguous stretch of a column of the column-major
-    design (C-order columns would sum in another order), so prefixes are
-    bitwise identical however, and beside whichever members, they grew, as
-    nesting and selection traces require.
+    Samples drawn together by ``generate_samples`` share one store of these prefixes (any
+    other sample has its own).  A k beyond a store's prefix grows every member to k,
+    evaluating only the missing columns on the members' concatenated points, at most
+    ``_FILL_POINTS`` (or one row) per ``trig_columns`` call.  Each basis entry is a bitwise
+    pure function of its point and index, and each mean is reduced along one member's
+    contiguous stretch of a column of the column-major design (C-order columns would sum
+    in another order), so prefixes are bitwise identical however, and beside whichever
+    members, they grew, as nesting and selection traces require.
     """
     if k < 1:
         raise ValueError(f"design width must be >= 1, got {k}")
-    store, row = sample._diagonal
-    if k > store.t.shape[1]:
-        store.grow(k)
-    return store.t[row, :k].copy(), store.g[row, :k].copy()
+    if len({s.n for s in samples}) != 1:
+        raise ValueError("samples must be nonempty and share one size")
+    places = [s._diagonal for s in samples]
+    for store, _ in places:
+        if k > store.t.shape[1]:
+            store.grow(k)
+    return tuple(np.array([getattr(s, v)[r, :k] for s, r in places]) for v in "tg")
+
+
+def empirical_diagonal(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``empirical_diagonals`` of one sample: fresh arrays (t, g) of length k."""
+    tdiag, ghat = empirical_diagonals([sample], k)
+    return tdiag[0], ghat[0]
 
 
 # -- estimators -----------------------------------------------------------
-
-
-def _zero(k: int, mode: str) -> GalerkinEstimate:
-    return GalerkinEstimate(np.zeros(k), k, thresholded=True, mode=mode)
 
 
 def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
@@ -245,19 +248,22 @@ def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     ghat = pw.T @ sample.y / sample.n
     smin = np.linalg.svd(that, compute_uv=False)[-1]
     if smin < 1.0 / math.sqrt(sample.n):
-        return _zero(k, "general")
+        return GalerkinEstimate(np.zeros(k), k, thresholded=True, mode="general")
     coeffs = np.linalg.solve(that, ghat)
     return GalerkinEstimate(coeffs, k, thresholded=False, mode="general")
 
 
+def diagonal_estimates(samples, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows g_j / t_j of equal-size samples, and which are the zero fallback: min_j t_j**2 < 1/n."""
+    tdiag, ghat = empirical_diagonals(samples, k)
+    zero = np.min(tdiag * tdiag, axis=1) < 1.0 / samples[0].n
+    return np.divide(ghat, tdiag, out=np.zeros_like(ghat), where=~zero[:, None]), zero
+
+
 def diagonal_estimate(sample: Sample, k: int) -> GalerkinEstimate:
-    """Coefficient-wise estimate g_j / t_j, guarded by min_j t_j**2 >= 1/n."""
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
-    tdiag, ghat = empirical_diagonal(sample, k)
-    if np.min(tdiag * tdiag) < 1.0 / sample.n:
-        return _zero(k, "diagonal")
-    return GalerkinEstimate(ghat / tdiag, k, thresholded=False, mode="diagonal")
+    """``diagonal_estimates`` of one sample."""
+    coeffs, zero = diagonal_estimates([sample], k)
+    return GalerkinEstimate(coeffs[0], k, thresholded=bool(zero[0]), mode="diagonal")
 
 
 # -- derived quantities ---------------------------------------------------
@@ -295,15 +301,22 @@ def derivative_coeffs(est: GalerkinEstimate, s: int) -> np.ndarray:
     return out
 
 
-def risk_weighted(est: GalerkinEstimate, truth: np.ndarray, weights: WeightSequence) -> float:
-    """Exact weighted squared distance between an estimate and truth coefficients.
-
-    The shorter of the two vectors counts as zero-padded to the longer one.
-    """
+def risks_weighted(estimates, truth: np.ndarray, weights: WeightSequence) -> np.ndarray:
+    """Exact weighted squared distance of each coefficient vector to the truth, the shorter
+    of the two zero-padded to the longer; the weights are read once for all of them."""
     b = np.asarray(truth, dtype=float)
     if b.ndim != 1:
         raise ValueError("truth coefficients must be one-dimensional")
-    diff = np.zeros(max(est.k, b.size))
-    diff[: b.size] = b
-    diff[: est.k] = est.coeffs - diff[: est.k]
-    return weighted_norm_sq(diff, weights)
+    w = weights.values(max(max(c.size for c in estimates), b.size))
+    out = np.empty(len(estimates))
+    for r, c in enumerate(estimates):
+        diff = np.zeros(max(c.size, b.size))
+        diff[: b.size] = b
+        diff[: c.size] = c - diff[: c.size]
+        out[r] = weighted_norm_sq(diff, w)
+    return out
+
+
+def risk_weighted(est: GalerkinEstimate, truth: np.ndarray, weights: WeightSequence) -> float:
+    """``risks_weighted`` of one estimate."""
+    return float(risks_weighted([est.coeffs], truth, weights)[0])

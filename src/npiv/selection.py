@@ -13,22 +13,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import WeightSequence, weighted_norm_sq
-from .estimator import GalerkinEstimate, Sample, empirical_diagonal
+from .estimator import GalerkinEstimate, Sample, empirical_diagonal, empirical_diagonals
 
 _SCAN_START = 8
 
 
 def _effective_dim(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """delta_k = k * D_k * log(max(F_k, k + 2)) / log(k + 2), with D_k and F_k the
-    running maxima of w_j / l_j and max(w_j, 1) / l_j."""
+    running maxima of w_j / l_j and max(w_j, 1) / l_j, along the last axis of ``lam``."""
     k = np.arange(1, w.size + 1, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        ampl = np.maximum.accumulate(w / lam)
-        floored = np.maximum.accumulate(np.maximum(w, 1.0) / lam)
+        ampl = np.maximum.accumulate(w / lam, axis=-1)
+        floored = np.maximum.accumulate(np.maximum(w, 1.0) / lam, axis=-1)
         return k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
 
 
@@ -109,6 +110,8 @@ def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
     """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1)."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    if risk_weights.kind == "exponential" or (risk_weights.kind == "power" and risk_weights.param <= 0):
+        return n  # every weight is at most w_1 = 1 <= n
     return _last_hit(np.maximum.accumulate(risk_weights.values(_limit(n, risk_weights))) <= n)
 
 
@@ -166,45 +169,56 @@ class SelectionTrace:
             raise ValueError("k_selected out of range")
 
 
-def penalized_select(
-    sample: Sample, risk_weights: WeightSequence, penalty_const: float = 540.0
-) -> SelectionTrace:
-    """Choose the estimation dimension by penalised contrast minimisation.
+class BlockSelection(NamedTuple):
+    """Selections of equal-size samples, a row each: the first three fields per row, the rest
+    (rows, K) arrays for the largest cutoff K, where a row past its own cutoff is padding."""
 
-    For each k up to the data-driven cutoff, the contrast is the negative
-    weighted norm of the diagonal estimate at k and the penalty is
-    ``penalty_const`` times the plug-in second moment of y times the
-    empirical effective dimension over n.  Ties resolve to the smallest k.
-    The default constant is the conservative theoretical one; far smaller
-    values are reasonable in practice and the rate-study harness uses one.
-    No fit here is the zero fallback: t_1 = 1, and the cutoff admits j >= 2
-    only when t_j**2 >= 2 log(n) / n, so every k passes t_j**2 >= 1/n.
+    cutoff: np.ndarray
+    k_selected: np.ndarray
+    y_second_moment: np.ndarray
+    coeffs: np.ndarray
+    contrast: np.ndarray
+    penalty: np.ndarray
+    effective_dim: np.ndarray
+    criterion: np.ndarray
+
+
+def select_block(samples, risk_weights: WeightSequence, penalty_const: float = 540.0) -> BlockSelection:
+    """Choose the estimation dimension of each of equal-size samples, row by row.
+
+    For each k up to a sample's data-driven cutoff, the contrast is the negative weighted
+    norm of the diagonal estimate at k and the penalty is ``penalty_const`` times the
+    plug-in second moment of y times the empirical effective dimension over n; ties go
+    to the smallest k.  The default constant is the conservative theoretical one; far
+    smaller values are reasonable in practice and the rate-study harness uses one.  No
+    fit here is the zero fallback: t_1 = 1, and the cutoff admits j >= 2 only when
+    t_j**2 >= 2 log(n) / n, so every k passes t_j**2 >= 1/n.  Rows equal lone selections.
     """
     if not penalty_const > 0:
         raise ValueError(f"penalty constant must be positive, got {penalty_const}")
-    n = sample.n
-    cutoff = empirical_dimension_cutoff(sample, risk_weights)
-    tdiag, ghat = empirical_diagonal(sample, cutoff)
-    eff = _effective_dim(risk_weights.values(cutoff), tdiag * tdiag)
-    coeffs = ghat / tdiag
-    contrast = np.array([-weighted_norm_sq(coeffs[:k], risk_weights)
-                         for k in range(1, cutoff + 1)])
-    y2 = float(np.mean(sample.y * sample.y))
-    penalty = penalty_const * y2 * eff / n
-    criterion = contrast + penalty
-    k_sel = int(np.argmin(criterion)) + 1
-    return SelectionTrace(
-        n=n,
-        cutoff=cutoff,
-        penalty_const=float(penalty_const),
-        y_second_moment=y2,
-        contrast=contrast,
-        penalty=penalty,
-        effective_dim=eff,
-        criterion=criterion,
-        k_selected=k_sel,
-        estimate=GalerkinEstimate(coeffs[:k_sel], k_sel, thresholded=False, mode="diagonal"),
-    )
+    cutoff = np.array([empirical_dimension_cutoff(s, risk_weights) for s in samples])
+    tdiag, ghat = empirical_diagonals(samples, int(cutoff.max()))
+    w = risk_weights.values(tdiag.shape[1])
+    y2 = np.mean(np.square(np.stack([s.y for s in samples])), axis=1)
+    eff = _effective_dim(w, tdiag * tdiag)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only padding can be inf or nan
+        coeffs = ghat / tdiag
+        penalty = penalty_const * y2[:, None] * eff / samples[0].n
+    contrast = np.zeros_like(tdiag)
+    for r, cut in enumerate(cutoff):
+        contrast[r, :cut] = [-weighted_norm_sq(coeffs[r, :k], w) for k in range(1, cut + 1)]
+    criterion = np.where(np.arange(w.size) < cutoff[:, None], contrast + penalty, np.inf)
+    return BlockSelection(cutoff, np.argmin(criterion, axis=1) + 1, y2, coeffs, contrast, penalty, eff,
+                          criterion)
+
+
+def penalized_select(sample: Sample, risk_weights: WeightSequence,
+                     penalty_const: float = 540.0) -> SelectionTrace:
+    """``select_block`` of one sample, as a trace."""
+    sel = select_block([sample], risk_weights, penalty_const)
+    cut, k, y2, coeffs = (row[0] for row in sel[:4])
+    return SelectionTrace(sample.n, int(cut), float(penalty_const), float(y2), *(a[0] for a in sel[4:]),
+                          int(k), GalerkinEstimate(coeffs[:k], int(k), thresholded=False, mode="diagonal"))
 
 
 # -- oracle ---------------------------------------------------------------

@@ -245,10 +245,12 @@ def bf_dimension_cutoff(risk_weights, operator_weights, link_constant, n):
 
 
 def bf_dimension_cap(risk_weights, n):
-    w = [float(v) for v in risk_weights.values(n)]
+    """Largest N <= n, and within a custom table, whose running maximum of weights is <= n."""
+    m = n if risk_weights.table is None else min(n, len(risk_weights.table))
+    w = [float(v) for v in risk_weights.values(m)]
     run = -math.inf
     best = 0
-    for j in range(1, n + 1):
+    for j in range(1, m + 1):
         run = max(run, w[j - 1])
         if run <= n:
             best = j

@@ -18,20 +18,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npiv import cli
 from npiv.basis import WeightSequence
 from npiv.cli import StudyRow, console_main, main, run_rate_study
-from npiv.estimator import Sample, load_csv, risk_weighted, write_csv
+from npiv.estimator import Sample, diagonal_estimate, load_csv, risk_weighted, write_csv
 from npiv.selection import (
     dimension_cutoffs,
     effective_dimension,
     oracle_dimension,
+    penalized_select,
 )
-from npiv.simulate import generate_sample, make_operator, make_structural, sampler_doubles
+from npiv.simulate import generate_sample, make_operator, make_structural, sampler_doubles, task_seed
 
 from _reference import rebuild_trace, trig_columns_loop
 
@@ -474,6 +475,25 @@ def test_estimate_with_truth_reports_risk(tmp_path, capsys):
     expected = risk_weighted(diagonal_estimate(s, 2), phi.coeffs, CONST)
     assert report["risk"] == expected
     assert report["risk_weights"] == "const"
+
+
+def test_json_config_and_truth_read_the_same_after_a_byte_order_mark(tmp_path, capsys):
+    # some editors start UTF-8 files with the mark; sample CSVs already accept it
+    config = _write_config(tmp_path)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"structural": {"smoothness": 2.0, "radius": 1.0, "truncation": 30}}))
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        cfg, spec = tmp_path / f"cfg{len(mark)}.json", tmp_path / f"truth{len(mark)}.json"
+        cfg.write_bytes(mark + Path(config).read_bytes())
+        spec.write_bytes(mark + truth.read_bytes())
+        csv_path, out = tmp_path / f"s{len(mark)}.csv", tmp_path / f"e{len(mark)}.json"
+        assert main(["simulate", str(cfg), "--out", str(csv_path), "--n", "200", "--seed", "3"]) == 0
+        assert main(["estimate", str(csv_path), "--k", "3", "--truth", str(spec), "--out", str(out)]) == 0
+        outputs.append((csv_path.read_bytes(), out.read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    assert b'"risk"' in outputs[0][1]
 
 
 def test_estimate_derivative_coeffs(tmp_path, capsys):
@@ -923,6 +943,40 @@ def test_rate_study_bytes_do_not_depend_on_jobs(grid, reps, seed, operator):
         for ext in ("json", "csv"):
             with open(f"{tmp}/jobs1.{ext}", "rb") as one, open(f"{tmp}/jobs2.{ext}", "rb") as two:
                 assert one.read() == two.read()
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([2, 3, 20, 300]),
+    st.sampled_from([("polynomial", 1.0), ("exponential", 0.5)]),
+    st.integers(0, 2),
+    st.sampled_from([1, 2, 4, 9]),
+    st.integers(0, 1000),
+)
+# the oracle-k fit is the zero fallback in rows 1 and 2 of five and not in the others
+@example(5, 20, ("polynomial", 1.0), 0, 2, 0)
+def test_study_block_rows_equal_rows_built_one_sample_at_a_time(reps, n, operator, order, oracle_k, master):
+    phi = make_structural(2.0, 1.0, truncation=30)
+    op = make_operator(*operator, truncation=4)
+    weights = WeightSequence.derivative(order)
+    expected, fallbacks = [], []
+    for rep in range(reps):
+        seed = task_seed(master, n, rep)
+        sample = generate_sample(phi, op, 0.3, n, seed)
+        trace = penalized_select(sample, weights, 0.75)
+        fixed = diagonal_estimate(sample, oracle_k)
+        fallbacks.append(fixed.thresholded)
+        expected.append(StudyRow(
+            n, rep, seed, trace.k_selected, trace.cutoff, int(trace.estimate.thresholded),
+            risk_weighted(trace.estimate, phi.coeffs, weights), oracle_k,
+            risk_weighted(fixed, phi.coeffs, weights),
+        ))
+    rows = cli._study_block((phi, op, 0.3, order, 0.75, oracle_k, n, range(reps), master))
+    assert rows == expected
+    assert all(type(v) in (int, float) for row in rows for v in row)
+    if (reps, n, operator, order, oracle_k, master) == (5, 20, ("polynomial", 1.0), 0, 2, 0):
+        assert fallbacks == [False, True, True, False, False]
 
 
 def test_rate_study_bytes_do_not_depend_on_blocks(tmp_path, capsys, monkeypatch):

@@ -13,14 +13,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 from npiv import estimator
 from npiv.basis import SQRT2, WeightSequence, trig_design, weighted_norm_sq
 from npiv.estimator import (
+    GalerkinEstimate,
     Sample,
     derivative_coeffs,
     diagonal_estimate,
+    diagonal_estimates,
     empirical_diagonal,
     empirical_operator_matrix,
     galerkin_estimate,
     load_csv,
     risk_weighted,
+    risks_weighted,
     write_csv,
 )
 from npiv.simulate import StructuralSpec, make_structural
@@ -318,6 +321,34 @@ def test_diagonal_zero_entry_thresholds():
     assert fit.thresholded
     assert fit.mode == "diagonal"
     assert_array_equal(fit.coeffs, np.zeros(2))
+
+
+def test_diagonal_threshold_is_one_over_n():
+    # w = z with one point at 0 (psi_2**2 = 2), one at 1/8 (1) or none, the rest at 1/4
+    # (about 0): t_2 = 1/3 sits between 1/(2n) and 1/n at n = 6, t_2 = 1/2 between
+    # 1/n and 2/n, so the guard min_j t_j**2 < 1/n is pinned from both sides
+    below = np.array([0.0] + [0.25] * 5)
+    above = np.array([0.0, 0.125] + [0.25] * 4)
+    y = np.linspace(-1.0, 2.0, 6)
+    samples = [Sample(y, pts, pts) for pts in (below, above)]
+    t2 = [float(empirical_diagonal(s, 2)[0][1] ** 2) for s in samples]
+    assert 0.5 / 6 < t2[0] < 1.0 / 6 < t2[1] < 2.0 / 6
+    assert [diagonal_estimate(s, 2).thresholded for s in samples] == [True, False]
+    coeffs, zero = diagonal_estimates(samples, 2)
+    assert zero.tolist() == [True, False]
+    assert_array_equal(coeffs[0], np.zeros(2))
+    assert_array_equal(coeffs[1], diagonal_estimate(samples[1], 2).coeffs)
+
+
+def test_risks_weighted_rows_equal_lone_risks():
+    truth = np.array([1.0, -0.5, 0.25, 0.125])
+    weights = WeightSequence.derivative(1)
+    fits = [np.array([0.5]), np.array([1.0, -0.5, 0.25, 0.125, 3.0, -1.0]), np.array([2.0, 0.0, 1.0])]
+    lone = [risk_weighted(GalerkinEstimate(c, c.size, False, "diagonal"), truth, weights) for c in fits]
+    assert risks_weighted(fits, truth, weights).tolist() == lone
+    assert lone[1] == weighted_norm_sq(np.array([0.0, 0.0, 0.0, 0.0, 3.0, -1.0]), weights) == 261.0
+    with pytest.raises(ValueError, match="one-dimensional"):
+        risks_weighted(fits, truth[None, :], weights)
 
 
 def test_modes_agree_on_exactly_diagonal_sample():

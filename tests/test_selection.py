@@ -19,8 +19,9 @@ from npiv.selection import (
     empirical_dimension_cutoff,
     oracle_dimension,
     penalized_select,
+    select_block,
 )
-from npiv.simulate import generate_sample, make_operator, make_structural, sample_joint
+from npiv.simulate import generate_sample, generate_samples, make_operator, make_structural, sample_joint
 
 import _reference as ref
 
@@ -123,6 +124,42 @@ def test_dimension_cap():
     assert dimension_cap(WeightSequence.custom([1.0, 2.0, 3.0]), 200) == 3
     assert dimension_cap(WeightSequence.custom([1.0, 2.0, 3.0]), 2) == 2
     assert dimension_cap(WeightSequence.custom([1.0, 500.0, 1.0]), 200) == 1
+
+
+_CAP_WEIGHTS = [
+    CONST,
+    WeightSequence.sobolev(0.0),
+    WeightSequence.polynomial_decay(0.5),
+    WeightSequence.polynomial_decay(3.0),
+    WeightSequence.exponential_decay(0.5),
+    WeightSequence.exponential_decay(2.0),
+    WeightSequence.derivative(1),
+    WeightSequence.sobolev(0.3),
+    WeightSequence.sobolev(2.5),
+    # custom tables shorter and longer than most n below, one of them decaying
+    WeightSequence.custom([1.0, 2.0, 3.0]),
+    WeightSequence.custom([0.5, 0.25, 0.125, 0.0625]),
+    WeightSequence.custom(np.linspace(1.0, 4e6, 20000)),
+    WeightSequence.custom(np.full(20000, 0.5)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 16000])
+@pytest.mark.parametrize("weights", _CAP_WEIGHTS)
+def test_dimension_cap_matches_reference(weights, n):
+    assert dimension_cap(weights, n) == ref.bf_dimension_cap(weights, n)
+
+
+@pytest.mark.parametrize("weights", _CAP_WEIGHTS[:6])
+def test_dimension_cap_reads_no_weights_when_none_exceeds_one(weights, monkeypatch):
+    # power weights with p <= 0 and exponential weights never exceed w_1 = 1 <= n
+    def no_reads(self, k):
+        raise AssertionError(f"read {k} weights")
+
+    monkeypatch.setattr(WeightSequence, "values", no_reads)
+    assert dimension_cap(weights, 10**7) == 10**7
+    with pytest.raises(ValueError, match="sample size"):
+        dimension_cap(weights, 0)
 
 
 def test_cutoff_from_diagonal_examples():
@@ -365,6 +402,83 @@ def test_select_trace_rebuilds_bitwise():
         assert [float(v) for v in trace.contrast] == contrast
         assert [float(v) for v in trace.penalty] == penalty
         assert [float(v) for v in trace.criterion] == criterion
+
+
+_BLOCK_OPERATORS = [("polynomial", 1.0, 5), ("polynomial", 2.0, 64), ("exponential", 0.5, 8),
+                    ("exponential", 1.0, 64)]
+_BLOCK_WEIGHTS = [CONST, WeightSequence.derivative(1), WeightSequence.sobolev(2.0),
+                  WeightSequence.custom([1.0, 3.0, 2.0, 9.0])]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(2, 400),
+    st.integers(0, 2**32 - 7),
+    st.sampled_from(_BLOCK_OPERATORS),
+    st.sampled_from([0.0, 0.3]),
+    st.sampled_from(_BLOCK_WEIGHTS),
+    st.sampled_from([0.3, 0.75, 540.0]),
+    st.booleans(),
+)
+# row 0's cutoff is dimension_cap(CONST, 2) = 2 and the others stop at 1
+@example(4, 2, 0, ("polynomial", 1.0, 5), 0.3, CONST, 0.75, True)
+# cutoffs 2, 1, 1, 2, 1 and 3 in one block, from its shared store or from six of their own
+@example(6, 400, 2, ("polynomial", 1.0, 5), 0.3, CONST, 0.75, True)
+@example(6, 400, 2, ("polynomial", 1.0, 5), 0.3, CONST, 0.75, False)
+def test_select_block_rows_equal_lone_selections(rows, n, seed, operator, sigma, weights, const, shared):
+    drawn = generate_samples(_PHI, make_operator(*operator), sigma, n, range(seed, seed + rows))
+    samples = drawn if shared else [Sample(s.y, s.z, s.w) for s in drawn]
+    sel = select_block(samples, weights, const)
+    assert sel.cutoff.shape == sel.k_selected.shape == (rows,)
+    for r, s in enumerate(drawn):
+        alone = Sample(s.y, s.z, s.w)
+        lone = penalized_select(alone, weights, const)
+        cut, k = int(sel.cutoff[r]), int(sel.k_selected[r])
+        assert (cut, k) == (lone.cutoff, lone.k_selected)
+        assert sel.y_second_moment[r] == lone.y_second_moment
+        for name in ("contrast", "penalty", "effective_dim", "criterion"):
+            assert_array_equal(getattr(sel, name)[r, :cut], getattr(lone, name), err_msg=name)
+        assert_array_equal(sel.coeffs[r, :k], lone.estimate.coeffs)
+        # and against the selection rebuilt from public pieces, argmin by hand
+        cutoff, contrast, penalty, criterion, k_sel = ref.rebuild_trace(alone, weights, const)
+        assert (cut, k) == (cutoff, k_sel)
+        assert [float(v) for v in sel.contrast[r, :cut]] == contrast
+        assert [float(v) for v in sel.penalty[r, :cut]] == penalty
+        assert [float(v) for v in sel.criterion[r, :cut]] == criterion
+
+
+def test_select_block_examples_reach_the_cap_and_mix_cutoffs():
+    op = make_operator("polynomial", 1.0, 5)
+    at_cap = select_block(generate_samples(_PHI, op, 0.3, 2, range(4)), CONST, 0.75)
+    assert at_cap.cutoff.tolist() == [2, 1, 1, 1] and dimension_cap(CONST, 2) == 2
+    mixed = select_block(generate_samples(_PHI, op, 0.3, 400, range(2, 8)), CONST, 0.75)
+    assert mixed.cutoff.tolist() == [2, 1, 1, 2, 1, 3]
+    # a row past its own cutoff is padding that no minimum can land on
+    assert np.isinf(mixed.criterion[1, 1:]).all()
+
+
+def test_select_block_pads_rows_whose_diagonal_vanishes():
+    # at w = z = 0 every sine entry is exactly 0 and y = 0, so the first row's padding
+    # past its cutoff of 2 holds 0 / 0 and 0 * inf; none of it may warn or reach a row
+    n = 40
+    u = np.linspace(0.0, 1.0, n)
+    flat = Sample(np.zeros(n), np.zeros(n), np.zeros(n))
+    samples = [flat, Sample(np.cos(3.0 * u), u, u)]
+    sel = select_block(samples, CONST, 0.75)
+    assert sel.cutoff[0] == 2 < sel.cutoff[1]
+    assert empirical_diagonal(flat, 3)[0][2] == 0.0
+    for r, s in enumerate(samples):
+        lone = penalized_select(Sample(s.y, s.z, s.w), CONST, 0.75)
+        assert (sel.cutoff[r], sel.k_selected[r]) == (lone.cutoff, lone.k_selected)
+        assert_array_equal(sel.criterion[r, : lone.cutoff], lone.criterion)
+
+
+def test_select_block_rejects_mixed_sizes():
+    op = make_operator("polynomial", 1.0, 5)
+    samples = [generate_sample(_PHI, op, 0.3, n, 0) for n in (50, 60)]
+    with pytest.raises(ValueError, match="one size"):
+        select_block(samples, CONST, 0.75)
 
 
 def test_select_minimum_invariants():
