@@ -8,13 +8,14 @@ Subcommands:
   rate-study  Monte Carlo over a sample-size grid with slope fitting
 
 Exit codes: 0 success, 2 usage or config errors, 3 I/O errors, 4 internal
-invariant failures.
+invariant failures and any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -623,7 +624,9 @@ def cmd_rate_study(args) -> int:
 # -- entry points ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``main`` reuses it, and each parse gets a new namespace."""
     parser = argparse.ArgumentParser(
         prog="npiv",
         description="Series estimation for instrumental regression with data-driven dimension selection.",
@@ -635,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="fit the series estimator at a fixed dimension")
     p.add_argument("sample", help="sample CSV with header y,z,w")
@@ -645,14 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--risk-weights", default="const", help="weight spec, e.g. const or derivative:1")
     p.add_argument("--truth", help="JSON file with the structural truth for risk reporting")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("select", help="data-driven dimension selection")
     p.add_argument("sample", help="sample CSV with header y,z,w")
     p.add_argument("--risk-weights", default="const")
     p.add_argument("--penalty-const", type=float, default=540.0)
     p.add_argument("--out", help="write the JSON trace here instead of stdout")
-    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("oracle", help="best dimensions and rate values for known weights")
     p.add_argument("--risk-weights", default="const")
@@ -663,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=200)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("rate-study", help="Monte Carlo risk study over a sample-size grid")
     p.add_argument("config", help="JSON config; study section supplies defaults")
@@ -672,19 +671,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", required=True, help="output path; .json and .csv are written")
-    p.set_defaults(func=cmd_rate_study)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        # looked up when it runs, so a command replaced on the module is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but no input of ours names it
+        print(f"npiv: internal error: LinAlgError: {exc}", file=sys.stderr)
+        return 4
     except (UsageError, ValueError) as exc:
         print(f"npiv: error: {exc}", file=sys.stderr)
         return 2
@@ -693,6 +694,9 @@ def main(argv=None) -> int:
         return 3
     except InternalError as exc:
         print(f"npiv: internal error: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # anything else still ends in one line, not a traceback
+        print(f"npiv: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -100,8 +100,11 @@ def dimension_cutoffs(
         _limit(n, risk_weights, operator_weights),
     )
     lam = operator_weights.values(end)
-    lhs = 7.0 * math.log(n) - n * lam / (288.0 * link_constant)
-    rhs = 7.0 * math.log(2016.0 * link_constant / lam[0])
+    with np.errstate(over="ignore"):  # an n * l_j / link past the doubles admits j, as -inf lhs
+        lhs = 7.0 * math.log(n) - n * lam / (288.0 * link_constant)
+    # a Python float, 0 or inf past the doubles without a warning; 0 is taken in logs instead
+    ratio = 2016.0 * link_constant / float(lam[0])
+    rhs = 7.0 * (math.log(ratio) if ratio > 0 else math.log(2016.0 * link_constant) - math.log(lam[0]))
     cutoff = _last_hit(lhs <= rhs)
     return cutoff, _last_hit(_estimable(lam[:cutoff], n, risk_weights, 4.0 * link_constant))
 

@@ -30,6 +30,25 @@ def test_summarise_counts_wins_and_checks_the_bound():
     assert fewer["wins"] == 0 and fewer["over_bound"]
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # bimodal parent runs: IQR 0.19 - 0.14 = 0.05, more than 0.25 of the median 0.16
+    setup = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+    parent = [0.13, 0.14, 0.14, 0.15, 0.19, 0.20, 0.21, 0.13, 0.19, 0.14]
+    overlapping = ab_bench.summarise(setup, parent, [0.14, 0.19, 0.13, 0.20, 0.15, 0.14, 0.21, 0.19, 0.13, 0.14])
+    assert overlapping["unresolved"] and not overlapping["over_bound"]
+    # every change run beats every parent run: resolved however wide the spread
+    assert not ab_bench.summarise(setup, parent, [0.10, 0.11, 0.12] * 3 + [0.125])["unresolved"]
+    # a parent spread within the bound resolves the metric either way
+    assert not ab_bench.summarise(P50, [100.0, 110.0, 90.0, 100.0], [101.0, 109.0, 91.0, 99.0])["unresolved"]
+    # a higher-is-better metric needs every change run above every parent run
+    assert ab_bench.summarise(RATE, [40.0, 60.0, 50.0, 70.0], [65.0, 80.0, 75.0, 90.0])["unresolved"]
+    assert not ab_bench.summarise(RATE, [40.0, 60.0, 50.0, 70.0], [75.0, 80.0, 75.0, 90.0])["unresolved"]
+
+    rows = ab_bench.format_report({"setup": {"failed": {"parent": 0, "change": 0}, "metrics": [overlapping]}})
+    assert rows.splitlines()[2].endswith("  unresolved")
+    assert ab_bench.verdict({"setup": {"failed": {"parent": 0, "change": 0}, "metrics": [overlapping]}})[0]
+
+
 def _report(change_p50, failed_change=0):
     return {
         "study-fs": {

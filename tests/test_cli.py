@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,79 @@ def test_console_main_runs_a_command(monkeypatch, capsys):
         console_main()
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k\n100,")
+
+
+# -- one parser for many calls --------------------------------------------
+
+_ORACLE = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1", "--n-grid", "100"]
+
+
+def test_main_builds_one_parser_for_many_calls(capsys):
+    cli.build_parser.cache_clear()
+    for argv in (_ORACLE, ["--help"], ["frobnicate"], _ORACLE + ["--format", "json"], []):
+        main(argv)
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    u = np.linspace(0.0, 1.0, 50)
+    path = _sample_csv(tmp_path, Sample(np.zeros(50), u, u))
+    for flags, weights in ((["--risk-weights", "derivative:1"], "derivative:1"), ([], "const")):
+        assert main(["select", path, *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["risk_weights"] == weights
+    # the config's 6 replications, once a call has passed --replications
+    cfg, out = _study_config(tmp_path), tmp_path / "out.json"
+    for flags, reps in ((["--replications", "2"], 2), ([], 6)):
+        assert main(["rate-study", cfg, "--n-grid", "50", *flags, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["replications"] == reps
+    capsys.readouterr()
+
+
+def test_a_usage_error_leaves_the_next_call_intact(capsys):
+    assert main(_ORACLE + ["--bogus"]) == 2
+    assert main(["oracle", "--n-grid", "100"]) == 2  # required flags missing
+    capsys.readouterr()
+    assert main(_ORACLE) == 0
+    assert capsys.readouterr().out.startswith("n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k\n100,")
+
+
+def test_help_twice_prints_the_same_text(capsys):
+    for argv in (["--help"], ["oracle", "--help"]):
+        texts = []
+        for _ in range(2):
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] and texts[0] == texts[1]
+
+
+def test_main_runs_the_command_bound_on_the_module_when_it_is_called(monkeypatch, capsys):
+    assert main(_ORACLE) == 0  # the parser exists before the command is replaced
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_oracle", lambda args: seen.append(args.n_grid) or 0)
+    assert main(_ORACLE) == 0
+    assert seen == ["100"] and capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (np.linalg.LinAlgError("SVD did not converge"), 4, "npiv: internal error: LinAlgError: SVD did not converge"),
+        (KeyError("rows"), 4, "npiv: internal error: KeyError: 'rows'"),
+        (RuntimeWarning("overflow encountered in multiply"), 4,
+         "npiv: internal error: RuntimeWarning: overflow encountered in multiply"),
+        (ValueError("bad value"), 2, "npiv: error: bad value"),
+        (cli.InternalError("broken invariant"), 4, "npiv: internal error: broken invariant"),
+    ],
+)
+def test_every_failure_of_a_command_exits_with_one_line(monkeypatch, capsys, error, code, line):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_oracle", fail)
+    assert main(_ORACLE) == code
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 # -- simulate -------------------------------------------------------------
@@ -808,6 +882,23 @@ def test_oracle_usage_errors(capsys):
     assert f"--n-grid {10**12} {_TOO_LARGE}" in capsys.readouterr().err
 
 
+_EXTREME_ORACLE = [
+    # n * l_j / link overflows, and 2016 * link / l_1 underflows with the small constant
+    (["--operator-weights", "custom:1e308,1e308"], "2,2,0.0625,2,2,2e-308"),
+    (["--operator-weights", "custom:1e308,1e308", "--link-constant", "1e-300"], "2,2,0.0625,2,2,2e-308"),
+    # 2016 * link / l_1 overflows
+    (["--operator-weights", "custom:1e-308,1e-308"], "2,1,5e+307,1,1,inf"),
+]
+
+
+@pytest.mark.parametrize("flags, row", _EXTREME_ORACLE)
+def test_oracle_at_extreme_magnitudes_runs_warning_free(capsys, flags, row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle", "--smoothness-weights", "sobolev:2", "--n-grid", "2", *flags]) == 0
+    assert capsys.readouterr() == ("n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k\n" + row + "\n", "")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "flag, kind",
@@ -1234,6 +1325,9 @@ def test_oracle_weight_forms_run_warning_free():
         header, row = _run_cli(*base, *flags).splitlines()
         assert header == "n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k"
         assert row.startswith("100,")
+    # magnitudes at the ends of the doubles
+    flags, row = _EXTREME_ORACLE[1]
+    assert _run_cli("oracle", "--smoothness-weights", "sobolev:2", "--n-grid", 2, *flags).splitlines()[-1] == row
 
 
 def test_rate_study_bytes_at_operator_truncation_64_do_not_depend_on_jobs(tmp_path):

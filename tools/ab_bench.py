@@ -15,8 +15,11 @@ in BENCHMARK.json the report gives each side's median and quartiles, how many
 pairs the change won (ties count for neither side), whether the medians
 differ by more than the parent's interquartile range, and whether the
 change's median is worse than the parent's by more than the metric's bound.
-A closing verdict line follows; the exit status is 1 when some metric is
-worse than its bound or the change failed more operations than the parent.
+That last column reads ``unresolved`` instead of ``no`` when the parent's
+interquartile range is wider than the bound relative to its median, unless
+every change run beats every parent run.  A closing verdict line follows;
+the exit status is 1 when some metric is worse than its bound or the change
+failed more operations than the parent.
 
 ``--claim WORKLOAD:METRIC`` (repeatable) names a gain claimed before
 measuring.  The verdict then also requires, for each claim, that the change
@@ -66,6 +69,7 @@ def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
     delta = cq[1] - pq[1]
     rel = delta / pq[1] if pq[1] else float("nan")
     better = delta < 0 if lower else delta > 0
+    apart = max(change) < min(parent) if lower else min(change) > max(parent)
     return {
         "metric": metric["name"],
         "unit": metric["unit"],
@@ -79,6 +83,8 @@ def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
         "rel_delta": rel,
         "beyond_parent_iqr": better and abs(delta) > pq[2] - pq[0],
         "over_bound": (rel if lower else -rel) > metric["bound"],
+        # the parent's spread is wider than the bound, and the runs overlap
+        "unresolved": pq[2] - pq[0] > metric["bound"] * abs(pq[1]) and not apart,
     }
 
 
@@ -121,7 +127,7 @@ def format_report(report: dict) -> str:
                 f"{workload:<14} {s['metric']:<17} {p[0]:>9.4g} / {p[1]:>9.4g} / {p[2]:>9.4g} "
                 f"{c[0]:>9.4g} / {c[1]:>9.4g} / {c[2]:>9.4g} {s['rel_delta']:>+8.1%} "
                 f"{s['wins']:>3}/{s['pairs']:<3}  {'yes' if s['beyond_parent_iqr'] else 'no':<17}  "
-                f"{'YES' if s['over_bound'] else 'no'}"
+                f"{'YES' if s['over_bound'] else 'unresolved' if s['unresolved'] else 'no'}"
             )
         lines.append(f"{workload:<14} failed operations: parent {entry['failed']['parent']}, "
                      f"change {entry['failed']['change']}")
