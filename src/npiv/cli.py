@@ -445,10 +445,9 @@ class StudyRow(NamedTuple):
     oracle_risk: float
 
 
-def _study_worker(task: tuple, scores: tuple) -> StudyRow:
-    """One replication's row from its block's scores; a selected fit is never the zero fallback."""
-    phi, op, sigma, order, penalty_const, oracle_k, n, rep, seed = task
-    k_selected, cutoff, risk, oracle_risk = scores
+def _study_worker(block: tuple, rep: int, seed: int, k_selected, cutoff, risk, oracle_risk) -> StudyRow:
+    """One replication's row of its block; a selected fit is never the zero fallback."""
+    oracle_k, n = block[5:7]
     return StudyRow(n, rep, seed, int(k_selected), int(cutoff), 0, float(risk), oracle_k, float(oracle_risk))
 
 
@@ -461,10 +460,8 @@ def _study_block(block: tuple) -> list[StudyRow]:
     sel = select_block(samples, weights, penalty_const)
     risks = risks_weighted([c[:k] for c, k in zip(sel.coeffs, sel.k_selected)], phi.coeffs, weights)
     fixed = risks_weighted(diagonal_estimates(samples, oracle_k)[0], phi.coeffs, weights)
-    return [
-        _study_worker((phi, op, sigma, order, penalty_const, oracle_k, n, rep, seed), scores)
-        for rep, seed, *scores in zip(reps, seeds, sel.k_selected, sel.cutoff, risks, fixed)
-    ]
+    scores = zip(reps, seeds, sel.k_selected, sel.cutoff, risks, fixed)
+    return [_study_worker(block, *row) for row in scores]
 
 
 def _check_slope_axis(op: OperatorSpec, grid: list[int], name: str) -> None:
@@ -554,8 +551,8 @@ def run_rate_study(
     xs = np.log(np.array(grid, dtype=float))
     if slope_axis == "log_log_n":
         xs = np.log(xs)
-    ys = np.log([row["risk_median"] for row in per_n])
-    fitted = float(np.polyfit(xs, ys, 1)[0]) if len(grid) >= 2 else None
+    medians = [row["risk_median"] for row in per_n]  # 0 where the estimate is exact: no log-log slope
+    fitted = float(np.polyfit(xs, np.log(medians), 1)[0]) if len(grid) >= 2 and min(medians) > 0 else None
 
     report = {
         "schema": SCHEMA,

@@ -282,22 +282,13 @@ def derivative_coeffs(est: GalerkinEstimate, s: int) -> np.ndarray:
     c = np.asarray(est.coeffs, dtype=float)
     if s == 0:
         return c.copy()
-    k = c.size
-    k_out = k if k % 2 == 1 else k + 1
-    out = np.zeros(k_out)
-    for f in range(1, frequency(k_out) + 1):
-        a = c[2 * f - 1] if 2 * f <= k else 0.0  # cos coefficient, index 2f
-        b = c[2 * f] if 2 * f + 1 <= k else 0.0  # sin coefficient, index 2f + 1
-        r = s % 4
-        if r == 1:
-            a, b = b, -a
-        elif r == 2:
-            a, b = -a, -b
-        elif r == 3:
-            a, b = -b, a
-        scale = (2.0 * math.pi * f) ** s
-        out[2 * f - 1] = scale * a
-        out[2 * f] = scale * b
+    cos_sin = np.zeros(2 * frequency(c.size | 1))  # (cos, sin) of frequencies 1..F, zero-padded
+    cos_sin[: c.size - 1] = c[1:]
+    a, b = cos_sin[0::2], cos_sin[1::2]
+    a, b = ((a, b), (b, -a), (-a, -b), (-b, a))[int(s) % 4]
+    scale = np.array([(2.0 * math.pi * f) ** s for f in range(1, a.size + 1)])  # Python pow: same bits
+    out = np.zeros(2 * a.size + 1)
+    out[1::2], out[2::2] = scale * a, scale * b
     return out
 
 

@@ -12,7 +12,6 @@ the sample alone otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -124,26 +123,25 @@ def _estimable(lam: np.ndarray, n: int, risk_weights: WeightSequence, c: float) 
     return lam / (j * np.maximum(risk_weights.values(lam.size), 1.0)) >= c * math.log(n) / n
 
 
-def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence) -> int:
+def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence, cap: int) -> int:
     """Data-driven dimension cutoff from the sample's diagonal t_1, t_2, ...
 
     One short of the first index j whose squared entry, relative to j and
-    max(w_j, 1), falls below log(n)/n (at least 1), or ``dimension_cap``
-    when no index up to it misbehaves.  The walk reads the sample's shared
-    diagonal prefix, so later fits of the same sample reuse what it read.
+    max(w_j, 1), falls below log(n)/n (at least 1), or ``cap``, the sample's
+    ``dimension_cap``, when no index up to it misbehaves.  The walk reads the
+    sample's shared diagonal prefix, so later fits of the same sample reuse
+    what it read.
     """
     n = sample.n
     return _prefix_end(
-        lambda k: _estimable(np.square(empirical_diagonal(sample, k)[0]), n, risk_weights, 1.0),
-        dimension_cap(risk_weights, n),
+        lambda k: _estimable(np.square(empirical_diagonal(sample, k)[0]), n, risk_weights, 1.0), cap
     )
 
 
 # -- selection ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelectionTrace:
+class SelectionTrace(NamedTuple):
     """Full record of one penalised selection run.
 
     Arrays are indexed by candidate dimension k = 1..cutoff; ``criterion``
@@ -160,16 +158,6 @@ class SelectionTrace:
     criterion: np.ndarray
     k_selected: int
     estimate: GalerkinEstimate
-
-    def __post_init__(self) -> None:
-        for name in ("contrast", "penalty", "effective_dim", "criterion"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-            if arr.size != self.cutoff:
-                raise ValueError(f"{name} must have length cutoff")
-        if not 1 <= self.k_selected <= self.cutoff:
-            raise ValueError("k_selected out of range")
 
 
 class BlockSelection(NamedTuple):
@@ -199,7 +187,8 @@ def select_block(samples, risk_weights: WeightSequence, penalty_const: float = 5
     """
     if not penalty_const > 0:
         raise ValueError(f"penalty constant must be positive, got {penalty_const}")
-    cutoff = np.array([empirical_dimension_cutoff(s, risk_weights) for s in samples])
+    cap = dimension_cap(risk_weights, samples[0].n)  # the samples share n
+    cutoff = np.array([empirical_dimension_cutoff(s, risk_weights, cap) for s in samples])
     tdiag, ghat = empirical_diagonals(samples, int(cutoff.max()))
     w = risk_weights.values(tdiag.shape[1])
     y2 = np.mean(np.square(np.stack([s.y for s in samples])), axis=1)

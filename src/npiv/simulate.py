@@ -322,7 +322,10 @@ def noise_sigma_for_snr(phi: StructuralSpec, snr: float) -> float:
     signal_var = float(np.sum(phi.coeffs[1:] ** 2))
     if signal_var == 0.0:
         raise ValueError("structural signal has no variance, snr undefined")
-    return 3.0 ** 0.25 * math.sqrt(signal_var) / snr
+    sigma = 3.0 ** 0.25 * math.sqrt(signal_var) / snr
+    if not math.isfinite(sigma):
+        raise ValueError(f"signal-to-noise ratio {snr} is too small: the noise level overflows")
+    return sigma
 
 
 def generate_samples(

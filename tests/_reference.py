@@ -16,7 +16,8 @@ vectors, and its rejection sampler as a loop that judges whole batches.
 degenerate fixtures; no command builds one.
 ``read_sample_csv`` reads a sample CSV one row at a time through
 ``csv.reader`` and ``float()``, the spelling rules the vectorised reader
-must keep.
+must keep.  ``derivative_coeffs_loop`` differentiates a series one
+frequency at a time, choosing the quarter turn for each.
 """
 
 from __future__ import annotations
@@ -87,6 +88,30 @@ def trig_columns_loop(points, indices) -> np.ndarray:
         else:
             ang = (2.0 * math.pi * (j // 2)) * pts
             out[:, pos] = SQRT2 * (np.cos(ang) if j % 2 == 0 else np.sin(ang))
+    return out
+
+
+def derivative_coeffs_loop(coeffs, s: int) -> np.ndarray:
+    """Coefficients of the s-th derivative, each frequency pair turned and scaled on its own."""
+    c = np.asarray(coeffs, dtype=float)
+    if s == 0:
+        return c.copy()
+    k = c.size
+    k_out = k if k % 2 == 1 else k + 1
+    out = np.zeros(k_out)
+    for f in range(1, k_out // 2 + 1):
+        a = c[2 * f - 1] if 2 * f <= k else 0.0  # cos coefficient, index 2f
+        b = c[2 * f] if 2 * f + 1 <= k else 0.0  # sin coefficient, index 2f + 1
+        r = s % 4
+        if r == 1:
+            a, b = b, -a
+        elif r == 2:
+            a, b = -a, -b
+        elif r == 3:
+            a, b = -b, a
+        scale = (2.0 * math.pi * f) ** s
+        out[2 * f - 1] = scale * a
+        out[2 * f] = scale * b
     return out
 
 
@@ -323,7 +348,7 @@ def rebuild_trace(sample, weights, penalty_const):
     Returns (cutoff, contrast, penalty, criterion, k_selected) with the
     list entries bitwise-comparable to the library trace.
     """
-    cutoff = empirical_dimension_cutoff(sample, weights)
+    cutoff = empirical_dimension_cutoff(sample, weights, dimension_cap(weights, sample.n))
     tdiag, _ = empirical_diagonal(sample, cutoff)
     eff = effective_dimension(weights, WeightSequence.custom(tdiag * tdiag), cutoff)
     y2 = float(np.mean(sample.y * sample.y))

@@ -23,11 +23,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npiv import cli
+from npiv import cli, selection
 from npiv.basis import WeightSequence
 from npiv.cli import StudyRow, console_main, main, run_rate_study
 from npiv.estimator import Sample, diagonal_estimate, load_csv, risk_weighted, write_csv
 from npiv.selection import (
+    dimension_cap,
     dimension_cutoffs,
     effective_dimension,
     oracle_dimension,
@@ -965,6 +966,43 @@ def test_rate_study_exponential_regime(tmp_path, capsys):
     assert report["regime"] == "is"
     assert report["slope_axis"] == "log_log_n"
     assert report["theoretical_slope"] == -4.0
+
+
+def test_rate_study_with_exact_estimates_has_no_slope(tmp_path, capsys):
+    # sigma 0 and a constant truth make every risk 0, where a log-log slope is undefined
+    cfg = _write_config(tmp_path, structural={"profile": "custom", "coeffs": [1.0], "smoothness": 2, "radius": 1},
+                        noise={"sigma": 0}, study={"n_grid": [100, 200], "replications": 3})
+    out = tmp_path / "study.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rate-study", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert [row["risk_median"] for row in report["per_n"]] == [0.0, 0.0]
+    assert report["fitted_slope"] is None
+
+
+@pytest.mark.parametrize("command", [["simulate", "--n", "10"], ["rate-study", "--n-grid", "20,40"]])
+def test_vanishing_snr_names_the_noise_config(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, noise={"snr": 5e-324})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], cfg, "--out", str(tmp_path / "out"), *command[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "npiv: error: bad noise config: signal-to-noise ratio 5e-324 is too small: the noise level overflows\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_study_reads_the_selection_cap_once_per_block(tmp_path, capsys, monkeypatch):
+    caps, blocks = [], []
+    real_block = cli._study_block
+    monkeypatch.setattr(selection, "dimension_cap", lambda w, n: caps.append(n) or dimension_cap(w, n))
+    monkeypatch.setattr(cli, "_study_block", lambda block: blocks.append(block[6]) or real_block(block))
+    argv = ["rate-study", _study_config(tmp_path), "--n-grid", "50,100", "--replications", "8", "--jobs", "1"]
+    assert main(argv + ["--out", str(tmp_path / "study.json")]) == 0
+    capsys.readouterr()
+    assert caps == blocks and len(blocks) < 16
 
 
 @pytest.mark.parametrize("jobs, cpus, grid, workers", [

@@ -28,7 +28,7 @@ from npiv.estimator import (
 )
 from npiv.simulate import StructuralSpec, make_structural
 
-from _reference import psi, read_sample_csv
+from _reference import derivative_coeffs_loop, psi, read_sample_csv
 
 
 def _random_sample(rng, n):
@@ -509,6 +509,20 @@ def test_derivative_against_finite_differences():
         + evaluate_coeffs(coeffs, pts - h)
     ) / h**2
     assert_allclose(d2, fd2, atol=5e-4)
+
+
+def test_derivative_matches_the_per_frequency_loop_bit_for_bit():
+    # one quarter turn for all frequencies gives the bits of one turn per frequency,
+    # signed zeros included: zero and negative-zero entries, and the zero padding
+    rng = np.random.default_rng(9)
+    for k in range(41):
+        coeffs = rng.normal(0.0, 2.0, k)
+        coeffs[rng.uniform(size=k) < 0.2] = 0.0
+        coeffs[rng.uniform(size=k) < 0.2] = -0.0
+        fit = GalerkinEstimate(coeffs, k, thresholded=False, mode="general")
+        for s_ord in range(12):
+            got, want = derivative_coeffs(fit, s_ord), derivative_coeffs_loop(coeffs, s_ord)
+            assert got.tobytes() == want.tobytes(), (k, s_ord)
 
 
 def test_derivative_output_lengths():

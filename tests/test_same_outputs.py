@@ -30,6 +30,20 @@ def test_a_last_bit_nudge_is_found_and_named(tmp_path, capsys):
     assert "line " in out and "parent: " in out and "change: " in out
 
 
+def test_a_wrong_derivative_turn_is_found_and_named(tmp_path, capsys):
+    # turning each frequency pair the other way changes only derivative outputs,
+    # which no benchmark operation writes
+    parent = tmp_path / "parent"
+    shutil.copytree(os.path.join(_ROOT, "src"), parent / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    estimator = parent / "src" / "npiv" / "estimator.py"
+    text = estimator.read_text()
+    turns = "((a, b), (b, -a), (-a, -b), (-b, a))"
+    assert text.count(turns) == 1
+    estimator.write_text(text.replace(turns, "((a, b), (-b, a), (-a, -b), (b, -a))"))
+    assert same_outputs.main(["--parent-dir", str(parent), "--smoke"]) == 1
+    assert capsys.readouterr().out.startswith("DIFFERENT: estimate-derivative/order1.json, line ")
+
+
 def test_first_difference_names_the_file_and_line(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):

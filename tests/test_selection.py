@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from npiv import estimator
+from npiv import estimator, selection
 from npiv.basis import WeightSequence
 from npiv.estimator import Sample, diagonal_estimate, empirical_diagonal
 from npiv.selection import (
@@ -179,7 +179,7 @@ def test_cutoff_from_diagonal_examples():
 
 def test_empirical_cutoff_zero_entry_sample():
     s = Sample(np.array([1.0, 1.0]), np.array([0.0, 0.5]), np.array([0.0, 0.0]))
-    assert empirical_dimension_cutoff(s, CONST) == 1
+    assert empirical_dimension_cutoff(s, CONST, dimension_cap(CONST, s.n)) == 1
 
 
 def test_empirical_cutoff_block_scan_matches_reference():
@@ -195,7 +195,7 @@ def test_empirical_cutoff_block_scan_matches_reference():
             weights = CONST
         cap = dimension_cap(weights, n)
         tdiag, _ = empirical_diagonal(Sample(s.y, s.z, s.w), cap)
-        assert empirical_dimension_cutoff(s, weights) == ref.bf_cutoff_from_diagonal(
+        assert empirical_dimension_cutoff(s, weights, cap) == ref.bf_cutoff_from_diagonal(
             tdiag, n, weights
         )
 
@@ -247,10 +247,10 @@ def test_cutoff_scan_evaluates_at_most_twice_what_it_needs(evaluated):
         weights = (
             CONST, WeightSequence.sobolev(0.5), WeightSequence.derivative(1), WeightSequence.derivative(2)
         )[trial % 4]
-        before = evaluated()
-        cutoff = empirical_dimension_cutoff(s, weights)
-        scanned = evaluated() - before
         cap = dimension_cap(weights, n)
+        before = evaluated()
+        cutoff = empirical_dimension_cutoff(s, weights, cap)
+        scanned = evaluated() - before
         assert min(cutoff + 1, cap) <= scanned <= min(max(8, 2 * (cutoff + 1)), cap)
         # exactly the first growth step that reaches index cutoff + 1
         step = 8
@@ -265,7 +265,7 @@ def test_cutoff_scan_stops_at_the_step_holding_the_first_unstable_index(evaluate
     n = 300
     u = np.random.default_rng(4).uniform(0.0, 1.0, n)
     weights = WeightSequence.custom([1.0] * 7 + [float(n)] * (n - 7))
-    assert empirical_dimension_cutoff(Sample(np.zeros(n), u, u), weights) == 7
+    assert empirical_dimension_cutoff(Sample(np.zeros(n), u, u), weights, dimension_cap(weights, n)) == 7
     assert evaluated() == 8
 
 
@@ -274,7 +274,7 @@ def test_cutoff_walk_spanning_several_steps_matches_full_diagonal(evaluated):
     n = 300
     u = np.random.default_rng(2).uniform(0.0, 1.0, n)
     s = Sample(np.zeros(n), u, u)
-    cutoff = empirical_dimension_cutoff(s, CONST)
+    cutoff = empirical_dimension_cutoff(s, CONST, dimension_cap(CONST, n))
     assert cutoff > 32
     assert evaluated() == 64
     full, _ = empirical_diagonal(Sample(s.y, s.z, s.w), dimension_cap(CONST, n))
@@ -481,6 +481,16 @@ def test_select_block_rejects_mixed_sizes():
         select_block(samples, CONST, 0.75)
 
 
+def test_select_block_reads_the_cap_once(monkeypatch):
+    # the samples share n, so one dimension_cap limits every row's cutoff walk
+    calls = []
+    monkeypatch.setattr(selection, "dimension_cap", lambda w, n: calls.append(n) or dimension_cap(w, n))
+    samples = generate_samples(_PHI, make_operator("polynomial", 1.0, 5), 0.3, 200, range(6))
+    sel = select_block(samples, WeightSequence.derivative(1), 0.75)
+    assert calls == [200]
+    assert sel.cutoff.size == 6
+
+
 def test_select_minimum_invariants():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -586,7 +596,7 @@ def test_every_dimension_within_the_cutoff_passes_the_threshold(n, seed, operato
     # t_1 = 1, and the cutoff admits j >= 2 only when t_j**2 >= 2 log(n) / n > 1/n,
     # which is why penalized_select fits the whole cutoff without a zero fallback
     s = generate_sample(_PHI, make_operator(*operator), 0.3, n, seed)
-    cutoff = empirical_dimension_cutoff(s, weights)
+    cutoff = empirical_dimension_cutoff(s, weights, dimension_cap(weights, n))
     t = empirical_diagonal(s, cutoff)[0]
     assert np.min(t * t) >= 1.0 / n
     assert not penalized_select(s, weights, 0.75).estimate.thresholded

@@ -15,7 +15,11 @@ the benchmark does, through ``npiv.cli.main``:
 - ``rate-study`` with the study-fs and study-small-n configs, at slots 0 and 5,
   each with ``--jobs 1`` and ``--jobs 2``;
 - the 25 cli-pipeline requests (``simulate``, ``select`` and ``estimate``)
-  at slots 0 and 3.
+  at slots 0 and 3;
+- two commands the benchmark never runs: ``oracle`` at two weight specs, in
+  csv and json, and ``estimate --mode diagonal --k 5 --derivative-order 1..4``
+  on the third pipeline request's sample (n = 1000), whose fit at k = 5 is
+  not the zero fallback.
 
 ``--smoke`` runs the benchmark's reduced workloads instead.  Every output
 file is compared byte for byte, together with each operation's outcome.  The
@@ -37,6 +41,11 @@ BENCH_DIR = os.path.join(ROOT, "benchmarks")
 STUDY_SLOTS = (0, 5)
 STUDY_JOBS = (1, 2)
 PIPELINE_SLOTS = (0, 3)
+ORACLE_WEIGHTS = (
+    ("--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1"),
+    ("--risk-weights", "derivative:1", "--smoothness-weights", "sobolev:3", "--operator-weights", "exp:0.5"),
+)
+DERIVATIVE_ORDERS = (1, 2, 3, 4)
 
 
 def write_outputs(out: str, smoke: bool) -> None:
@@ -72,6 +81,19 @@ def write_outputs(out: str, smoke: bool) -> None:
             files = {**paths, **{key: os.path.join(request, os.path.basename(paths[key]))
                                  for key in ("csv", "select", "estimate")}}
             outcomes[request] = wl.run_request(cli, pipe, files, n, seed).error
+    for name in ("oracle", "estimate-derivative"):
+        os.makedirs(os.path.join(out, name))
+    for i, weights in enumerate(ORACLE_WEIGHTS):
+        for fmt in ("csv", "json"):
+            path = os.path.join(out, "oracle", f"weights{i}.{fmt}")
+            argv = ["oracle", *weights, "--n-grid", "100,1000,10000,100000", "--format", fmt, "--out", path]
+            outcomes[path] = wl._quiet_main(cli, argv)
+    sample = os.path.join(out, "cli-pipeline", f"slot{PIPELINE_SLOTS[0]}", "request02", "sample.csv")
+    for order in DERIVATIVE_ORDERS:
+        path = os.path.join(out, "estimate-derivative", f"order{order}.json")
+        argv = ["estimate", sample, "--mode", "diagonal", "--k", "5", "--derivative-order", str(order),
+                "--out", path]
+        outcomes[path] = wl._quiet_main(cli, argv)
     with open(os.path.join(out, "outcomes.json"), "w") as fh:
         json.dump({os.path.relpath(k, out): v for k, v in outcomes.items()}, fh, indent=1, sort_keys=True)
 
