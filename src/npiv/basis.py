@@ -174,8 +174,6 @@ class WeightSequence:
         """The first ``k`` weights as an array."""
         if k < 0:
             raise ValueError(f"requested length must be >= 0, got {k}")
-        if k == 0:
-            return np.empty(0)
         if self.kind == "custom":
             if k > len(self.table):
                 raise ValueError(
@@ -186,8 +184,17 @@ class WeightSequence:
         with np.errstate(over="ignore"):
             powers = np.arange(1, k + 1, dtype=float) ** (2.0 * self.param)
             w = np.maximum(powers if self.kind == "power" else np.exp(-powers), _TINY)
-        w[0] = 1.0
+        w[:1] = 1.0
         return w
+
+
+# Each name a weight spec may start with, and the constructor it calls.
+_SPEC_NAMES = {
+    "const": WeightSequence.constant, "constant": WeightSequence.constant, "custom": WeightSequence.custom,
+    "sobolev": WeightSequence.sobolev, "derivative": WeightSequence.derivative, "deriv": WeightSequence.derivative,
+    "poly": WeightSequence.polynomial_decay, "polynomial": WeightSequence.polynomial_decay,
+    "exp": WeightSequence.exponential_decay, "exponential": WeightSequence.exponential_decay,
+}
 
 
 def parse_weights(spec: str) -> WeightSequence:
@@ -198,26 +205,21 @@ def parse_weights(spec: str) -> WeightSequence:
     """
     name, _, arg = spec.strip().partition(":")
     name = name.lower()
+    if name not in _SPEC_NAMES:
+        raise ValueError(f"bad weight spec {spec!r}: unknown kind {name!r}")
+    make = _SPEC_NAMES[name]
     try:
-        if name in ("const", "constant"):
+        if make == WeightSequence.constant:  # bound methods are equal, not identical
             if arg:
                 raise ValueError("constant weights take no parameter")
-            return WeightSequence.constant()
-        if name == "custom":
-            return WeightSequence.custom(float(v) for v in arg.split(","))
+            return make()
+        if make == WeightSequence.custom:
+            return make(float(v) for v in arg.split(","))
         if not arg:
             raise ValueError(f"weight kind {name!r} needs a parameter, e.g. {name}:1")
-        if name == "sobolev":
-            return WeightSequence.sobolev(float(arg))
-        if name in ("derivative", "deriv"):
-            return WeightSequence.derivative(float(arg))
-        if name in ("poly", "polynomial"):
-            return WeightSequence.polynomial_decay(float(arg))
-        if name in ("exp", "exponential"):
-            return WeightSequence.exponential_decay(float(arg))
+        return make(float(arg))
     except ValueError as exc:
         raise ValueError(f"bad weight spec {spec!r}: {exc}") from None
-    raise ValueError(f"bad weight spec {spec!r}: unknown kind {name!r}")
 
 
 def weighted_norm_sq(coeffs: np.ndarray, weights: WeightSequence | np.ndarray) -> float:
@@ -225,7 +227,5 @@ def weighted_norm_sq(coeffs: np.ndarray, weights: WeightSequence | np.ndarray) -
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
         raise ValueError("coefficient vector must be one-dimensional")
-    if c.size == 0:
-        return 0.0
     w = weights.values(c.size) if isinstance(weights, WeightSequence) else weights[: c.size]
     return float(np.dot(w, c * c))

@@ -59,20 +59,14 @@ from .simulate import (
 SCHEMA = 1
 
 
-class UsageError(Exception):
-    """Bad flags or config content; maps to exit code 2."""
-
-
-class InternalError(Exception):
-    """Violated runtime invariant; maps to exit code 4."""
-
-
 # The largest array a command may ask for.  Sizes from flags and config are
 # checked against it before anything that large is allocated, so a request
 # beyond it exits 2 instead of failing inside numpy.
 _MAX_BYTES = 1 << 30
 # Bytes a rate study holds per (n, replication) cell: its task, result row and index entry.
 _CELL_BYTES = 512
+# Bytes ``oracle_dimension`` holds per candidate k: six arrays of doubles at its peak.
+_ORACLE_K_BYTES = 48
 # Proposals one block of study replications (of one n) may draw together, each replication
 # counted at ``proposal_batch(op, n)``; a block shares its sampler's and truth's calls.
 _BLOCK_PROPOSALS = 1 << 16
@@ -81,7 +75,7 @@ _BLOCK_PROPOSALS = 1 << 16
 def _check_size(what: str, count: int, each: int = 8) -> None:
     """Reject ``count`` items of ``each`` bytes (a double by default) beyond ``_MAX_BYTES``."""
     if count * each > _MAX_BYTES:
-        raise UsageError(
+        raise ValueError(
             f"{what} is too large: it needs more than the {_MAX_BYTES >> 30} GiB "
             f"a command may allocate"
         )
@@ -126,18 +120,18 @@ def _in_range(name: str, value, least: str):
         "> 0": (0 < value <= sys.float_info.max, "must be positive and finite"),
     }[least]
     if not ok:
-        raise UsageError(f"{name} {wording}, got {value}")
+        raise ValueError(f"{name} {wording}, got {value}")
     return value
 
 
 def _check_n_grid(grid: list, name: str) -> list[int]:
     """Reject an empty, non-integer, nonpositive or unsorted sample-size grid."""
     if not grid:
-        raise UsageError(f"{name} is empty")
+        raise ValueError(f"{name} is empty")
     if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in grid):
-        raise UsageError(f"{name} must list integers >= 1, got {json.dumps(grid)}")
+        raise ValueError(f"{name} must list integers >= 1, got {json.dumps(grid)}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise UsageError(f"{name} must be strictly increasing")
+        raise ValueError(f"{name} must be strictly increasing")
     return grid
 
 
@@ -146,13 +140,13 @@ def _checked(name: str, kind: str, value, least: str | None = None):
     floats become ints, and a ``list`` is a sample-size grid."""
     ok = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
     if not ok or (kind == "integer" and value % 1 != 0):
-        raise UsageError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
+        raise ValueError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
     if kind == "list":
         return _check_n_grid(value, name)
     if kind == "list of numbers":
         return [_checked(f"{name}[{i}]", "number", v) for i, v in enumerate(value)]
     if kind in ("number", "integer") and not abs(value) <= sys.float_info.max:
-        raise UsageError(f"{name} must be a finite JSON number, got {json.dumps(value)}")
+        raise ValueError(f"{name} must be a finite JSON number, got {json.dumps(value)}")
     value = int(value) if kind == "integer" else value
     return value if least is None else _in_range(name, value, least)
 
@@ -160,10 +154,10 @@ def _checked(name: str, kind: str, value, least: str | None = None):
 def _check_keys(section: str, obj: dict) -> None:
     """Reject unknown keys, mistyped values, non-finite numbers and values out of range."""
     if not isinstance(obj, dict):
-        raise UsageError(f"config section {section!r} must be an object")
+        raise ValueError(f"config section {section!r} must be an object")
     unknown = obj.keys() - _SECTION_KEYS[section]
     if unknown:
-        raise UsageError(
+        raise ValueError(
             f"config section {section!r} has unknown keys: {', '.join(sorted(unknown))}"
         )
     for key, value in obj.items():
@@ -177,9 +171,9 @@ def _load_object(path, what: str) -> dict:
         try:
             obj = json.load(fh)
         except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
-            raise UsageError(f"{path}: invalid JSON ({exc})") from None
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
-        raise UsageError(f"{path}: {what} must be a JSON object")
+        raise ValueError(f"{path}: {what} must be a JSON object")
     return obj
 
 
@@ -187,7 +181,7 @@ def load_config(path) -> dict:
     cfg = _load_object(path, "config")
     unknown = set(cfg) - set(_SECTION_KEYS)
     if unknown:
-        raise UsageError(f"{path}: unknown config sections: {', '.join(sorted(unknown))}")
+        raise ValueError(f"{path}: unknown config sections: {', '.join(sorted(unknown))}")
     for section, obj in cfg.items():
         _check_keys(section, obj)
     return cfg
@@ -195,7 +189,7 @@ def load_config(path) -> dict:
 
 def _section(cfg: dict, name: str) -> dict:
     if name in ("structural", "operator", "noise") and name not in cfg:
-        raise UsageError(f"config needs {'an' if name == 'operator' else 'a'} {name!r} section")
+        raise ValueError(f"config needs {'an' if name == 'operator' else 'a'} {name!r} section")
     defaults = {key: default for key, (_, default, _) in _SECTION_KEYS[name].items()}
     return {**defaults, **cfg.get(name, {})}
 
@@ -206,7 +200,7 @@ def _build(name: str, make, cfg: dict):
     try:
         return make(**section)
     except ValueError as exc:
-        raise UsageError(f"bad {name} config: {exc}") from None
+        raise ValueError(f"bad {name} config: {exc}") from None
 
 
 def structural_from_config(cfg: dict) -> StructuralSpec:
@@ -221,11 +215,11 @@ def sigma_from_config(cfg: dict, phi: StructuralSpec) -> float:
     sec = _section(cfg, "noise")
     sigma, snr = sec["sigma"], sec["snr"]
     if (sigma is None) == (snr is None):
-        raise UsageError("noise config needs exactly one of 'sigma' or 'snr'")
+        raise ValueError("noise config needs exactly one of 'sigma' or 'snr'")
     try:
         return float(sigma) if snr is None else noise_sigma_for_snr(phi, float(snr))
     except ValueError as exc:
-        raise UsageError(f"bad noise config: {exc}") from None
+        raise ValueError(f"bad noise config: {exc}") from None
 
 
 # -- small helpers --------------------------------------------------------
@@ -239,7 +233,7 @@ def _emit_json(obj: dict, out: str | None) -> None:
     try:
         text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise UsageError(f"the {obj['command']} report holds a non-finite value") from None
+        raise ValueError(f"the {obj['command']} report holds a non-finite value") from None
     _write_text(text, out)
 
 
@@ -255,7 +249,7 @@ def _parse_n_grid(text: str) -> list[int]:
     try:
         grid = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"bad sample-size grid {text!r}") from None
+        raise ValueError(f"bad sample-size grid {text!r}") from None
     return _check_n_grid(grid, "--n-grid")
 
 
@@ -291,7 +285,10 @@ def cmd_simulate(args) -> int:
     _in_range("--n", args.n, ">= 1")
     _in_range("--seed", args.seed, ">= 0")
     _check_sampler(op, args.n, "--n")
-    sample = generate_sample(phi, op, sigma, args.n, args.seed)
+    try:
+        sample = generate_sample(phi, op, sigma, args.n, args.seed)
+    except OverflowError as exc:
+        raise ValueError(f"bad noise config: {exc}") from None
     write_csv(sample, args.out)
     echo = {
         "structural": _structural_echo(phi),
@@ -330,7 +327,7 @@ def cmd_estimate(args) -> int:
         "command": "estimate",
         "n": int(sample.n),
         "k": int(fit.k),
-        "mode": fit.mode,
+        "mode": args.mode,
         "thresholded": bool(fit.thresholded),
         "coeffs": _floats(fit.coeffs),
         "derivative_order": int(args.derivative_order),
@@ -340,7 +337,7 @@ def cmd_estimate(args) -> int:
             with np.errstate(over="raise"):
                 report["derivative_coeffs"] = _floats(derivative_coeffs(fit, args.derivative_order))
         except (OverflowError, FloatingPointError):
-            raise UsageError(
+            raise ValueError(
                 f"--derivative-order {args.derivative_order} overflows the derivative coefficients"
             ) from None
     if args.truth is not None:
@@ -376,9 +373,9 @@ def cmd_select(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "select",
-        "n": int(trace.n),
+        "n": int(sample.n),
         "cutoff": int(trace.cutoff),
-        "penalty_const": float(trace.penalty_const),
+        "penalty_const": float(args.penalty_const),
         "y_second_moment": float(trace.y_second_moment),
         "contrast": _floats(trace.contrast),
         "penalty": _floats(trace.penalty),
@@ -404,6 +401,7 @@ def cmd_oracle(args) -> int:
     _in_range("--k-max", args.k_max, ">= 1")
     grid = _parse_n_grid(args.n_grid)
     _check_size(f"--n-grid {_size(grid[-1])}", grid[-1])
+    _check_size(f"--k-max {_size(args.k_max)} at n={_size(grid[-1])}", min(grid[-1], args.k_max), _ORACLE_K_BYTES)
     rows = []
     for n in grid:
         k_max = min(n, args.k_max)
@@ -479,8 +477,8 @@ def run_rate_study(
     grid: list[int],
     reps: int,
     master: int,
-    k_max: int = 200,
-    jobs: int = 1,
+    k_max: int,
+    jobs: int,
 ) -> tuple[dict, list[StudyRow]]:
     """Run the Monte Carlo study; returns (report dict, replication rows).
 
@@ -511,7 +509,7 @@ def run_rate_study(
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for cells in pool.map(_study_block, blocks) for row in cells]
     if [(r.n, r.replication) for r in rows] != [(n, rep) for n in grid for rep in range(reps)]:
-        raise InternalError("study rows are not one per (n, replication) cell in grid order")
+        raise RuntimeError("study rows are not one per (n, replication) cell in grid order")
 
     regime = "fs" if op.decay == "polynomial" else "is"
     p, s, a = phi.smoothness, order, op.a
@@ -527,9 +525,9 @@ def run_rate_study(
         cells = rows[i * reps:(i + 1) * reps]
         risks = np.array([r.risk for r in cells])
         if not np.all(np.isfinite(risks)):
-            raise UsageError(f"the risk at n={n} overflows; lower the noise or the derivative order")
+            raise ValueError(f"the risk at n={n} overflows; lower the noise or the derivative order")
         if risks.min() < 0:
-            raise InternalError("negative risk in study results")
+            raise RuntimeError("negative risk in study results")
         fixed_risks = np.array([r.oracle_risk for r in cells])
         ks = np.array([r.k_selected for r in cells])
         k_best, rate, cutoff, lower = known[n]
@@ -586,7 +584,7 @@ def cmd_rate_study(args) -> int:
     grid_name = "--n-grid" if args.n_grid else "study.n_grid"
     grid = _parse_n_grid(args.n_grid) if args.n_grid else study["n_grid"]
     if grid is None:
-        raise UsageError("no sample-size grid: set study.n_grid or pass --n-grid")
+        raise ValueError("no sample-size grid: set study.n_grid or pass --n-grid")
     _check_slope_axis(op, grid, grid_name)
     reps, reps_name = study["replications"], "study.replications"
     if args.replications is not None:
@@ -596,18 +594,11 @@ def cmd_rate_study(args) -> int:
     master = study["seed"] if args.seed is None else _in_range("--seed", args.seed, ">= 0")
     _in_range("--jobs", args.jobs, ">= 1")
 
-    report, rows = run_rate_study(
-        phi,
-        op,
-        sigma,
-        selection["derivative_order"],
-        float(selection["penalty_const"]),
-        grid,
-        reps,
-        master,
-        k_max=study["k_max"],
-        jobs=args.jobs,
-    )
+    try:
+        report, rows = run_rate_study(phi, op, sigma, selection["derivative_order"],
+                                      float(selection["penalty_const"]), grid, reps, master, study["k_max"], args.jobs)
+    except OverflowError as exc:
+        raise ValueError(f"bad noise config: {exc}") from None
 
     base = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
     _emit_json(report, base + ".json")
@@ -648,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="data-driven dimension selection")
     p.add_argument("sample", help="sample CSV with header y,z,w")
     p.add_argument("--risk-weights", default="const")
-    p.add_argument("--penalty-const", type=float, default=540.0)
+    p.add_argument("--penalty-const", type=float, default=_SECTION_KEYS["selection"]["penalty_const"][1])
     p.add_argument("--out", help="write the JSON trace here instead of stdout")
 
     p = sub.add_parser("oracle", help="best dimensions and rate values for known weights")
@@ -657,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator-weights", required=True)
     p.add_argument("--link-constant", type=float, default=1.0)
     p.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    p.add_argument("--k-max", type=int, default=200)
+    p.add_argument("--k-max", type=int, default=_SECTION_KEYS["study"]["k_max"][1])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
@@ -683,15 +674,12 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but no input of ours names it
         print(f"npiv: internal error: LinAlgError: {exc}", file=sys.stderr)
         return 4
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"npiv: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"npiv: i/o error: {exc}", file=sys.stderr)
         return 3
-    except InternalError as exc:
-        print(f"npiv: internal error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # anything else still ends in one line, not a traceback
         print(f"npiv: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

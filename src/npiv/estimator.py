@@ -133,23 +133,23 @@ def write_csv(sample: Sample, path) -> None:
 
 @dataclass(frozen=True)
 class GalerkinEstimate:
-    """Coefficient estimate on the first ``k`` basis functions.
+    """Coefficient estimate on the first ``k`` basis functions, k the length of ``coeffs``.
 
     ``thresholded`` marks the zero fallback returned when the stability
-    check failed; ``mode`` records which solver produced it.
+    check failed.
     """
 
     coeffs: np.ndarray
-    k: int
     thresholded: bool
-    mode: str
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=float).copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        if c.ndim != 1 or c.size != self.k:
-            raise ValueError("coefficient vector must have length k")
+
+    @property
+    def k(self) -> int:
+        return self.coeffs.size
 
 
 # -- empirical moments ----------------------------------------------------
@@ -248,9 +248,8 @@ def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     ghat = pw.T @ sample.y / sample.n
     smin = np.linalg.svd(that, compute_uv=False)[-1]
     if smin < 1.0 / math.sqrt(sample.n):
-        return GalerkinEstimate(np.zeros(k), k, thresholded=True, mode="general")
-    coeffs = np.linalg.solve(that, ghat)
-    return GalerkinEstimate(coeffs, k, thresholded=False, mode="general")
+        return GalerkinEstimate(np.zeros(k), thresholded=True)
+    return GalerkinEstimate(np.linalg.solve(that, ghat), thresholded=False)
 
 
 def diagonal_estimates(samples, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +262,7 @@ def diagonal_estimates(samples, k: int) -> tuple[np.ndarray, np.ndarray]:
 def diagonal_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """``diagonal_estimates`` of one sample."""
     coeffs, zero = diagonal_estimates([sample], k)
-    return GalerkinEstimate(coeffs[0], k, thresholded=bool(zero[0]), mode="diagonal")
+    return GalerkinEstimate(coeffs[0], thresholded=bool(zero[0]))
 
 
 # -- derived quantities ---------------------------------------------------
@@ -275,13 +274,11 @@ def derivative_coeffs(est: GalerkinEstimate, s: int) -> np.ndarray:
     Differentiating rotates each frequency pair (cos, sin) a quarter turn
     and scales it by 2*pi*f per order; the constant term drops out.  The
     result covers whole frequency pairs, so its length is k rounded up to
-    the next odd number when s >= 1.
+    the next odd number.
     """
-    if s < 0 or int(s) != s:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {s}")
+    if s < 1 or int(s) != s:
+        raise ValueError(f"derivative order must be a positive integer, got {s}")
     c = np.asarray(est.coeffs, dtype=float)
-    if s == 0:
-        return c.copy()
     cos_sin = np.zeros(2 * frequency(c.size | 1))  # (cos, sin) of frequencies 1..F, zero-padded
     cos_sin[: c.size - 1] = c[1:]
     a, b = cos_sin[0::2], cos_sin[1::2]

@@ -148,9 +148,7 @@ class SelectionTrace(NamedTuple):
     is ``contrast + penalty`` and ``k_selected`` its first minimiser.
     """
 
-    n: int
     cutoff: int
-    penalty_const: float
     y_second_moment: float
     contrast: np.ndarray
     penalty: np.ndarray
@@ -174,14 +172,14 @@ class BlockSelection(NamedTuple):
     criterion: np.ndarray
 
 
-def select_block(samples, risk_weights: WeightSequence, penalty_const: float = 540.0) -> BlockSelection:
+def select_block(samples, risk_weights: WeightSequence, penalty_const: float) -> BlockSelection:
     """Choose the estimation dimension of each of equal-size samples, row by row.
 
     For each k up to a sample's data-driven cutoff, the contrast is the negative weighted
     norm of the diagonal estimate at k and the penalty is ``penalty_const`` times the
     plug-in second moment of y times the empirical effective dimension over n; ties go
-    to the smallest k.  The default constant is the conservative theoretical one; far
-    smaller values are reasonable in practice and the rate-study harness uses one.  No
+    to the smallest k.  The CLI's default, 540, is the conservative theoretical constant;
+    far smaller values are reasonable in practice and the rate-study harness uses one.  No
     fit here is the zero fallback: t_1 = 1, and the cutoff admits j >= 2 only when
     t_j**2 >= 2 log(n) / n, so every k passes t_j**2 >= 1/n.  Rows equal lone selections.
     """
@@ -204,13 +202,12 @@ def select_block(samples, risk_weights: WeightSequence, penalty_const: float = 5
                           criterion)
 
 
-def penalized_select(sample: Sample, risk_weights: WeightSequence,
-                     penalty_const: float = 540.0) -> SelectionTrace:
+def penalized_select(sample: Sample, risk_weights: WeightSequence, penalty_const: float) -> SelectionTrace:
     """``select_block`` of one sample, as a trace."""
     sel = select_block([sample], risk_weights, penalty_const)
     cut, k, y2, coeffs = (row[0] for row in sel[:4])
-    return SelectionTrace(sample.n, int(cut), float(penalty_const), float(y2), *(a[0] for a in sel[4:]),
-                          int(k), GalerkinEstimate(coeffs[:k], int(k), thresholded=False, mode="diagonal"))
+    return SelectionTrace(int(cut), float(y2), *(a[0] for a in sel[4:]), int(k),
+                          GalerkinEstimate(coeffs[:k], thresholded=False))
 
 
 # -- oracle ---------------------------------------------------------------

@@ -46,16 +46,15 @@ def task_seed(master_seed: int, n: int, replication: int) -> int:
 class OperatorSpec:
     """Diagonal conditional-expectation operator for the simulator.
 
-    ``diag`` holds t_1..t_J with t_1 = 1; ``scale`` is the common factor
-    applied to the square roots of the operator weights; ``density_floor``
-    is a certified lower bound for the joint density and ``link_constant``
-    the largest ratio between squared diagonal coefficients and operator
-    weights in either direction.
+    ``diag`` holds t_1..t_J with t_1 = 1, J the ``truncation``; ``scale`` is
+    the common factor applied to the square roots of the operator weights;
+    ``density_floor`` is a certified lower bound for the joint density and
+    ``link_constant`` the largest ratio between squared diagonal coefficients
+    and operator weights in either direction.
     """
 
     decay: str
     a: float
-    truncation: int
     scale: float
     diag: np.ndarray
     density_floor: float
@@ -66,10 +65,12 @@ class OperatorSpec:
         t = np.asarray(self.diag, dtype=float).copy()
         t.setflags(write=False)
         object.__setattr__(self, "diag", t)
-        if t.ndim != 1 or t.size != self.truncation:
-            raise ValueError("diag must have length equal to the truncation")
-        if t.size < 1 or t[0] != 1.0:
-            raise ValueError("diag must start with t_1 = 1")
+        if t.ndim != 1 or t.size < 1 or t[0] != 1.0:
+            raise ValueError("diag must be a vector starting with t_1 = 1")
+
+    @property
+    def truncation(self) -> int:
+        return self.diag.size
 
 
 def _link_constant(ratios: np.ndarray) -> float:
@@ -78,7 +79,7 @@ def _link_constant(ratios: np.ndarray) -> float:
         return max(float(np.max(ratios, initial=1.0)), float(np.max(1.0 / ratios, initial=1.0)))
 
 
-def make_operator(decay: str, a: float, truncation: int = 64) -> OperatorSpec:
+def make_operator(decay: str, a: float, truncation: int) -> OperatorSpec:
     """Build the diagonal operator t_j = c * sqrt(l_j) for a decay family.
 
     ``decay`` is "polynomial" or "exponential" with exponent ``a``.  The
@@ -107,7 +108,6 @@ def make_operator(decay: str, a: float, truncation: int = 64) -> OperatorSpec:
     return OperatorSpec(
         decay=decay,
         a=float(a),
-        truncation=int(truncation),
         scale=c,
         diag=diag,
         density_floor=floor,
@@ -273,15 +273,15 @@ def _ellipsoid_norm(b: np.ndarray, smoothness: float) -> float:
 def make_structural(
     smoothness: float,
     radius: float,
-    truncation: int = 200,
+    truncation: int,
     profile: str = "power_law",
     coeffs=None,
 ) -> StructuralSpec:
     """Construct a structural truth inside the smoothness ellipsoid.
 
-    ``power_law`` sets b_j proportional to j**-(smoothness + 0.51), scaled
-    so the weighted norm fills 99% of the radius; ``custom`` validates the
-    supplied coefficients against the ellipsoid instead.
+    ``power_law`` sets b_1..b_truncation proportional to j**-(smoothness + 0.51),
+    scaled so the weighted norm fills 99% of the radius; ``custom`` validates the
+    supplied coefficients against the ellipsoid instead, whatever ``truncation``.
     """
     if not smoothness > 0.5:
         raise ValueError(f"smoothness must exceed 1/2, got {smoothness}")
@@ -334,11 +334,12 @@ def generate_samples(
     """Draw a sample y = phi(z) + u with (z, w) from the joint density for each seed.
 
     The noise is Gaussian with standard deviation sigma / 3**(1/4), which
-    pins its fourth moment to exactly sigma**4.  The joint draw and the
-    noise use separate streams of the same seed.  One ``sample_joint`` call draws
-    every (z, w) and the truth is evaluated once on their concatenated z, so
-    sample r equals, bit for bit, the one drawn for ``seeds[r]`` alone.  The
-    samples share one diagonal-moment store (see ``empirical_diagonal``).
+    pins its fourth moment to exactly sigma**4; a response it takes past the
+    doubles raises OverflowError.  The joint draw and the noise use separate
+    streams of the same seed.  One ``sample_joint`` call draws every (z, w)
+    and the truth is evaluated once on their concatenated z, so sample r
+    equals, bit for bit, the one drawn for ``seeds[r]`` alone.  The samples
+    share one diagonal-moment store (see ``empirical_diagonal``).
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
@@ -349,6 +350,8 @@ def generate_samples(
     for seed, y, z_r, w_r in zip(seeds, signal, z, w):
         if sigma > 0:
             y = y + stream_rng(seed, STREAM_NOISE).normal(0.0, sigma / 3.0 ** 0.25, n)
+            if not np.all(np.isfinite(y)):
+                raise OverflowError(f"noise level sigma={sigma!r} overflows the response y")
         samples.append(Sample(y=y, z=z_r, w=w_r))
     _share_diagonal(samples)
     return samples

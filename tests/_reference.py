@@ -94,8 +94,6 @@ def trig_columns_loop(points, indices) -> np.ndarray:
 def derivative_coeffs_loop(coeffs, s: int) -> np.ndarray:
     """Coefficients of the s-th derivative, each frequency pair turned and scaled on its own."""
     c = np.asarray(coeffs, dtype=float)
-    if s == 0:
-        return c.copy()
     k = c.size
     k_out = k if k % 2 == 1 else k + 1
     out = np.zeros(k_out)
@@ -160,7 +158,6 @@ def custom_operator(diag) -> simulate.OperatorSpec:
     return simulate.OperatorSpec(
         decay="custom",
         a=0.0,
-        truncation=t.size,
         scale=1.0,
         diag=t,
         density_floor=1.0 - 2.0 * float(np.sum(np.abs(t[1:]))),

@@ -59,7 +59,7 @@ def fs_study():
     phi = _structural()
     op = make_operator("polynomial", 1.0, truncation=5)
     sigma = noise_sigma_for_snr(phi, 2.0)
-    report, _ = run_rate_study(phi, op, sigma, 0, 0.75, GRID, 50, MASTER_SEED, jobs=_JOBS)
+    report, _ = run_rate_study(phi, op, sigma, 0, 0.75, GRID, 50, MASTER_SEED, 200, _JOBS)
     return report
 
 
@@ -68,7 +68,7 @@ def derivative_study():
     phi = _structural()
     op = make_operator("polynomial", 1.0, truncation=5)
     sigma = noise_sigma_for_snr(phi, 2.0)
-    report, _ = run_rate_study(phi, op, sigma, 1, 0.75, GRID, 50, MASTER_SEED, jobs=_JOBS)
+    report, _ = run_rate_study(phi, op, sigma, 1, 0.75, GRID, 50, MASTER_SEED, 200, _JOBS)
     return report
 
 
@@ -79,7 +79,7 @@ def is_study():
     phi = _structural()
     op = make_operator("exponential", 0.5, truncation=8)
     sigma = noise_sigma_for_snr(phi, 2.0)
-    report, _ = run_rate_study(phi, op, sigma, 0, 0.3, GRID, 150, MASTER_SEED, jobs=_JOBS)
+    report, _ = run_rate_study(phi, op, sigma, 0, 0.3, GRID, 150, MASTER_SEED, 200, _JOBS)
     return report
 
 

@@ -343,6 +343,10 @@ def test_parse_weights_errors():
     for spec in ("sobolev", "const:3", "bogus:1", "custom:", "poly:x", "poly:-1"):
         with pytest.raises(ValueError, match="bad weight spec|unknown kind"):
             parse_weights(spec)
+    # a misspelled name is unknown, not a known kind missing its parameter
+    for spec in ("sobolov", "constnat", "sobolov:1", "foo"):
+        with pytest.raises(ValueError, match=f"^bad weight spec '{spec}': unknown kind '{spec.partition(':')[0]}'$"):
+            parse_weights(spec)
 
 
 # -- weighted norms -------------------------------------------------------

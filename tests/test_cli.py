@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npiv import cli, selection
-from npiv.basis import WeightSequence
+from npiv.basis import WeightSequence, parse_weights
 from npiv.cli import StudyRow, console_main, main, run_rate_study
 from npiv.estimator import Sample, diagonal_estimate, load_csv, risk_weighted, write_csv
 from npiv.selection import (
@@ -149,7 +150,7 @@ def test_main_runs_the_command_bound_on_the_module_when_it_is_called(monkeypatch
         (RuntimeWarning("overflow encountered in multiply"), 4,
          "npiv: internal error: RuntimeWarning: overflow encountered in multiply"),
         (ValueError("bad value"), 2, "npiv: error: bad value"),
-        (cli.InternalError("broken invariant"), 4, "npiv: internal error: broken invariant"),
+        (RuntimeError("broken invariant"), 4, "npiv: internal error: RuntimeError: broken invariant"),
     ],
 )
 def test_every_failure_of_a_command_exits_with_one_line(monkeypatch, capsys, error, code, line):
@@ -159,6 +160,21 @@ def test_every_failure_of_a_command_exits_with_one_line(monkeypatch, capsys, err
     monkeypatch.setattr(cli, "cmd_oracle", fail)
     assert main(_ORACLE) == code
     assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_a_flag_check_exits_2_and_a_broken_invariant_exits_4(tmp_path, monkeypatch, capsys):
+    # a check of the input raises ValueError; a broken invariant raises RuntimeError,
+    # which the catch-all names with its type
+    assert main(_ORACLE + ["--k-max", "0"]) == 2
+    assert capsys.readouterr() == ("", "npiv: error: --k-max must be >= 1, got 0\n")
+    real_block = cli._study_block
+    monkeypatch.setattr(cli, "_study_block", lambda block: real_block(block)[::-1])
+    out = tmp_path / "out.json"
+    assert main(["rate-study", _study_config(tmp_path), "--n-grid", "50", "--replications", "2",
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", "npiv: internal error: RuntimeError: study rows are not one per "
+                                       "(n, replication) cell in grid order\n")
+    assert not out.exists()
 
 
 # -- simulate -------------------------------------------------------------
@@ -331,7 +347,7 @@ _STUDY = ["rate-study", "CFG", "--out", "OUT"]
                  "study.n_grid is empty", id="overridden-study.n_grid"),
     # a broken study invariant, as a block that returns no rows
     pytest.param(_STUDY, _config_text(), 4,
-                 "study rows are not one per (n, replication) cell in grid order", id="internal-error"),
+                 "RuntimeError: study rows are not one per (n, replication) cell in grid order", id="internal-error"),
 ])
 def test_config_errors_exit_with_their_message(tmp_path, capsys, monkeypatch, argv, config, code, message):
     cfg = tmp_path / "config.json"
@@ -499,7 +515,7 @@ def test_sampler_bound_at_its_boundary(decay, a, trunc, largest):
     if largest is not None:  # the default operator: n * 2.4 proposals of 8 doubles fit 1 GiB
         assert fits == largest
     cli._check_sampler(op, fits, "--n")
-    with pytest.raises(cli.UsageError, match=f"--n {fits + 1}: its sampler's peak"):
+    with pytest.raises(ValueError, match=f"--n {fits + 1}: its sampler's peak"):
         cli._check_sampler(op, fits + 1, "--n")
 
 
@@ -546,7 +562,7 @@ def test_estimate_with_truth_reports_risk(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     from npiv.estimator import diagonal_estimate
 
-    phi = make_structural(1.0, 2.0, profile="custom", coeffs=[1.0, 0.5])
+    phi = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[1.0, 0.5])
     expected = risk_weighted(diagonal_estimate(s, 2), phi.coeffs, CONST)
     assert report["risk"] == expected
     assert report["risk_weights"] == "const"
@@ -883,6 +899,34 @@ def test_oracle_usage_errors(capsys):
     assert f"--n-grid {10**12} {_TOO_LARGE}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("operator", ["const", "poly:1"])
+def test_oracle_holds_six_doubles_per_candidate_dimension(operator):
+    # the bytes per k at which oracle --k-max is bounded
+    k = 10_000
+    tracemalloc.start()
+    try:
+        oracle_dimension(CONST, WeightSequence.sobolev(2.0), parse_weights(operator), 10**9, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cli._ORACLE_K_BYTES - 8) * k < peak <= cli._ORACLE_K_BYTES * k + 4096
+
+
+def test_oracle_k_max_beyond_the_bound_exits_2_before_the_oracle_runs(monkeypatch, capsys):
+    def reached(*args):
+        raise RuntimeError("the oracle ran")
+
+    monkeypatch.setattr(cli, "oracle_dimension", reached)
+    n = cli._MAX_BYTES // 8  # the largest --n-grid size that passes its own check
+    fits = cli._MAX_BYTES // cli._ORACLE_K_BYTES
+    base = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1", "--n-grid", str(n)]
+    assert main(base + ["--k-max", str(fits)]) == 4
+    assert capsys.readouterr().err == "npiv: internal error: RuntimeError: the oracle ran\n"
+    for k_max in (fits + 1, n, 10**18):
+        assert main(base + ["--k-max", str(k_max)]) == 2
+        assert capsys.readouterr().err == f"npiv: error: --k-max {cli._size(k_max)} at n={n} {_TOO_LARGE}\n"
+
+
 _EXTREME_ORACLE = [
     # n * l_j / link overflows, and 2016 * link / l_1 underflows with the small constant
     (["--operator-weights", "custom:1e308,1e308"], "2,2,0.0625,2,2,2e-308"),
@@ -991,6 +1035,21 @@ def test_vanishing_snr_names_the_noise_config(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "npiv: error: bad noise config: signal-to-noise ratio 5e-324 is too small: the noise level overflows\n"
     )
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("noise", [{"sigma": 1e308}, {"snr": 1e-309}])
+@pytest.mark.parametrize("command", [["simulate", "--n", "1000"], ["rate-study", "--n-grid", "50,100"],
+                                     ["rate-study", "--n-grid", "50,100", "--jobs", "2"]])
+def test_a_noise_level_that_overflows_the_response_names_the_noise_config(tmp_path, capsys, command, noise):
+    # the noise level is finite, but its draws pass the doubles
+    cfg = _write_config(tmp_path, noise=noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], cfg, "--out", str(tmp_path / "out"), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("npiv: error: bad noise config: noise level sigma=")
+    assert err.endswith(" overflows the response y\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
@@ -1213,7 +1272,7 @@ def test_rate_study_rows_are_named_in_csv_order(tmp_path, capsys, monkeypatch):
     assert StudyRow._fields[:5] == ("n", "replication", "seed", "k_selected", "cutoff")
     phi = make_structural(2.0, 1.0, truncation=30)
     op = make_operator("polynomial", 1.0, truncation=4)
-    _, rows = run_rate_study(phi, op, 0.3, 0, 0.75, [300], 2, 1)
+    _, rows = run_rate_study(phi, op, 0.3, 0, 0.75, [300], 2, 1, 200, 1)
     assert [(r.n, r.replication) for r in rows] == [(300, 0), (300, 1)]
     assert all(isinstance(r, StudyRow) for r in rows)
 
@@ -1258,7 +1317,7 @@ def test_rate_study_exponential_grid_from_n_1_exits_2_before_sampling(tmp_path, 
     assert not (tmp_path / "o.json").exists()
     with pytest.raises(ValueError, match="^grid must start at n >= 2 under exponential decay"):
         run_rate_study(make_structural(2.0, 1.0, truncation=8), make_operator("exponential", 0.5, truncation=4),
-                       0.3, 0, 0.75, [1, 50], 2, 1)
+                       0.3, 0, 0.75, [1, 50], 2, 1, 200, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

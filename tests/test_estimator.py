@@ -236,7 +236,6 @@ def test_galerkin_matches_closed_form_2x2():
     s = Sample(y, pts, pts)
     fit = galerkin_estimate(s, 2)
     assert not fit.thresholded
-    assert fit.mode == "general"
     mat = empirical_operator_matrix(s, 2)
     g = empirical_diagonal(s, 2)[1]
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
@@ -268,11 +267,23 @@ def test_galerkin_builds_one_instrument_design(monkeypatch):
     assert_array_equal(fit.coeffs, np.linalg.solve(pw.T @ pz / s.n, pw.T @ s.y / s.n))
 
 
+def test_every_constructor_gives_k_as_the_coefficient_count():
+    from npiv.selection import penalized_select
+
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.0, 1.0, 200)
+    s = Sample(rng.normal(0.5, 1.0, 200), u, u)
+    trace = penalized_select(s, WeightSequence.constant(), 0.75)
+    lone = Sample(np.array([2.0]), np.array([0.3]), np.array([0.6]))
+    fits = [galerkin_estimate(s, 5), galerkin_estimate(lone, 3), diagonal_estimate(s, 4), trace.estimate]
+    assert [fit.thresholded for fit in fits] == [False, True, False, False]
+    assert [fit.k for fit in fits] == [fit.coeffs.size for fit in fits] == [5, 3, 4, trace.k_selected]
+
+
 def test_galerkin_singular_falls_back_to_zero():
     s = Sample(np.array([2.0]), np.array([0.3]), np.array([0.6]))
     fit = galerkin_estimate(s, 3)
     assert fit.thresholded
-    assert fit.mode == "general"
     assert_array_equal(fit.coeffs, np.zeros(3))
 
 
@@ -319,7 +330,6 @@ def test_diagonal_zero_entry_thresholds():
     assert tdiag[1] == 0.0
     fit = diagonal_estimate(s, 2)
     assert fit.thresholded
-    assert fit.mode == "diagonal"
     assert_array_equal(fit.coeffs, np.zeros(2))
 
 
@@ -344,7 +354,7 @@ def test_risks_weighted_rows_equal_lone_risks():
     truth = np.array([1.0, -0.5, 0.25, 0.125])
     weights = WeightSequence.derivative(1)
     fits = [np.array([0.5]), np.array([1.0, -0.5, 0.25, 0.125, 3.0, -1.0]), np.array([2.0, 0.0, 1.0])]
-    lone = [risk_weighted(GalerkinEstimate(c, c.size, False, "diagonal"), truth, weights) for c in fits]
+    lone = [risk_weighted(GalerkinEstimate(c, False), truth, weights) for c in fits]
     assert risks_weighted(fits, truth, weights).tolist() == lone
     assert lone[1] == weighted_norm_sq(np.array([0.0, 0.0, 0.0, 0.0, 3.0, -1.0]), weights) == 261.0
     with pytest.raises(ValueError, match="one-dimensional"):
@@ -436,20 +446,10 @@ def test_dimension_validation():
 # -- derivatives ----------------------------------------------------------
 
 
-def test_derivative_order_zero_is_identity():
-    fit = diagonal_estimate(
-        Sample(np.array([1.0, 3.0]), np.array([0.0, 0.5]), np.array([0.0, 0.5])), 2
-    )
-    out = derivative_coeffs(fit, 0)
-    assert_array_equal(out, fit.coeffs)
-    out[0] = 99.0  # must be a copy, not a view of the frozen estimate
-    assert fit.coeffs[0] != 99.0
-
-
 def test_derivative_kills_constant():
     from npiv.estimator import GalerkinEstimate
 
-    fit = GalerkinEstimate(np.array([5.0]), 1, thresholded=False, mode="diagonal")
+    fit = GalerkinEstimate(np.array([5.0]), thresholded=False)
     assert_array_equal(derivative_coeffs(fit, 1), [0.0])
     assert_array_equal(derivative_coeffs(fit, 3), [0.0])
 
@@ -459,7 +459,7 @@ def test_derivative_cosine_example():
 
     # d/ds sqrt2 cos(2 pi s) = -2 pi sqrt2 sin(2 pi s): index 2 maps to
     # index 3 with factor -2 pi, exactly.
-    fit = GalerkinEstimate(np.array([0.0, 0.37]), 2, thresholded=False, mode="diagonal")
+    fit = GalerkinEstimate(np.array([0.0, 0.37]), thresholded=False)
     out = derivative_coeffs(fit, 1)
     assert_array_equal(out, [0.0, 0.0, -2.0 * math.pi * 0.37])
     assert out.size == 3  # padded to the full frequency pair
@@ -473,7 +473,7 @@ def test_derivative_against_phase_shift():
 
     rng = np.random.default_rng(6)
     coeffs = rng.normal(0.0, 0.5, 7)
-    fit = GalerkinEstimate(coeffs, 7, thresholded=False, mode="general")
+    fit = GalerkinEstimate(coeffs, thresholded=False)
     pts = np.linspace(0.0, 1.0, 41)
     for s_ord in (1, 2, 3, 4, 5):
         got = evaluate_coeffs(derivative_coeffs(fit, s_ord), pts)
@@ -493,7 +493,7 @@ def test_derivative_against_finite_differences():
 
     rng = np.random.default_rng(7)
     coeffs = rng.normal(0.0, 0.5, 7)
-    fit = GalerkinEstimate(coeffs, 7, thresholded=False, mode="general")
+    fit = GalerkinEstimate(coeffs, thresholded=False)
     pts = np.linspace(0.05, 0.95, 19)
 
     h = 1e-5
@@ -519,8 +519,8 @@ def test_derivative_matches_the_per_frequency_loop_bit_for_bit():
         coeffs = rng.normal(0.0, 2.0, k)
         coeffs[rng.uniform(size=k) < 0.2] = 0.0
         coeffs[rng.uniform(size=k) < 0.2] = -0.0
-        fit = GalerkinEstimate(coeffs, k, thresholded=False, mode="general")
-        for s_ord in range(12):
+        fit = GalerkinEstimate(coeffs, thresholded=False)
+        for s_ord in range(1, 12):
             got, want = derivative_coeffs(fit, s_ord), derivative_coeffs_loop(coeffs, s_ord)
             assert got.tobytes() == want.tobytes(), (k, s_ord)
 
@@ -529,12 +529,12 @@ def test_derivative_output_lengths():
     from npiv.estimator import GalerkinEstimate
 
     for k, k_out in ((1, 1), (2, 3), (5, 5), (6, 7)):
-        fit = GalerkinEstimate(np.ones(k), k, thresholded=False, mode="general")
+        fit = GalerkinEstimate(np.ones(k), thresholded=False)
         assert derivative_coeffs(fit, 1).size == k_out
-        assert derivative_coeffs(fit, 0).size == k
-    fit = GalerkinEstimate(np.ones(3), 3, thresholded=False, mode="general")
-    with pytest.raises(ValueError, match="nonnegative integer"):
-        derivative_coeffs(fit, -1)
+    fit = GalerkinEstimate(np.ones(3), thresholded=False)
+    for s_ord in (-1, 0, 1.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            derivative_coeffs(fit, s_ord)
 
 
 # -- risk -----------------------------------------------------------------
@@ -545,19 +545,19 @@ def test_risk_weighted_examples():
 
     const = WeightSequence.constant()
     truth = np.array([1.0, 0.5, 0.25])
-    fit = GalerkinEstimate(np.array([1.0, 0.0]), 2, thresholded=False, mode="diagonal")
+    fit = GalerkinEstimate(np.array([1.0, 0.0]), thresholded=False)
     # (1-1)^2 + (0-1/2)^2 + (1/4)^2 = 0.3125 exactly
     assert risk_weighted(fit, truth, const) == 0.3125
     # the same sum when the estimate is the longer vector
-    long_fit = GalerkinEstimate(np.array([1.0, 0.0, 0.25]), 3, thresholded=False, mode="general")
+    long_fit = GalerkinEstimate(np.array([1.0, 0.0, 0.25]), thresholded=False)
     assert risk_weighted(long_fit, truth[:2], const) == 0.3125
     spec = StructuralSpec(coeffs=truth, smoothness=1.0, radius=3.0)
     assert risk_weighted(fit, spec.coeffs, const) == 0.3125
 
-    perfect = GalerkinEstimate(truth, 3, thresholded=False, mode="general")
+    perfect = GalerkinEstimate(truth, thresholded=False)
     assert risk_weighted(perfect, truth, const) == 0.0
 
-    zero = GalerkinEstimate(np.zeros(3), 3, thresholded=True, mode="general")
+    zero = GalerkinEstimate(np.zeros(3), thresholded=True)
     assert risk_weighted(zero, truth, const) == weighted_norm_sq(truth, const)
 
 
@@ -570,7 +570,7 @@ def test_risk_weighted_sums_only_the_coefficients_it_has():
     with np.errstate(over="ignore"):
         assert np.isinf(weights.values(6)[-1])
     truth = np.array([1.0, 0.5, 0.25])
-    fit = GalerkinEstimate(np.array([0.5, 0.0, 1.0]), 3, thresholded=False, mode="diagonal")
+    fit = GalerkinEstimate(np.array([0.5, 0.0, 1.0]), thresholded=False)
     risk = risk_weighted(fit, truth, weights)
     assert math.isfinite(risk)
     assert risk == float(np.dot(weights.values(3), (fit.coeffs - truth) ** 2))
@@ -584,7 +584,7 @@ def test_risk_weighted_matches_quadrature():
 
     rng = np.random.default_rng(8)
     truth = rng.normal(0.0, 0.3, 10)
-    fit = GalerkinEstimate(rng.normal(0.0, 0.5, 6), 6, thresholded=False, mode="diagonal")
+    fit = GalerkinEstimate(rng.normal(0.0, 0.5, 6), thresholded=False)
     risk = risk_weighted(fit, truth, WeightSequence.constant())
     m = 8192
     grid = (np.arange(m) + 0.5) / m
@@ -597,9 +597,9 @@ def test_evaluate_estimate():
     from npiv.basis import evaluate_coeffs
     from npiv.estimator import GalerkinEstimate
 
-    fit = GalerkinEstimate(np.array([2.5]), 1, thresholded=False, mode="diagonal")
+    fit = GalerkinEstimate(np.array([2.5]), thresholded=False)
     assert evaluate_coeffs(fit.coeffs, 0.3) == 2.5
-    fit2 = GalerkinEstimate(np.array([0.0, 1.0]), 2, thresholded=False, mode="diagonal")
+    fit2 = GalerkinEstimate(np.array([0.0, 1.0]), thresholded=False)
     assert evaluate_coeffs(fit2.coeffs, 0.0) == SQRT2
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         evaluate_coeffs(fit2.coeffs, 1.5)
@@ -785,7 +785,7 @@ def test_structural_truth_padding():
     from npiv.estimator import GalerkinEstimate
 
     phi = make_structural(2.0, 1.0, truncation=12)
-    fit = GalerkinEstimate(phi.coeffs[:5].copy(), 5, thresholded=False, mode="diagonal")
+    fit = GalerkinEstimate(phi.coeffs[:5].copy(), thresholded=False)
     tail = phi.coeffs[5:]
     expected = float(np.dot(tail, tail))
     assert risk_weighted(fit, phi.coeffs, WeightSequence.constant()) == pytest.approx(

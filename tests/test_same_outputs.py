@@ -44,6 +44,19 @@ def test_a_wrong_derivative_turn_is_found_and_named(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("DIFFERENT: estimate-derivative/order1.json, line ")
 
 
+def test_a_changed_select_default_is_found_and_named(tmp_path, capsys):
+    # every benchmark request passes --penalty-const, so only the default's own outputs move
+    parent = tmp_path / "parent"
+    shutil.copytree(os.path.join(_ROOT, "src"), parent / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = parent / "src" / "npiv" / "cli.py"
+    text = cli.read_text()
+    default = '"penalty_const": ("number", 540.0, "> 0")'
+    assert text.count(default) == 1
+    cli.write_text(text.replace(default, default.replace("540.0", "541.0")))
+    assert same_outputs.main(["--parent-dir", str(parent), "--smoke"]) == 1
+    assert capsys.readouterr().out.startswith("DIFFERENT: select-default/const.json, line ")
+
+
 def test_first_difference_names_the_file_and_line(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):

@@ -362,7 +362,7 @@ def test_cutoff_lower_examples():
 
 def test_select_singleton():
     s = Sample(np.array([3.0]), np.array([0.4]), np.array([0.7]))
-    trace = penalized_select(s, CONST)
+    trace = penalized_select(s, CONST, 540.0)
     assert trace.cutoff == 1
     assert trace.k_selected == 1
     assert_array_equal(trace.estimate.coeffs, [3.0])
@@ -372,7 +372,7 @@ def test_select_singleton():
 def test_select_zero_response():
     u = np.linspace(0.0, 1.0, 50)
     s = Sample(np.zeros(50), u, u)
-    trace = penalized_select(s, CONST)
+    trace = penalized_select(s, CONST, 540.0)
     assert trace.k_selected == 1
     assert trace.y_second_moment == 0.0
     assert_array_equal(trace.criterion, np.zeros(trace.cutoff))
@@ -595,7 +595,7 @@ _PHI = make_structural(2.0, 1.0, truncation=30)
 def test_every_dimension_within_the_cutoff_passes_the_threshold(n, seed, operator, weights):
     # t_1 = 1, and the cutoff admits j >= 2 only when t_j**2 >= 2 log(n) / n > 1/n,
     # which is why penalized_select fits the whole cutoff without a zero fallback
-    s = generate_sample(_PHI, make_operator(*operator), 0.3, n, seed)
+    s = generate_sample(_PHI, make_operator(*operator, truncation=64), 0.3, n, seed)
     cutoff = empirical_dimension_cutoff(s, weights, dimension_cap(weights, n))
     t = empirical_diagonal(s, cutoff)[0]
     assert np.min(t * t) >= 1.0 / n
@@ -648,7 +648,7 @@ def test_randomized_exact_equality():
 def test_mean_squared_response():
     # the penalty's plug-in second moment of y is the mean of y_i**2
     def y2(sample):
-        return penalized_select(sample, CONST).y_second_moment
+        return penalized_select(sample, CONST, 540.0).y_second_moment
 
     pts = np.array([0.5, 0.5])
     assert y2(Sample(np.array([1.0, -1.0]), pts, pts)) == 1.0

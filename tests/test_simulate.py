@@ -64,13 +64,20 @@ def test_make_operator_exponential_hand_values():
     assert 1.0 <= op.link_constant <= 1.0 + 1e-12
 
 
+def test_operator_truncation_is_the_diagonal_length():
+    for decay, a, trunc in (("polynomial", 1.0, 2), ("polynomial", 0.26, 64), ("exponential", 0.5, 8)):
+        op = make_operator(decay, a, trunc)
+        assert op.truncation == op.diag.size == trunc
+    assert custom_operator((1.0, 0.5, 0.25)).truncation == 3
+
+
 def test_make_operator_validation():
     with pytest.raises(ValueError, match="truncation must be >= 2"):
         make_operator("polynomial", 1.0, truncation=1)
     with pytest.raises(ValueError, match="unknown operator decay"):
-        make_operator("cubic", 1.0)
+        make_operator("cubic", 1.0, truncation=64)
     with pytest.raises(ValueError, match="decay exponent"):
-        make_operator("polynomial", 0.0)
+        make_operator("polynomial", 0.0, truncation=64)
 
 
 def test_operator_scale_and_link_certificates():
@@ -431,16 +438,16 @@ def test_make_structural_power_law_fills_ellipsoid():
 
 def test_make_structural_custom():
     # boundary case is accepted
-    phi = make_structural(1.0, 1.0, profile="custom", coeffs=[1.0, 0.0])
+    phi = make_structural(1.0, 1.0, 2, profile="custom", coeffs=[1.0, 0.0])
     assert_array_equal(phi.coeffs, [1.0, 0.0])
     with pytest.raises(ValueError, match="weighted norm 4.0 > radius 1"):
-        make_structural(1.0, 1.0, profile="custom", coeffs=[2.0])
+        make_structural(1.0, 1.0, 1, profile="custom", coeffs=[2.0])
     with pytest.raises(ValueError, match="needs explicit coefficients"):
-        make_structural(1.0, 1.0, profile="custom")
+        make_structural(1.0, 1.0, 200, profile="custom")
     with pytest.raises(ValueError, match="does not take explicit"):
-        make_structural(1.0, 1.0, coeffs=[1.0])
+        make_structural(1.0, 1.0, 1, coeffs=[1.0])
     with pytest.raises(ValueError, match="unknown structural profile"):
-        make_structural(1.0, 1.0, profile="spline")
+        make_structural(1.0, 1.0, 200, profile="spline")
 
 
 @pytest.mark.filterwarnings("error")
@@ -450,15 +457,15 @@ def test_make_structural_rejects_norm_beyond_doubles():
     with pytest.raises(ValueError, match="smoothness 538.0 is too large for doubles"):
         make_structural(538.0, 1.0, truncation=30)
     with pytest.raises(ValueError, match="smoothness 538.0 is too large for doubles"):
-        make_structural(538.0, 1.0, profile="custom", coeffs=[1.0, 0.0, 0.0])
-    assert make_structural(538.0, 1.0, profile="custom", coeffs=[0.5]).truncation == 1
+        make_structural(538.0, 1.0, 3, profile="custom", coeffs=[1.0, 0.0, 0.0])
+    assert make_structural(538.0, 1.0, 200, profile="custom", coeffs=[0.5]).truncation == 1
 
 
 def test_make_structural_validation():
     with pytest.raises(ValueError, match="smoothness must exceed 1/2"):
-        make_structural(0.5, 1.0)
+        make_structural(0.5, 1.0, 200)
     with pytest.raises(ValueError, match="radius must be positive"):
-        make_structural(2.0, 0.0)
+        make_structural(2.0, 0.0, 200)
     with pytest.raises(ValueError, match="truncation must be >= 1"):
         make_structural(2.0, 1.0, truncation=0)
 
@@ -500,7 +507,7 @@ def test_generate_sample_mean():
 
 def test_generate_sample_regression_moments():
     # E[Y psi_j(W)] is the regression coefficient t_j b_j
-    phi = make_structural(1.0, 2.0, profile="custom", coeffs=[1.0, 0.5])
+    phi = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[1.0, 0.5])
     sigma = noise_sigma_for_snr(phi, 2.0)
     s = generate_sample(phi, _OP2, sigma, 100000, 5)
     target = regression_coeffs(phi, _OP2)
@@ -614,13 +621,13 @@ def test_generate_sample_validation():
 
 
 def test_regression_coeffs_padding():
-    phi = make_structural(1.0, 2.0, profile="custom", coeffs=[1.0, 0.0])
+    phi = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[1.0, 0.0])
     op4 = make_operator("polynomial", 1.0, truncation=4)
     r = regression_coeffs(phi, op4)
     assert r.size == 4
     assert r[0] == 1.0
     assert_array_equal(r[1:], np.zeros(3))
-    zero = make_structural(1.0, 2.0, profile="custom", coeffs=[0.0, 0.0])
+    zero = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[0.0, 0.0])
     assert_array_equal(regression_coeffs(zero, op4), np.zeros(4))
 
 

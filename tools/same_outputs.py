@@ -16,10 +16,11 @@ the benchmark does, through ``npiv.cli.main``:
   each with ``--jobs 1`` and ``--jobs 2``;
 - the 25 cli-pipeline requests (``simulate``, ``select`` and ``estimate``)
   at slots 0 and 3;
-- two commands the benchmark never runs: ``oracle`` at two weight specs, in
-  csv and json, and ``estimate --mode diagonal --k 5 --derivative-order 1..4``
-  on the third pipeline request's sample (n = 1000), whose fit at k = 5 is
-  not the zero fallback.
+- what the benchmark never runs: ``oracle`` at two weight specs, in csv and
+  json; ``estimate --mode diagonal --k 5 --derivative-order 1..4`` on the
+  third pipeline request's sample (n = 1000), whose fit at k = 5 is not the
+  zero fallback; and ``select`` on that sample at its default
+  ``--penalty-const``, with ``--risk-weights const`` and ``derivative:1``.
 
 ``--smoke`` runs the benchmark's reduced workloads instead.  Every output
 file is compared byte for byte, together with each operation's outcome.  The
@@ -46,6 +47,7 @@ ORACLE_WEIGHTS = (
     ("--risk-weights", "derivative:1", "--smoothness-weights", "sobolev:3", "--operator-weights", "exp:0.5"),
 )
 DERIVATIVE_ORDERS = (1, 2, 3, 4)
+SELECT_WEIGHTS = ("const", "derivative:1")
 
 
 def write_outputs(out: str, smoke: bool) -> None:
@@ -81,7 +83,7 @@ def write_outputs(out: str, smoke: bool) -> None:
             files = {**paths, **{key: os.path.join(request, os.path.basename(paths[key]))
                                  for key in ("csv", "select", "estimate")}}
             outcomes[request] = wl.run_request(cli, pipe, files, n, seed).error
-    for name in ("oracle", "estimate-derivative"):
+    for name in ("oracle", "estimate-derivative", "select-default"):
         os.makedirs(os.path.join(out, name))
     for i, weights in enumerate(ORACLE_WEIGHTS):
         for fmt in ("csv", "json"):
@@ -94,6 +96,9 @@ def write_outputs(out: str, smoke: bool) -> None:
         argv = ["estimate", sample, "--mode", "diagonal", "--k", "5", "--derivative-order", str(order),
                 "--out", path]
         outcomes[path] = wl._quiet_main(cli, argv)
+    for weights in SELECT_WEIGHTS:
+        path = os.path.join(out, "select-default", f"{weights.replace(':', '')}.json")
+        outcomes[path] = wl._quiet_main(cli, ["select", sample, "--risk-weights", weights, "--out", path])
     with open(os.path.join(out, "outcomes.json"), "w") as fh:
         json.dump({os.path.relpath(k, out): v for k, v in outcomes.items()}, fh, indent=1, sort_keys=True)
 
