@@ -78,8 +78,8 @@ def trig_design(points: np.ndarray, k: int) -> np.ndarray:
     return trig_columns(points, 1, k)
 
 
-def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
-    """Evaluate the series with coefficient vector ``coeffs`` at ``points``.
+def evaluate_coeffs(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate the series with coefficient vector ``coeffs`` at the 1-D array ``points``.
 
     With omega = exp(2*pi*i*z) and d_f = c_{2f} - i*c_{2f+1}, the series is
     c_1 + sqrt(2) * Re(sum_{f=1}^{F} d_f * omega**f).  Horner's rule sums it
@@ -94,8 +94,7 @@ def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
     function of its point, alone or inside any array.
     """
     c = np.asarray(coeffs, dtype=float)
-    scalar = np.isscalar(points) or np.ndim(points) == 0
-    pts = _checked_points(np.atleast_1d(np.asarray(points, dtype=float)))
+    pts = _checked_points(points)
     d = c[1::2].astype(complex)
     sin = c[2::2]
     d.imag[: sin.size] = -sin
@@ -106,8 +105,7 @@ def evaluate_coeffs(coeffs: np.ndarray, points) -> np.ndarray | float:
         acc *= omega
         acc += d_f
     acc *= omega
-    vals = (c[0] if c.size else 0.0) + SQRT2 * acc.real[: pts.size]
-    return float(vals[0]) if scalar else vals
+    return (c[0] if c.size else 0.0) + SQRT2 * acc.real[: pts.size]
 
 
 @dataclass(frozen=True)
@@ -222,10 +220,9 @@ def parse_weights(spec: str) -> WeightSequence:
         raise ValueError(f"bad weight spec {spec!r}: {exc}") from None
 
 
-def weighted_norm_sq(coeffs: np.ndarray, weights: WeightSequence | np.ndarray) -> float:
-    """Weighted squared norm sum_j w_j c_j**2, with the w_j of a sequence or an array."""
+def weighted_norm_sq(coeffs: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted squared norm sum_j w_j c_j**2, with w_j the leading entries of the array ``weights``."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
         raise ValueError("coefficient vector must be one-dimensional")
-    w = weights.values(c.size) if isinstance(weights, WeightSequence) else weights[: c.size]
-    return float(np.dot(w, c * c))
+    return float(np.dot(weights[: c.size], c * c))

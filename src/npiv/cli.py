@@ -32,7 +32,6 @@ from .estimator import (
     empirical_operator_matrix,
     galerkin_estimate,
     load_csv,
-    risk_weighted,
     risks_weighted,
     write_csv,
 )
@@ -63,7 +62,8 @@ SCHEMA = 1
 # checked against it before anything that large is allocated, so a request
 # beyond it exits 2 instead of failing inside numpy.
 _MAX_BYTES = 1 << 30
-# Bytes a rate study holds per (n, replication) cell: its task, result row and index entry.
+# Bytes a rate study holds per (n, replication) cell at its peak: its StudyRow with the seed and
+# risks it holds, its slot in the row list and its two (n, replication) pairs in the order check.
 _CELL_BYTES = 512
 # Bytes ``oracle_dimension`` holds per candidate k: six arrays of doubles at its peak.
 _ORACLE_K_BYTES = 48
@@ -98,9 +98,8 @@ def _check_sampler(op: OperatorSpec, n: int, name: str) -> None:
 # Each key a config section accepts: its JSON type, its default (None: unset) and, where no
 # library constructor checks it, its range for ``_in_range``.  A flag is held to its key's range.
 _SECTION_KEYS = {
-    "structural": {"profile": ("string", "power_law", None), "smoothness": ("number", 2.0, None),
-                   "radius": ("number", 1.0, None), "truncation": ("integer", 200, None),
-                   "coeffs": ("list of numbers", None, None)},
+    "structural": {"smoothness": ("number", 2.0, None), "radius": ("number", 1.0, None),
+                   "truncation": ("integer", 200, None), "coeffs": ("list of numbers", None, None)},
     "operator": {"decay": ("string", "polynomial", None), "a": ("number", 1.0, None),
                  "truncation": ("integer", 64, None)},
     "noise": {"sigma": ("number", None, ">= 0"), "snr": ("number", None, None)},
@@ -196,7 +195,8 @@ def _section(cfg: dict, name: str) -> dict:
 
 def _build(name: str, make, cfg: dict):
     section = _section(cfg, name)
-    _check_size(f"{name}.truncation {_size(section['truncation'])}", section["truncation"])
+    if section.get("coeffs") is None:  # a custom truth's length is that of its coeffs
+        _check_size(f"{name}.truncation {_size(section['truncation'])}", section["truncation"])
     try:
         return make(**section)
     except ValueError as exc:
@@ -341,7 +341,7 @@ def cmd_estimate(args) -> int:
                 f"--derivative-order {args.derivative_order} overflows the derivative coefficients"
             ) from None
     if args.truth is not None:
-        report["risk"] = float(risk_weighted(fit, _truth_from_file(args.truth).coeffs, weights))
+        report["risk"] = float(risks_weighted([fit.coeffs], _truth_from_file(args.truth).coeffs, weights)[0])
         report["risk_weights"] = args.risk_weights
     _emit_json(report, args.out)
     return 0
@@ -462,12 +462,6 @@ def _study_block(block: tuple) -> list[StudyRow]:
     return [_study_worker(block, *row) for row in scores]
 
 
-def _check_slope_axis(op: OperatorSpec, grid: list[int], name: str) -> None:
-    if op.decay != "polynomial" and min(grid, default=2) < 2:
-        raise ValueError(f"{name} must start at n >= 2 under exponential decay: "
-                         f"the slope axis log log n is undefined at n = 1")
-
-
 def run_rate_study(
     phi: StructuralSpec,
     op: OperatorSpec,
@@ -485,7 +479,9 @@ def run_rate_study(
     Rows come in (n, replication) order with per-task seeds derived from the master
     seed, so the output is identical for any worker count and any block layout.
     """
-    _check_slope_axis(op, grid, "grid")
+    if op.decay != "polynomial" and min(grid, default=2) < 2:
+        raise ValueError("study.n_grid must start at n >= 2 under exponential decay: "
+                         "the slope axis log log n is undefined at n = 1")
     weights = WeightSequence.derivative(order)
     smooth_w = WeightSequence.sobolev(phi.smoothness)
 
@@ -580,18 +576,11 @@ def cmd_rate_study(args) -> int:
     op = operator_from_config(cfg)
     sigma = sigma_from_config(cfg, phi)
     selection, study = _section(cfg, "selection"), _section(cfg, "study")
-
-    grid_name = "--n-grid" if args.n_grid else "study.n_grid"
-    grid = _parse_n_grid(args.n_grid) if args.n_grid else study["n_grid"]
+    grid, reps, master = study["n_grid"], study["replications"], study["seed"]
     if grid is None:
-        raise ValueError("no sample-size grid: set study.n_grid or pass --n-grid")
-    _check_slope_axis(op, grid, grid_name)
-    reps, reps_name = study["replications"], "study.replications"
-    if args.replications is not None:
-        reps, reps_name = _in_range("--replications", args.replications, ">= 1"), "--replications"
-    _check_size(f"{reps_name} {_size(reps)} over {len(grid)} sample sizes", reps * len(grid), _CELL_BYTES)
-    _check_sampler(op, grid[-1], grid_name)
-    master = study["seed"] if args.seed is None else _in_range("--seed", args.seed, ">= 0")
+        raise ValueError("no sample-size grid: set study.n_grid")
+    _check_size(f"study.replications {_size(reps)} over {len(grid)} sample sizes", reps * len(grid), _CELL_BYTES)
+    _check_sampler(op, grid[-1], "study.n_grid")
     _in_range("--jobs", args.jobs, ">= 1")
 
     try:
@@ -653,10 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("rate-study", help="Monte Carlo risk study over a sample-size grid")
-    p.add_argument("config", help="JSON config; study section supplies defaults")
-    p.add_argument("--n-grid", help="comma-separated sample sizes (overrides config)")
-    p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("config", help="JSON config; its study section sets the grid, replications and seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", required=True, help="output path; .json and .csv are written")
 

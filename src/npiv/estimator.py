@@ -303,8 +303,3 @@ def risks_weighted(estimates, truth: np.ndarray, weights: WeightSequence) -> np.
         diff[: c.size] = c - diff[: c.size]
         out[r] = weighted_norm_sq(diff, w)
     return out
-
-
-def risk_weighted(est: GalerkinEstimate, truth: np.ndarray, weights: WeightSequence) -> float:
-    """``risks_weighted`` of one estimate."""
-    return float(risks_weighted([est.coeffs], truth, weights)[0])

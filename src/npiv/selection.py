@@ -109,12 +109,13 @@ def dimension_cutoffs(
 
 
 def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
-    """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1)."""
+    """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1);
+    the walk reads at most max(8, 2 * (N + 1)) weights."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if risk_weights.kind == "exponential" or (risk_weights.kind == "power" and risk_weights.param <= 0):
         return n  # every weight is at most w_1 = 1 <= n
-    return _last_hit(np.maximum.accumulate(risk_weights.values(_limit(n, risk_weights))) <= n)
+    return _prefix_end(lambda k: risk_weights.values(k) <= n, _limit(n, risk_weights))
 
 
 def _estimable(lam: np.ndarray, n: int, risk_weights: WeightSequence, c: float) -> np.ndarray:

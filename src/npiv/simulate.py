@@ -116,8 +116,8 @@ def make_operator(decay: str, a: float, truncation: int) -> OperatorSpec:
     )
 
 
-def joint_density(op: OperatorSpec, z, w) -> np.ndarray | float:
-    """Evaluate the joint density 1 + sum_{j>=2} t_j psi_j(z) psi_j(w).
+def joint_density(op: OperatorSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Evaluate the joint density 1 + sum_{j>=2} t_j psi_j(z) psi_j(w) at 1-D point arrays.
 
     By product to sum, frequency f adds p_f cos(2 pi f (z - w)) + q_f cos(2 pi f (z + w))
     with p_f = t_{2f} + t_{2f+1} and q_f = t_{2f} - t_{2f+1}.  With c = cos 2 pi (z -+ w),
@@ -126,9 +126,7 @@ def joint_density(op: OperatorSpec, z, w) -> np.ndarray | float:
     value a bitwise pure function of its point.  Its error grows like F**2 * eps near
     z = w and z + w = 1, against F * eps for Horner's rule in complex exponentials.
     """
-    scalar = np.ndim(z) == 0 and np.ndim(w) == 0
-    zz = _checked_points(np.atleast_1d(z))
-    ww = _checked_points(np.atleast_1d(w))
+    zz, ww = _checked_points(z), _checked_points(w)
     if zz.shape != ww.shape:
         raise ValueError("z and w must have matching shapes")
     even = op.diag[1::2]
@@ -150,7 +148,7 @@ def joint_density(op: OperatorSpec, z, w) -> np.ndarray | float:
         np.multiply(b1, 0.5, out=b1)  # c b_1, exactly
         np.subtract(b1, b2, out=b1)
         vals += b1
-    return float(vals[0]) if scalar else vals
+    return vals
 
 
 def _envelope(op: OperatorSpec) -> float:
@@ -245,7 +243,7 @@ class StructuralSpec:
     def truncation(self) -> int:
         return self.coeffs.size
 
-    def __call__(self, points):
+    def __call__(self, points: np.ndarray) -> np.ndarray:
         return evaluate_coeffs(self.coeffs, points)
 
 
@@ -261,7 +259,7 @@ def _ellipsoid_norm(b: np.ndarray, smoothness: float) -> float:
     coefficients underflow to 0, and inf * 0 makes the norm NaN.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        norm = weighted_norm_sq(b, WeightSequence.sobolev(smoothness))
+        norm = weighted_norm_sq(b, WeightSequence.sobolev(smoothness).values(b.size))
     if not math.isfinite(norm):
         raise ValueError(
             f"smoothness {smoothness} is too large for doubles: the ellipsoid norm "
@@ -270,44 +268,32 @@ def _ellipsoid_norm(b: np.ndarray, smoothness: float) -> float:
     return norm
 
 
-def make_structural(
-    smoothness: float,
-    radius: float,
-    truncation: int,
-    profile: str = "power_law",
-    coeffs=None,
-) -> StructuralSpec:
+def make_structural(smoothness: float, radius: float, truncation: int, coeffs=None) -> StructuralSpec:
     """Construct a structural truth inside the smoothness ellipsoid.
 
-    ``power_law`` sets b_1..b_truncation proportional to j**-(smoothness + 0.51),
-    scaled so the weighted norm fills 99% of the radius; ``custom`` validates the
-    supplied coefficients against the ellipsoid instead, whatever ``truncation``.
+    Without ``coeffs``, b_1..b_truncation are proportional to j**-(smoothness + 0.51),
+    scaled so the weighted norm fills 99% of the radius.  A custom truth gives its
+    ``coeffs``, which are validated against the ellipsoid instead, whatever ``truncation``.
     """
     if not smoothness > 0.5:
         raise ValueError(f"smoothness must exceed 1/2, got {smoothness}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if profile == "power_law":
-        if coeffs is not None:
-            raise ValueError("power_law profile does not take explicit coefficients")
+    if coeffs is None:
         if truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {truncation}")
         j = np.arange(1, truncation + 1, dtype=float)
         shape = j ** -(smoothness + 0.51)
         norm = _ellipsoid_norm(shape, smoothness)
         b = shape * math.sqrt(0.99 * radius / norm)
-        return StructuralSpec(coeffs=b, smoothness=float(smoothness), radius=float(radius))
-    if profile == "custom":
-        if coeffs is None:
-            raise ValueError("custom profile needs explicit coefficients")
+    else:
         b = np.asarray(coeffs, dtype=float)
         norm = _ellipsoid_norm(b, smoothness)
         if norm > radius * (1.0 + _ELLIPSOID_RTOL):
             raise ValueError(
                 f"coefficients lie outside the ellipsoid: weighted norm {norm} > radius {radius}"
             )
-        return StructuralSpec(coeffs=b, smoothness=float(smoothness), radius=float(radius))
-    raise ValueError(f"unknown structural profile {profile!r}")
+    return StructuralSpec(coeffs=b, smoothness=float(smoothness), radius=float(radius))
 
 
 def noise_sigma_for_snr(phi: StructuralSpec, snr: float) -> float:

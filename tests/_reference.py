@@ -279,6 +279,14 @@ def bf_dimension_cap(risk_weights, n):
     return best if best else 1
 
 
+def full_read_dimension_cap(risk_weights, n):
+    """``dimension_cap`` as it was before its walk: the last of all n weights (within a custom
+    table) whose running maximum is <= n, found from one read of them all."""
+    m = n if risk_weights.table is None else min(n, len(risk_weights.table))
+    hits = np.flatnonzero(np.maximum.accumulate(risk_weights.values(m)) <= n)
+    return int(hits[-1]) + 1 if hits.size else 1
+
+
 def bf_cutoff_from_diagonal(tdiag, n, risk_weights):
     t = [float(v) for v in tdiag]
     cap = min(bf_dimension_cap(risk_weights, n), len(t))
@@ -352,7 +360,7 @@ def rebuild_trace(sample, weights, penalty_const):
     contrast, penalty, criterion = [], [], []
     for k in range(1, cutoff + 1):
         est = diagonal_estimate(sample, k)
-        c = 0.0 if est.thresholded else -weighted_norm_sq(est.coeffs, weights)
+        c = 0.0 if est.thresholded else -weighted_norm_sq(est.coeffs, weights.values(k))
         p = penalty_const * y2 * float(eff[k - 1]) / sample.n
         contrast.append(c)
         penalty.append(p)

@@ -16,7 +16,7 @@ import scipy.stats as st
 
 from npiv.basis import WeightSequence, trig_design
 from npiv.cli import main, run_rate_study
-from npiv.estimator import Sample, diagonal_estimate, empirical_operator_matrix, risk_weighted
+from npiv.estimator import Sample, diagonal_estimate, empirical_operator_matrix, risks_weighted
 from npiv.selection import penalized_select
 from npiv.simulate import (
     joint_density,
@@ -213,7 +213,7 @@ def test_criterion_7_invariant_suite(check):
     # L2 distance to 1e-6 relative
     truth = rng.normal(0.0, 0.3, 12)
     fit = diagonal_estimate(s, 6)
-    risk = risk_weighted(fit, truth, WeightSequence.constant())
+    risk = risks_weighted([fit.coeffs], truth, WeightSequence.constant())[0]
     m = 8192
     gridpts = (np.arange(m) + 0.5) / m
     padded = np.concatenate([fit.coeffs, np.zeros(6)])

@@ -168,7 +168,7 @@ def test_trig_columns_position_independent():
 
 def test_evaluate_coeffs_position_independent():
     # The same points passed as views of lengths 1 to 32 at offsets 0-16 inside
-    # longer arrays, or one by one as Python floats, give the values of one call
+    # longer arrays, or one by one as one-element arrays, give the values of one call
     # over all points bit for bit: a lone point rounds as it does inside an array.
     rng = np.random.default_rng(41)
     coeffs = rng.standard_normal(41)
@@ -180,7 +180,7 @@ def test_evaluate_coeffs_position_independent():
             host = rng.uniform(0.0, 1.0, off + length + 7)
             host[seg] = pts[seg]
             assert _bits(evaluate_coeffs(coeffs, host[seg])) == _bits(ref[seg])
-    lone = np.array([evaluate_coeffs(coeffs, float(x)) for x in pts])
+    lone = np.concatenate([evaluate_coeffs(coeffs, np.array([x])) for x in pts])
     assert _bits(lone) == _bits(ref)
 
 
@@ -198,8 +198,9 @@ def test_uniform_bound():
 
 
 def test_evaluate_coeffs():
-    assert evaluate_coeffs(np.array([0.0, 1.0]), 0.0) == SQRT2
-    assert isinstance(evaluate_coeffs(np.array([2.5]), 0.3), float)
+    assert_array_equal(evaluate_coeffs(np.array([0.0, 1.0]), np.array([0.0])), [SQRT2])
+    with pytest.raises(ValueError, match="one-dimensional"):  # points come as an array only
+        evaluate_coeffs(np.array([2.5]), 0.3)
     vals = evaluate_coeffs(np.zeros(0), np.array([0.1, 0.9]))
     assert_array_equal(vals, [0.0, 0.0])
     pts = np.array([0.0, 0.25, 0.75])
@@ -353,16 +354,18 @@ def test_parse_weights_errors():
 
 
 def test_weighted_norm_examples():
-    assert weighted_norm_sq(np.array([1.0, 0.5]), WeightSequence.custom([1.0, 4.0])) == 2.0
-    assert weighted_norm_sq(np.zeros(3), WeightSequence.sobolev(2.0)) == 0.0
-    assert weighted_norm_sq(np.ones(3), WeightSequence.sobolev(1.0)) == 14.0
-    assert weighted_norm_sq(np.zeros(0), WeightSequence.constant()) == 0.0
+    assert weighted_norm_sq(np.array([1.0, 0.5]), np.array([1.0, 4.0])) == 2.0
+    assert weighted_norm_sq(np.zeros(3), WeightSequence.sobolev(2.0).values(3)) == 0.0
+    assert weighted_norm_sq(np.ones(3), WeightSequence.sobolev(1.0).values(3)) == 14.0
+    assert weighted_norm_sq(np.zeros(0), np.ones(0)) == 0.0
+    # a longer weight array contributes its leading entries only
+    assert weighted_norm_sq(np.ones(2), np.array([1.0, 2.0, 100.0])) == 3.0
 
 
 def test_weighted_norm_homogeneity():
     rng = np.random.default_rng(2)
     c = rng.normal(0.0, 1.0, 12)
-    w = WeightSequence.sobolev(1.5)
+    w = WeightSequence.sobolev(1.5).values(c.size)
     base = weighted_norm_sq(c, w)
     # powers of two scale exactly
     assert weighted_norm_sq(4.0 * c, w) == 16.0 * base
@@ -372,15 +375,15 @@ def test_weighted_norm_homogeneity():
 
 def test_weighted_norm_shape():
     with pytest.raises(ValueError, match="one-dimensional"):
-        weighted_norm_sq(np.zeros((2, 2)), WeightSequence.constant())
+        weighted_norm_sq(np.zeros((2, 2)), np.ones(4))
 
 
 def test_in_ellipsoid():
     # membership of the ellipsoid of radius r is weighted_norm_sq(c, w) <= r
-    const = WeightSequence.constant()
+    const = WeightSequence.constant().values(1)
     assert weighted_norm_sq(np.array([1.0]), const) <= 1.0  # boundary included
     assert not weighted_norm_sq(np.array([2.0]), const) <= 1.0
-    w = WeightSequence.sobolev(2.0)
+    w = WeightSequence.sobolev(2.0).values(2)
     c = np.array([0.5, 0.25])
     assert weighted_norm_sq(c, w) == 1.25
     assert weighted_norm_sq(c, w) <= 1.5

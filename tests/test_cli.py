@@ -27,7 +27,7 @@ from numpy.testing import assert_allclose
 from npiv import cli, selection
 from npiv.basis import WeightSequence, parse_weights
 from npiv.cli import StudyRow, console_main, main, run_rate_study
-from npiv.estimator import Sample, diagonal_estimate, load_csv, risk_weighted, write_csv
+from npiv.estimator import Sample, diagonal_estimate, load_csv, risks_weighted, write_csv
 from npiv.selection import (
     dimension_cap,
     dimension_cutoffs,
@@ -108,12 +108,6 @@ def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
     for flags, weights in ((["--risk-weights", "derivative:1"], "derivative:1"), ([], "const")):
         assert main(["select", path, *flags]) == 0
         assert json.loads(capsys.readouterr().out)["risk_weights"] == weights
-    # the config's 6 replications, once a call has passed --replications
-    cfg, out = _study_config(tmp_path), tmp_path / "out.json"
-    for flags, reps in ((["--replications", "2"], 2), ([], 6)):
-        assert main(["rate-study", cfg, "--n-grid", "50", *flags, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["replications"] == reps
-    capsys.readouterr()
 
 
 def test_a_usage_error_leaves_the_next_call_intact(capsys):
@@ -170,8 +164,7 @@ def test_a_flag_check_exits_2_and_a_broken_invariant_exits_4(tmp_path, monkeypat
     real_block = cli._study_block
     monkeypatch.setattr(cli, "_study_block", lambda block: real_block(block)[::-1])
     out = tmp_path / "out.json"
-    assert main(["rate-study", _study_config(tmp_path), "--n-grid", "50", "--replications", "2",
-                 "--out", str(out)]) == 4
+    assert main(["rate-study", _study_config(tmp_path, n_grid=[50], replications=2), "--out", str(out)]) == 4
     assert capsys.readouterr() == ("", "npiv: internal error: RuntimeError: study rows are not one per "
                                        "(n, replication) cell in grid order\n")
     assert not out.exists()
@@ -221,7 +214,7 @@ def test_simulate_usage_errors(tmp_path, capsys):
     bad = _write_config(
         tmp_path,
         "bad3.json",
-        structural={"profile": "custom", "coeffs": [5.0], "smoothness": 1.0, "radius": 1.0},
+        structural={"coeffs": [5.0], "smoothness": 1.0, "radius": 1.0},
     )
     assert main(["simulate", bad, "--out", out, "--n", "10"]) == 2
     assert "outside the ellipsoid" in capsys.readouterr().err
@@ -269,13 +262,13 @@ def test_simulate_usage_errors(tmp_path, capsys):
         ),
         (
             "simulate",
-            {"structural": {"profile": "custom", "coeffs": [1.0, math.nan]}},
+            {"structural": {"coeffs": [1.0, math.nan]}},
             "structural.coeffs[1]",
             "a finite JSON number, got NaN",
         ),
         (
             "simulate",
-            {"structural": {"profile": "custom", "coeffs": [1.0, "x"]}},
+            {"structural": {"coeffs": [1.0, "x"]}},
             "structural.coeffs[1]",
             'a JSON number, got "x"',
         ),
@@ -335,16 +328,12 @@ _STUDY = ["rate-study", "CFG", "--out", "OUT"]
                  "study.replications must be >= 1, got 0", id="study.replications"),
     pytest.param(_STUDY, _config_text(study={"n_grid": [20], "seed": -1}), 2,
                  "study.seed must be nonnegative, got -1", id="study.seed"),
-    pytest.param(_STUDY + ["--seed", "-1"], _config_text(), 2, "--seed must be nonnegative, got -1",
+    pytest.param(_STUDY, _config_text(study={"n_grid": []}), 2, "study.n_grid is empty", id="study.n_grid"),
+    pytest.param(_STUDY, _config_text(study={"replications": 2}), 2, "no sample-size grid: set study.n_grid",
+                 id="no-study.n_grid"),
+    pytest.param(_SIMULATE + ["--seed", "-1"], _config_text(), 2, "--seed must be nonnegative, got -1",
                  id="--seed"),
-    pytest.param(_STUDY + ["--replications", "0"], _config_text(), 2, "--replications must be >= 1, got 0",
-                 id="--replications"),
     pytest.param(_STUDY + ["--jobs", "0"], _config_text(), 2, "--jobs must be >= 1, got 0", id="--jobs"),
-    # a key out of range is rejected even where a flag overrides it
-    pytest.param(_STUDY + ["--replications", "3"], _config_text(study={"n_grid": [20], "replications": 0}), 2,
-                 "study.replications must be >= 1, got 0", id="overridden-study.replications"),
-    pytest.param(_STUDY + ["--n-grid", "20,40"], _config_text(study={"n_grid": []}), 2,
-                 "study.n_grid is empty", id="overridden-study.n_grid"),
     # a broken study invariant, as a block that returns no rows
     pytest.param(_STUDY, _config_text(), 4,
                  "RuntimeError: study rows are not one per (n, replication) cell in grid order", id="internal-error"),
@@ -386,7 +375,7 @@ def test_config_integral_floats_are_integers(tmp_path, capsys):
 
 # Every key a config accepts, and a base config in which all of them work.
 _FUZZ_KEYS = [
-    ("structural", "profile"), ("structural", "smoothness"), ("structural", "radius"),
+    ("structural", "smoothness"), ("structural", "radius"),
     ("structural", "truncation"), ("structural", "coeffs"), ("operator", "decay"),
     ("operator", "a"), ("operator", "truncation"), ("noise", "sigma"), ("noise", "snr"),
     ("selection", "derivative_order"), ("selection", "penalty_const"), ("study", "n_grid"),
@@ -430,8 +419,6 @@ def test_every_config_runs_or_exits_2(target, value, command):
         cfg["noise"] = {key: value}
     else:
         cfg[section][key] = value
-    if key == "coeffs":
-        cfg["structural"]["profile"] = "custom"
     with tempfile.TemporaryDirectory() as tmp:
         config = f"{tmp}/config.json"
         with open(config, "w") as fh:
@@ -457,7 +444,7 @@ def test_simulate_smoothness_beyond_doubles_exits_2_before_drawing(tmp_path, cap
     out = tmp_path / "s.csv"
     for structural in (
         {"smoothness": 538, "truncation": 30},
-        {"smoothness": 538, "profile": "custom", "coeffs": [1.0, 0.0, 0.0]},
+        {"smoothness": 538, "coeffs": [1.0, 0.0, 0.0]},
     ):
         cfg = _write_config(tmp_path, structural=structural, noise={"sigma": 0.1})
         assert main(["simulate", cfg, "--out", str(out), "--n", "20"]) == 2
@@ -481,8 +468,8 @@ _TOO_LARGE = "is too large: it needs more than the 1 GiB a command may allocate"
         ("simulate", {}, ["--n", str(10**12)], f"--n {10**12}"),
         ("rate-study", {"study": {"n_grid": [20, 40], "replications": 1e12}}, [],
          "study.replications 1000000000000 over 2 sample sizes"),
-        ("rate-study", {"study": {"n_grid": [20, 40]}}, ["--replications", str(10**12)],
-         "--replications 1000000000000 over 2 sample sizes"),
+        ("rate-study", {"structural": {"truncation": 1e18}, "study": {"n_grid": [20, 40]}}, [],
+         "structural.truncation about 10^18"),
         ("rate-study", {"study": {"n_grid": [20, 10**12]}}, [], f"study.n_grid {10**12}"),
     ],
 )
@@ -556,14 +543,14 @@ def test_estimate_with_truth_reports_risk(tmp_path, capsys):
     path = _sample_csv(tmp_path, s)
     truth_path = tmp_path / "truth.json"
     truth_path.write_text(
-        json.dumps({"profile": "custom", "coeffs": [1.0, 0.5], "smoothness": 1.0, "radius": 2.0})
+        json.dumps({"coeffs": [1.0, 0.5], "smoothness": 1.0, "radius": 2.0})
     )
     assert main(["estimate", path, "--k", "2", "--mode", "diagonal", "--truth", str(truth_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     from npiv.estimator import diagonal_estimate
 
-    phi = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[1.0, 0.5])
-    expected = risk_weighted(diagonal_estimate(s, 2), phi.coeffs, CONST)
+    phi = make_structural(1.0, 2.0, 2, coeffs=[1.0, 0.5])
+    expected = risks_weighted([diagonal_estimate(s, 2).coeffs], phi.coeffs, CONST)[0]
     assert report["risk"] == expected
     assert report["risk_weights"] == "const"
 
@@ -969,13 +956,14 @@ def test_oracle_non_finite_weight_parameter_exits_2(capsys, flag, kind, value):
 # -- rate study -----------------------------------------------------------
 
 
-def _study_config(tmp_path, name="study.json", decay="polynomial", a=1.0):
+def _study_config(tmp_path, name="study.json", decay="polynomial", a=1.0, **study):
+    """A small study config; ``study`` replaces keys of its study section."""
     return _write_config(
         tmp_path,
         name,
         operator={"decay": decay, "a": a, "truncation": 4},
         selection={"penalty_const": 0.75},
-        study={"n_grid": [300, 600], "replications": 6, "seed": 1},
+        study={"n_grid": [300, 600], "replications": 6, "seed": 1, **study},
     )
 
 
@@ -1014,7 +1002,7 @@ def test_rate_study_exponential_regime(tmp_path, capsys):
 
 def test_rate_study_with_exact_estimates_has_no_slope(tmp_path, capsys):
     # sigma 0 and a constant truth make every risk 0, where a log-log slope is undefined
-    cfg = _write_config(tmp_path, structural={"profile": "custom", "coeffs": [1.0], "smoothness": 2, "radius": 1},
+    cfg = _write_config(tmp_path, structural={"coeffs": [1.0], "smoothness": 2, "radius": 1},
                         noise={"sigma": 0}, study={"n_grid": [100, 200], "replications": 3})
     out = tmp_path / "study.json"
     with warnings.catch_warnings():
@@ -1026,9 +1014,9 @@ def test_rate_study_with_exact_estimates_has_no_slope(tmp_path, capsys):
     assert report["fitted_slope"] is None
 
 
-@pytest.mark.parametrize("command", [["simulate", "--n", "10"], ["rate-study", "--n-grid", "20,40"]])
+@pytest.mark.parametrize("command", [["simulate", "--n", "10"], ["rate-study"]])
 def test_vanishing_snr_names_the_noise_config(tmp_path, capsys, command):
-    cfg = _write_config(tmp_path, noise={"snr": 5e-324})
+    cfg = _write_config(tmp_path, noise={"snr": 5e-324}, study={"n_grid": [20, 40]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command[0], cfg, "--out", str(tmp_path / "out"), *command[1:]]) == 2
@@ -1039,11 +1027,10 @@ def test_vanishing_snr_names_the_noise_config(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("noise", [{"sigma": 1e308}, {"snr": 1e-309}])
-@pytest.mark.parametrize("command", [["simulate", "--n", "1000"], ["rate-study", "--n-grid", "50,100"],
-                                     ["rate-study", "--n-grid", "50,100", "--jobs", "2"]])
+@pytest.mark.parametrize("command", [["simulate", "--n", "1000"], ["rate-study"], ["rate-study", "--jobs", "2"]])
 def test_a_noise_level_that_overflows_the_response_names_the_noise_config(tmp_path, capsys, command, noise):
     # the noise level is finite, but its draws pass the doubles
-    cfg = _write_config(tmp_path, noise=noise)
+    cfg = _write_config(tmp_path, noise=noise, study={"n_grid": [50, 100]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command[0], cfg, "--out", str(tmp_path / "out"), *command[1:]]) == 2
@@ -1058,7 +1045,7 @@ def test_study_reads_the_selection_cap_once_per_block(tmp_path, capsys, monkeypa
     real_block = cli._study_block
     monkeypatch.setattr(selection, "dimension_cap", lambda w, n: caps.append(n) or dimension_cap(w, n))
     monkeypatch.setattr(cli, "_study_block", lambda block: blocks.append(block[6]) or real_block(block))
-    argv = ["rate-study", _study_config(tmp_path), "--n-grid", "50,100", "--replications", "8", "--jobs", "1"]
+    argv = ["rate-study", _study_config(tmp_path, n_grid=[50, 100], replications=8), "--jobs", "1"]
     assert main(argv + ["--out", str(tmp_path / "study.json")]) == 0
     capsys.readouterr()
     assert caps == blocks and len(blocks) < 16
@@ -1071,7 +1058,7 @@ def test_study_reads_the_selection_cap_once_per_block(tmp_path, capsys, monkeypa
     (5000, None, "20,40", None),  # os.cpu_count() cannot tell
 ])
 def test_rate_study_workers_are_capped_by_blocks_and_cpus(tmp_path, capsys, monkeypatch, jobs, cpus, grid, workers):
-    argv = ["rate-study", _study_config(tmp_path), "--n-grid", grid, "--replications", "1"]
+    argv = ["rate-study", _study_config(tmp_path, n_grid=[int(n) for n in grid.split(",")], replications=1)]
     assert main(argv + ["--out", str(tmp_path / "serial.json")]) == 0
     started = []
 
@@ -1120,14 +1107,14 @@ def test_rate_study_bytes_do_not_depend_on_jobs(grid, reps, seed, operator):
     decay, a = operator
     cfg = copy.deepcopy(_FUZZ_BASE)
     cfg["operator"].update(decay=decay, a=a)
-    flags = ["--n-grid", ",".join(map(str, sorted(grid))), "--replications", str(reps), "--seed", str(seed)]
+    cfg["study"].update(n_grid=sorted(grid), replications=reps, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         config = f"{tmp}/config.json"
         with open(config, "w") as fh:
             fh.write(json.dumps(cfg))
         for jobs in ("1", "2"):
             with contextlib.redirect_stderr(io.StringIO()):
-                assert main(["rate-study", config, "--out", f"{tmp}/jobs{jobs}.json", "--jobs", jobs, *flags]) == 0
+                assert main(["rate-study", config, "--out", f"{tmp}/jobs{jobs}.json", "--jobs", jobs]) == 0
         for ext in ("json", "csv"):
             with open(f"{tmp}/jobs1.{ext}", "rb") as one, open(f"{tmp}/jobs2.{ext}", "rb") as two:
                 assert one.read() == two.read()
@@ -1157,8 +1144,8 @@ def test_study_block_rows_equal_rows_built_one_sample_at_a_time(reps, n, operato
         fallbacks.append(fixed.thresholded)
         expected.append(StudyRow(
             n, rep, seed, trace.k_selected, trace.cutoff, int(trace.estimate.thresholded),
-            risk_weighted(trace.estimate, phi.coeffs, weights), oracle_k,
-            risk_weighted(fixed, phi.coeffs, weights),
+            risks_weighted([trace.estimate.coeffs], phi.coeffs, weights)[0], oracle_k,
+            risks_weighted([fixed.coeffs], phi.coeffs, weights)[0],
         ))
     rows = cli._study_block((phi, op, 0.3, order, 0.75, oracle_k, n, range(reps), master))
     assert rows == expected
@@ -1170,8 +1157,7 @@ def test_study_block_rows_equal_rows_built_one_sample_at_a_time(reps, n, operato
 def test_rate_study_bytes_do_not_depend_on_blocks(tmp_path, capsys, monkeypatch):
     # one replication per block (the layout of one task per cell) and the default
     # blocks, each at --jobs 1 and 2, write the same bytes; n = 1 and 2 are in the grid
-    cfg = _study_config(tmp_path)
-    flags = ["--n-grid", "1,2,3,50,300", "--replications", "70", "--seed", "4"]
+    cfg = _study_config(tmp_path, n_grid=[1, 2, 3, 50, 300], replications=70, seed=4)
     sizes = []
     real_block = cli._study_block
 
@@ -1186,7 +1172,7 @@ def test_rate_study_bytes_do_not_depend_on_blocks(tmp_path, capsys, monkeypatch)
             out = tmp_path / f"p{proposals}j{jobs}.json"
             if jobs == "1":
                 monkeypatch.setattr(cli, "_study_block", recording_block)
-            assert main(["rate-study", cfg, "--out", str(out), "--jobs", jobs, *flags]) == 0
+            assert main(["rate-study", cfg, "--out", str(out), "--jobs", jobs]) == 0
             monkeypatch.setattr(cli, "_study_block", real_block)
             outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
     capsys.readouterr()
@@ -1285,7 +1271,7 @@ def test_rate_study_rows_are_named_in_csv_order(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_rate_study", recording_study)
     out = tmp_path / "study.json"
-    assert main(["rate-study", _study_config(tmp_path), "--out", str(out), "--replications", "2"]) == 0
+    assert main(["rate-study", _study_config(tmp_path, replications=2), "--out", str(out)]) == 0
     capsys.readouterr()
     header, *lines = out.with_suffix(".csv").read_text().splitlines()
     assert header.split(",") == list(StudyRow._fields)
@@ -1302,22 +1288,84 @@ def test_rate_study_exponential_grid_from_n_1_exits_2_before_sampling(tmp_path, 
 
     monkeypatch.setattr(cli, "generate_samples", no_draws)
     out = str(tmp_path / "o.json")
-    cfg = _study_config(tmp_path, "exp.json", decay="exponential", a=0.5)
-    exp_op = {"decay": "exponential", "a": 0.5, "truncation": 4}
-    grid_cfg = _write_config(tmp_path, "grid.json", operator=exp_op, study={"n_grid": [1, 50]})
-    for argv, name in (
-        ([cfg, "--n-grid", "1,50"], "--n-grid"),
-        ([cfg, "--n-grid", "1"], "--n-grid"),
-        ([grid_cfg], "study.n_grid"),
-    ):
-        assert main(["rate-study", *argv, "--out", out]) == 2
+    for grid in ([1, 50], [1]):
+        cfg = _study_config(tmp_path, "exp.json", decay="exponential", a=0.5, n_grid=grid)
+        assert main(["rate-study", cfg, "--out", out]) == 2
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"npiv: error: {name} must start at n >= 2 under exponential decay")
+        assert captured.err.startswith("npiv: error: study.n_grid must start at n >= 2 under exponential decay")
     assert not (tmp_path / "o.json").exists()
-    with pytest.raises(ValueError, match="^grid must start at n >= 2 under exponential decay"):
+    with pytest.raises(ValueError, match="^study.n_grid must start at n >= 2 under exponential decay"):
         run_rate_study(make_structural(2.0, 1.0, truncation=8), make_operator("exponential", 0.5, truncation=4),
                        0.3, 0, 0.75, [1, 50], 2, 1, 200, 1)
+
+
+@pytest.mark.parametrize("flags, structural, line", [
+    pytest.param(["--n-grid", "50"], None, "npiv: error: unrecognized arguments: --n-grid 50", id="--n-grid"),
+    pytest.param(["--replications", "2"], None, "npiv: error: unrecognized arguments: --replications 2",
+                 id="--replications"),
+    pytest.param(["--seed", "3"], None, "npiv: error: unrecognized arguments: --seed 3", id="--seed"),
+    pytest.param([], {"profile": "power_law", "truncation": 30},
+                 "npiv: error: config section 'structural' has unknown keys: profile", id="structural.profile"),
+])
+def test_removed_rate_study_inputs_exit_2(tmp_path, capsys, flags, structural, line):
+    # the study's grid, replications and seed come from its config alone, and a truth is
+    # custom exactly when it has coeffs
+    sections = {} if structural is None else {"structural": structural}
+    cfg = _write_config(tmp_path, study={"n_grid": [50], "replications": 2}, **sections)
+    out = tmp_path / "study.json"
+    assert main(["rate-study", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    # argparse prints its usage line before the error line
+    assert err.endswith(line + "\n") and [x for x in err.splitlines() if x.startswith("npiv:")] == [line]
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def test_a_custom_truth_reads_no_truncation(tmp_path, capsys):
+    # coeffs set the truth's length, so a truncation beside them is neither read nor size-checked
+    truth = {"smoothness": 1.0, "radius": 2.0, "coeffs": [1.0, 0.5]}
+    samples = []
+    for extra in ({"truncation": 1e18}, {}):
+        cfg = _write_config(tmp_path, structural={**truth, **extra})
+        out = tmp_path / f"s{len(extra)}.csv"
+        assert main(["simulate", cfg, "--out", str(out), "--n", "20"]) == 0
+        assert json.loads(capsys.readouterr().err)["structural"]["truncation"] == 2
+        samples.append(out.read_bytes())
+    assert samples[0] == samples[1]
+
+
+def _rows_without_draws(block):
+    """``_study_block``'s rows, with stand-in selections and risks of the types a drawn block returns."""
+    n, reps, master = block[6:9]
+    return [cli._study_worker(block, rep, task_seed(master, n, rep), np.int64(3), np.int64(5),
+                              np.float64(rep + 0.5), np.float64(rep + 0.25)) for rep in reps]
+
+
+@pytest.mark.parametrize("draws, replications", [(True, (64, 320)), (False, (1000, 5000))],
+                         ids=["drawn", "stand-in"])
+def test_a_study_holds_at_most_its_bound_per_cell(monkeypatch, draws, replications):
+    # the bytes per (n, replication) cell at which study.replications is bounded.  Drawn
+    # blocks of 64 replications hold the same arrays at any count; the stand-in rows reach
+    # the counts where the rows and the order check outweigh one block's arrays.
+    if not draws:
+        monkeypatch.setattr(cli, "_study_block", _rows_without_draws)
+    phi = make_structural(2.0, 1.0, truncation=30)
+    op = make_operator("polynomial", 1.0, truncation=4)
+    run_rate_study(phi, op, 0.3, 0, 0.75, [20, 40], 2, 1, 200, 1)  # warm the caches first
+    held, peaks = [], []
+    for reps in replications:
+        tracemalloc.start()
+        try:
+            study = run_rate_study(phi, op, 0.3, 0, 0.75, [20, 40], reps, 1, 200, 1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(current)
+        peaks.append(peak)
+        del study
+    cells = 2 * (replications[1] - replications[0])
+    assert 0 < (held[1] - held[0]) / cells <= cli._CELL_BYTES
+    assert (peaks[1] - peaks[0]) / cells <= cli._CELL_BYTES
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1327,10 +1375,7 @@ def test_rate_study_usage_errors(tmp_path, capsys):
     assert main(["rate-study", nostudy, "--out", out]) == 2
 
     cfg = _study_config(tmp_path)
-    assert main(["rate-study", cfg, "--out", out, "--replications", "0"]) == 2
     assert main(["rate-study", cfg, "--out", out, "--jobs", "0"]) == 2
-    assert main(["rate-study", cfg, "--out", out, "--n-grid", "600,300"]) == 2
-    assert main(["rate-study", cfg, "--out", out, "--seed", "-1"]) == 2
     capsys.readouterr()
     assert main(["rate-study", cfg, "--out", out, "--emit-gnuplot"]) == 2
     assert "unrecognized arguments: --emit-gnuplot" in capsys.readouterr().err
@@ -1348,8 +1393,6 @@ def test_rate_study_usage_errors(tmp_path, capsys):
         badgrid = _write_config(tmp_path, "badgrid.json", study={"n_grid": grid})
         assert main(["rate-study", badgrid, "--out", out]) == 2
         assert message in capsys.readouterr().err
-    assert main(["rate-study", cfg, "--out", out, "--n-grid", "300,0"]) == 2
-    assert "--n-grid must list integers >= 1" in capsys.readouterr().err
     nokmax = _write_config(tmp_path, "kmax.json", study={"n_grid": [20, 40], "k_max": 0})
     assert main(["rate-study", nokmax, "--out", out]) == 2
     assert "study.k_max must be >= 1, got 0" in capsys.readouterr().err
@@ -1430,10 +1473,10 @@ def test_oracle_weight_forms_run_warning_free():
 def test_rate_study_bytes_at_operator_truncation_64_do_not_depend_on_jobs(tmp_path):
     # at n = 400 a block holds 40 samples, whose shared moment store fills in two groups of points
     cfg = _write_config(tmp_path, "t64.json", structural={"smoothness": 2.0, "radius": 1.0},
-                        operator={"decay": "polynomial", "a": 1.0, "truncation": 64})
+                        operator={"decay": "polynomial", "a": 1.0, "truncation": 64},
+                        study={"n_grid": [200, 400], "replications": 40})
     for jobs in (1, 2):
-        _run_cli("rate-study", cfg, "--n-grid", "200,400", "--replications", 40, "--jobs", jobs,
-                 "--out", tmp_path / f"study{jobs}.json")
+        _run_cli("rate-study", cfg, "--jobs", jobs, "--out", tmp_path / f"study{jobs}.json")
     for ext in ("json", "csv"):
         one, two = ((tmp_path / f"study{jobs}.{ext}").read_bytes() for jobs in (1, 2))
         assert one and one == two

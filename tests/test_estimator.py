@@ -22,7 +22,6 @@ from npiv.estimator import (
     empirical_operator_matrix,
     galerkin_estimate,
     load_csv,
-    risk_weighted,
     risks_weighted,
     write_csv,
 )
@@ -354,9 +353,9 @@ def test_risks_weighted_rows_equal_lone_risks():
     truth = np.array([1.0, -0.5, 0.25, 0.125])
     weights = WeightSequence.derivative(1)
     fits = [np.array([0.5]), np.array([1.0, -0.5, 0.25, 0.125, 3.0, -1.0]), np.array([2.0, 0.0, 1.0])]
-    lone = [risk_weighted(GalerkinEstimate(c, False), truth, weights) for c in fits]
+    lone = [risks_weighted([c], truth, weights)[0] for c in fits]
     assert risks_weighted(fits, truth, weights).tolist() == lone
-    assert lone[1] == weighted_norm_sq(np.array([0.0, 0.0, 0.0, 0.0, 3.0, -1.0]), weights) == 261.0
+    assert lone[1] == weighted_norm_sq(np.array([0.0, 0.0, 0.0, 0.0, 3.0, -1.0]), weights.values(6)) == 261.0
     with pytest.raises(ValueError, match="one-dimensional"):
         risks_weighted(fits, truth[None, :], weights)
 
@@ -540,6 +539,11 @@ def test_derivative_output_lengths():
 # -- risk -----------------------------------------------------------------
 
 
+def _risk(fit, truth, weights):
+    """The risk of one estimate: its one-row ``risks_weighted``."""
+    return risks_weighted([fit.coeffs], truth, weights)[0]
+
+
 def test_risk_weighted_examples():
     from npiv.estimator import GalerkinEstimate
 
@@ -547,18 +551,18 @@ def test_risk_weighted_examples():
     truth = np.array([1.0, 0.5, 0.25])
     fit = GalerkinEstimate(np.array([1.0, 0.0]), thresholded=False)
     # (1-1)^2 + (0-1/2)^2 + (1/4)^2 = 0.3125 exactly
-    assert risk_weighted(fit, truth, const) == 0.3125
+    assert _risk(fit, truth, const) == 0.3125
     # the same sum when the estimate is the longer vector
     long_fit = GalerkinEstimate(np.array([1.0, 0.0, 0.25]), thresholded=False)
-    assert risk_weighted(long_fit, truth[:2], const) == 0.3125
+    assert _risk(long_fit, truth[:2], const) == 0.3125
     spec = StructuralSpec(coeffs=truth, smoothness=1.0, radius=3.0)
-    assert risk_weighted(fit, spec.coeffs, const) == 0.3125
+    assert _risk(fit, spec.coeffs, const) == 0.3125
 
     perfect = GalerkinEstimate(truth, thresholded=False)
-    assert risk_weighted(perfect, truth, const) == 0.0
+    assert _risk(perfect, truth, const) == 0.0
 
     zero = GalerkinEstimate(np.zeros(3), thresholded=True)
-    assert risk_weighted(zero, truth, const) == weighted_norm_sq(truth, const)
+    assert _risk(zero, truth, const) == weighted_norm_sq(truth, const.values(3))
 
 
 def test_risk_weighted_sums_only_the_coefficients_it_has():
@@ -571,7 +575,7 @@ def test_risk_weighted_sums_only_the_coefficients_it_has():
         assert np.isinf(weights.values(6)[-1])
     truth = np.array([1.0, 0.5, 0.25])
     fit = GalerkinEstimate(np.array([0.5, 0.0, 1.0]), thresholded=False)
-    risk = risk_weighted(fit, truth, weights)
+    risk = _risk(fit, truth, weights)
     assert math.isfinite(risk)
     assert risk == float(np.dot(weights.values(3), (fit.coeffs - truth) ** 2))
 
@@ -585,7 +589,7 @@ def test_risk_weighted_matches_quadrature():
     rng = np.random.default_rng(8)
     truth = rng.normal(0.0, 0.3, 10)
     fit = GalerkinEstimate(rng.normal(0.0, 0.5, 6), thresholded=False)
-    risk = risk_weighted(fit, truth, WeightSequence.constant())
+    risk = _risk(fit, truth, WeightSequence.constant())
     m = 8192
     grid = (np.arange(m) + 0.5) / m
     padded = np.concatenate([fit.coeffs, np.zeros(4)])
@@ -598,11 +602,11 @@ def test_evaluate_estimate():
     from npiv.estimator import GalerkinEstimate
 
     fit = GalerkinEstimate(np.array([2.5]), thresholded=False)
-    assert evaluate_coeffs(fit.coeffs, 0.3) == 2.5
+    assert evaluate_coeffs(fit.coeffs, np.array([0.3])).tolist() == [2.5]
     fit2 = GalerkinEstimate(np.array([0.0, 1.0]), thresholded=False)
-    assert evaluate_coeffs(fit2.coeffs, 0.0) == SQRT2
+    assert evaluate_coeffs(fit2.coeffs, np.array([0.0])).tolist() == [SQRT2]
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        evaluate_coeffs(fit2.coeffs, 1.5)
+        evaluate_coeffs(fit2.coeffs, np.array([1.5]))
 
 
 # -- CSV ------------------------------------------------------------------
@@ -788,6 +792,6 @@ def test_structural_truth_padding():
     fit = GalerkinEstimate(phi.coeffs[:5].copy(), thresholded=False)
     tail = phi.coeffs[5:]
     expected = float(np.dot(tail, tail))
-    assert risk_weighted(fit, phi.coeffs, WeightSequence.constant()) == pytest.approx(
+    assert _risk(fit, phi.coeffs, WeightSequence.constant()) == pytest.approx(
         expected, rel=1e-12
     )

@@ -150,6 +150,37 @@ def test_dimension_cap_matches_reference(weights, n):
     assert dimension_cap(weights, n) == ref.bf_dimension_cap(weights, n)
 
 
+_GROWING = [WeightSequence.sobolev(p) for p in (0.25, 0.5, 1.0, 2.0, 5.0, 200.0)] + [
+    WeightSequence.custom([1.0, 2.0, 3.0]),
+    WeightSequence.custom([1.0, 500.0, 1.0]),
+    WeightSequence.custom(np.linspace(1.0, 4e6, 20000)),
+    WeightSequence.custom([2.0, 0.5] * 40),
+]
+
+
+@pytest.mark.parametrize("weights", _GROWING)
+def test_dimension_cap_walk_equals_the_full_read(weights, monkeypatch):
+    # the walk reads weights at k = 8, 16, 32, ... until one exceeds n, so it reads at
+    # most max(8, 2 * (cap + 1)) of them, and finds the cap of reading all n
+    reads = []
+    real_values = WeightSequence.values
+    monkeypatch.setattr(WeightSequence, "values", lambda self, k: reads.append(k) or real_values(self, k))
+    for n in [*range(1, 70), 100, 1000, 12345, 10**6]:
+        reads.clear()
+        cap = dimension_cap(weights, n)
+        assert max(reads) <= max(8, 2 * (cap + 1))
+        assert cap == ref.full_read_dimension_cap(weights, n)
+
+
+def test_dimension_cap_of_derivative_weights_reads_past_its_cap_only_to_the_next_power_of_two(monkeypatch):
+    # j**2 <= 10**7 up to j = 3162, found by reading 4,096 weights instead of 10**7
+    reads = []
+    real_values = WeightSequence.values
+    monkeypatch.setattr(WeightSequence, "values", lambda self, k: reads.append(k) or real_values(self, k))
+    assert dimension_cap(WeightSequence.derivative(1), 10**7) == 3162
+    assert max(reads) == 4096
+
+
 @pytest.mark.parametrize("weights", _CAP_WEIGHTS[:6])
 def test_dimension_cap_reads_no_weights_when_none_exceeds_one(weights, monkeypatch):
     # power weights with p <= 0 and exponential weights never exceed w_1 = 1 <= n

@@ -138,11 +138,13 @@ def test_custom_operator_of_truncation_one():
 
 
 def test_joint_density_scalar_value():
+    # one point comes as one-element arrays; scalars are not points
     op = make_operator("polynomial", 1.0, truncation=8)
-    val = joint_density(op, 0.3, 0.7)
+    val = joint_density(op, np.array([0.3]), np.array([0.7]))
     ref = 1.0 + sum(op.diag[j - 1] * psi(j, 0.3) * psi(j, 0.7) for j in range(2, 9))
-    assert val == pytest.approx(ref, rel=1e-12)
-    assert isinstance(val, float)
+    assert val.shape == (1,) and val[0] == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        joint_density(op, 0.3, 0.7)
     with pytest.raises(ValueError, match="matching shapes"):
         joint_density(op, np.zeros(2), np.zeros(3))
 
@@ -194,14 +196,14 @@ def test_joint_density_error_bound_near_endpoints(trunc):
 @pytest.mark.parametrize("trunc", [2, 3, 5, 8, 10, 64])
 def test_joint_density_position_independent(trunc):
     # each value is a pure function of its point: the points one at a time as
-    # scalars, and as views of several lengths at offsets 0-16, give the bits of
-    # one call over all of them
+    # one-element arrays, and as views of several lengths at offsets 0-16, give the
+    # bits of one call over all of them
     op = make_operator("polynomial", 1.0, truncation=trunc)
     rng = np.random.default_rng(trunc)
     z = np.concatenate([[0.0, 0.5, 1.0], rng.random(197)])
     w = np.concatenate([[1.0, 0.5, 1.0], rng.random(197)])
     full = joint_density(op, z, w)
-    alone = [joint_density(op, float(a), float(b)) for a, b in zip(z, w)]
+    alone = np.concatenate([joint_density(op, np.array([a]), np.array([b])) for a, b in zip(z, w)])
     assert_array_equal(alone, full)
     for length in (1, 2, 3, 8, 17, 32):
         for offset in range(17):
@@ -211,7 +213,7 @@ def test_joint_density_position_independent(trunc):
 
 def test_joint_density_point_checks():
     op = make_operator("polynomial", 1.0, truncation=5)
-    for z, w in ((-0.1, 0.5), (0.5, 1.5), (np.array([0.2, 1.0 + 1e-12]), np.array([0.2, 0.3]))):
+    for z, w in (([-0.1], [0.5]), ([0.5], [1.5]), (np.array([0.2, 1.0 + 1e-12]), np.array([0.2, 0.3]))):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             joint_density(op, z, w)
 
@@ -419,7 +421,7 @@ def test_sample_joint_validation():
 def test_structural_spec_basics():
     phi = StructuralSpec(coeffs=np.array([1.0, -0.5]), smoothness=1.0, radius=2.0)
     assert phi.truncation == 2
-    assert phi(0.25) == pytest.approx(1.0 - 0.5 * psi(2, 0.25), rel=1e-12)
+    assert phi(np.array([0.25]))[0] == pytest.approx(1.0 - 0.5 * psi(2, 0.25), rel=1e-12)
     with pytest.raises(ValueError, match="read-only"):
         phi.coeffs[0] = 0.0
     with pytest.raises(ValueError, match="nonempty"):
@@ -429,7 +431,7 @@ def test_structural_spec_basics():
 def test_make_structural_power_law_fills_ellipsoid():
     for p, rho, trunc in ((2.0, 1.0, 200), (1.0, 2.5, 50)):
         phi = make_structural(p, rho, truncation=trunc)
-        norm = weighted_norm_sq(phi.coeffs, WeightSequence.sobolev(p))
+        norm = weighted_norm_sq(phi.coeffs, WeightSequence.sobolev(p).values(trunc))
         assert norm == pytest.approx(0.99 * rho, rel=1e-12)
         assert phi.truncation == trunc
         assert np.all(np.diff(np.abs(phi.coeffs)) <= 0.0)  # decaying profile
@@ -437,17 +439,16 @@ def test_make_structural_power_law_fills_ellipsoid():
 
 
 def test_make_structural_custom():
-    # boundary case is accepted
-    phi = make_structural(1.0, 1.0, 2, profile="custom", coeffs=[1.0, 0.0])
+    # a truth is custom exactly when it has coeffs, whose length it takes whatever the
+    # truncation; the boundary of the ellipsoid is inside
+    phi = make_structural(1.0, 1.0, 200, coeffs=[1.0, 0.0])
     assert_array_equal(phi.coeffs, [1.0, 0.0])
+    assert phi.truncation == 2
     with pytest.raises(ValueError, match="weighted norm 4.0 > radius 1"):
-        make_structural(1.0, 1.0, 1, profile="custom", coeffs=[2.0])
-    with pytest.raises(ValueError, match="needs explicit coefficients"):
-        make_structural(1.0, 1.0, 200, profile="custom")
-    with pytest.raises(ValueError, match="does not take explicit"):
-        make_structural(1.0, 1.0, 1, coeffs=[1.0])
-    with pytest.raises(ValueError, match="unknown structural profile"):
-        make_structural(1.0, 1.0, 200, profile="spline")
+        make_structural(1.0, 1.0, 1, coeffs=[2.0])
+    assert make_structural(1.0, 1.0, 0, coeffs=[1.0]).truncation == 1
+    with pytest.raises(ValueError, match="truncation must be >= 1"):  # read without coeffs only
+        make_structural(1.0, 1.0, 0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -457,8 +458,8 @@ def test_make_structural_rejects_norm_beyond_doubles():
     with pytest.raises(ValueError, match="smoothness 538.0 is too large for doubles"):
         make_structural(538.0, 1.0, truncation=30)
     with pytest.raises(ValueError, match="smoothness 538.0 is too large for doubles"):
-        make_structural(538.0, 1.0, 3, profile="custom", coeffs=[1.0, 0.0, 0.0])
-    assert make_structural(538.0, 1.0, 200, profile="custom", coeffs=[0.5]).truncation == 1
+        make_structural(538.0, 1.0, 3, coeffs=[1.0, 0.0, 0.0])
+    assert make_structural(538.0, 1.0, 200, coeffs=[0.5]).truncation == 1
 
 
 def test_make_structural_validation():
@@ -507,7 +508,7 @@ def test_generate_sample_mean():
 
 def test_generate_sample_regression_moments():
     # E[Y psi_j(W)] is the regression coefficient t_j b_j
-    phi = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[1.0, 0.5])
+    phi = make_structural(1.0, 2.0, 2, coeffs=[1.0, 0.5])
     sigma = noise_sigma_for_snr(phi, 2.0)
     s = generate_sample(phi, _OP2, sigma, 100000, 5)
     target = regression_coeffs(phi, _OP2)
@@ -621,13 +622,13 @@ def test_generate_sample_validation():
 
 
 def test_regression_coeffs_padding():
-    phi = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[1.0, 0.0])
+    phi = make_structural(1.0, 2.0, 2, coeffs=[1.0, 0.0])
     op4 = make_operator("polynomial", 1.0, truncation=4)
     r = regression_coeffs(phi, op4)
     assert r.size == 4
     assert r[0] == 1.0
     assert_array_equal(r[1:], np.zeros(3))
-    zero = make_structural(1.0, 2.0, 2, profile="custom", coeffs=[0.0, 0.0])
+    zero = make_structural(1.0, 2.0, 2, coeffs=[0.0, 0.0])
     assert_array_equal(regression_coeffs(zero, op4), np.zeros(4))
 
 
