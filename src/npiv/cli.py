@@ -150,39 +150,28 @@ def _checked(name: str, kind: str, value, least: str | None = None):
     return value if least is None else _in_range(name, value, least)
 
 
-def _check_keys(section: str, obj: dict) -> None:
-    """Reject unknown keys, mistyped values, non-finite numbers and values out of range."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"config section {section!r} must be an object")
-    unknown = obj.keys() - _SECTION_KEYS[section]
-    if unknown:
-        raise ValueError(
-            f"config section {section!r} has unknown keys: {', '.join(sorted(unknown))}"
-        )
-    for key, value in obj.items():
-        kind, _, least = _SECTION_KEYS[section][key]
-        obj[key] = _checked(f"{section}.{key}", kind, value, least)
-
-
-def _load_object(path, what: str) -> dict:
-    """The JSON object in file ``path``; ``what`` names it when the file holds another value."""
+def load_config(path) -> dict:
+    """The JSON object in file ``path``, each section checked: unknown sections and keys,
+    mistyped values, non-finite numbers and values out of range are rejected."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            obj = json.load(fh)
+            cfg = json.load(fh)
         except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
             raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object")
-    return obj
-
-
-def load_config(path) -> dict:
-    cfg = _load_object(path, "config")
-    unknown = set(cfg) - set(_SECTION_KEYS)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = cfg.keys() - _SECTION_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown config sections: {', '.join(sorted(unknown))}")
     for section, obj in cfg.items():
-        _check_keys(section, obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        unknown = obj.keys() - _SECTION_KEYS[section]
+        if unknown:
+            raise ValueError(f"config section {section!r} has unknown keys: {', '.join(sorted(unknown))}")
+        for key, value in obj.items():
+            kind, _, least = _SECTION_KEYS[section][key]
+            obj[key] = _checked(f"{section}.{key}", kind, value, least)
     return cfg
 
 
@@ -305,14 +294,6 @@ def cmd_simulate(args) -> int:
 # -- estimate -------------------------------------------------------------
 
 
-def _truth_from_file(path) -> StructuralSpec:
-    obj = _load_object(path, "truth spec")
-    if "structural" not in obj:
-        obj = {"structural": obj}
-    _check_keys("structural", obj["structural"])
-    return structural_from_config(obj)
-
-
 def cmd_estimate(args) -> int:
     _in_range("--derivative-order", args.derivative_order, ">= 0")
     sample = load_csv(args.sample)
@@ -335,13 +316,14 @@ def cmd_estimate(args) -> int:
     if args.derivative_order >= 1:
         try:
             with np.errstate(over="raise"):
-                report["derivative_coeffs"] = _floats(derivative_coeffs(fit, args.derivative_order))
+                report["derivative_coeffs"] = _floats(derivative_coeffs(fit.coeffs, args.derivative_order))
         except (OverflowError, FloatingPointError):
             raise ValueError(
                 f"--derivative-order {args.derivative_order} overflows the derivative coefficients"
             ) from None
     if args.truth is not None:
-        report["risk"] = float(risks_weighted([fit.coeffs], _truth_from_file(args.truth).coeffs, weights)[0])
+        truth = structural_from_config(load_config(args.truth))
+        report["risk"] = float(risks_weighted([fit.coeffs], truth.coeffs, weights)[0])
         report["risk_weights"] = args.risk_weights
     _emit_json(report, args.out)
     return 0
@@ -358,6 +340,8 @@ def cmd_select(args) -> int:
     sample = load_csv(args.sample)
     weights = parse_weights(args.risk_weights)
     trace = penalized_select(sample, weights, _in_range("--penalty-const", args.penalty_const, "> 0"))
+    if np.isfinite(trace.y_second_moment) and not np.isfinite(trace.penalty).all():
+        raise ValueError(f"--penalty-const {args.penalty_const} overflows the selection penalty")
     probe = min(trace.cutoff, 10)
     if probe >= 2:
         mat = empirical_operator_matrix(sample, probe)
@@ -669,10 +653,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # anything else still ends in one line, not a traceback
         print(f"npiv: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-
-
-def console_main() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

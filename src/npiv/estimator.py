@@ -268,17 +268,17 @@ def diagonal_estimate(sample: Sample, k: int) -> GalerkinEstimate:
 # -- derived quantities ---------------------------------------------------
 
 
-def derivative_coeffs(est: GalerkinEstimate, s: int) -> np.ndarray:
-    """Coefficients of the s-th derivative of the estimated series.
+def derivative_coeffs(coeffs: np.ndarray, s: int) -> np.ndarray:
+    """Coefficients of the s-th derivative of the series with coefficients ``coeffs``.
 
     Differentiating rotates each frequency pair (cos, sin) a quarter turn
     and scales it by 2*pi*f per order; the constant term drops out.  The
-    result covers whole frequency pairs, so its length is k rounded up to
-    the next odd number.
+    result covers whole frequency pairs, so its length is ``coeffs.size``
+    rounded up to the next odd number.
     """
     if s < 1 or int(s) != s:
         raise ValueError(f"derivative order must be a positive integer, got {s}")
-    c = np.asarray(est.coeffs, dtype=float)
+    c = np.asarray(coeffs, dtype=float)
     cos_sin = np.zeros(2 * frequency(c.size | 1))  # (cos, sin) of frequencies 1..F, zero-padded
     cos_sin[: c.size - 1] = c[1:]
     a, b = cos_sin[0::2], cos_sin[1::2]

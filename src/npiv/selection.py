@@ -192,7 +192,8 @@ def select_block(samples, risk_weights: WeightSequence, penalty_const: float) ->
     w = risk_weights.values(tdiag.shape[1])
     y2 = np.mean(np.square(np.stack([s.y for s in samples])), axis=1)
     eff = _effective_dim(w, tdiag * tdiag)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only padding can be inf or nan
+    # only padding can be inf or nan; a penalty past the doubles is inf, and its k is never chosen
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coeffs = ghat / tdiag
         penalty = penalty_const * y2[:, None] * eff / samples[0].n
     contrast = np.zeros_like(tdiag)

@@ -98,10 +98,7 @@ def make_operator(decay: str, a: float, truncation: int) -> OperatorSpec:
     lam = weights.values(truncation)
     roots = np.sqrt(lam)
     tail = float(np.sum(roots[1:]))
-    c = min(1.0, 0.5 / tail)
-    # Guard the nonnegativity certificate against rounding in 2*c*tail.
-    while 2.0 * c * tail > 1.0:
-        c = float(np.nextafter(c, 0.0))
+    c = min(1.0, 0.5 / tail)  # (0.5 / tail)(1 + d), |d| <= 2**-53, and 2c is exact: 2c * tail <= 1
     diag = c * roots
     diag[0] = 1.0
     floor = 1.0 - 2.0 * c * tail

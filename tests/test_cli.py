@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,7 +27,7 @@ from numpy.testing import assert_allclose
 
 from npiv import cli, selection
 from npiv.basis import WeightSequence, parse_weights
-from npiv.cli import StudyRow, console_main, main, run_rate_study
+from npiv.cli import StudyRow, main, run_rate_study
 from npiv.estimator import Sample, diagonal_estimate, load_csv, risks_weighted, write_csv
 from npiv.selection import (
     dimension_cap,
@@ -78,20 +79,21 @@ def test_unknown_subcommand(capsys):
     capsys.readouterr()
 
 
-def test_console_main_runs_a_command(monkeypatch, capsys):
-    # console_main is the installed ``npiv`` script: it reads sys.argv and exits
-    argv = ["npiv", "oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1",
-            "--n-grid", "100"]
-    monkeypatch.setattr(sys, "argv", argv)
-    with pytest.raises(SystemExit) as exc:
-        console_main()
-    assert exc.value.code == 0
+_ORACLE = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1", "--n-grid", "100"]
+
+
+def test_the_installed_script_is_main(monkeypatch, capsys):
+    # pip's script for [project.scripts] exits with what the function returns, so main's
+    # return value is the exit code (a regex: tomllib is new in Python 3.11)
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\nnpiv = "npiv\.cli:main"$', text, re.MULTILINE)
+    assert main(_ORACLE) == 0
     assert capsys.readouterr().out.startswith("n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k\n100,")
+    monkeypatch.setattr(cli, "cmd_oracle", lambda args: 5)
+    assert main(_ORACLE) == 5
 
 
 # -- one parser for many calls --------------------------------------------
-
-_ORACLE = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1", "--n-grid", "100"]
 
 
 def test_main_builds_one_parser_for_many_calls(capsys):
@@ -307,7 +309,7 @@ _STUDY = ["rate-study", "CFG", "--out", "OUT"]
                  id="section-not-an-object"),
     pytest.param(_SIMULATE, "[1]", 2, "CFG: config must be a JSON object", id="config-not-an-object"),
     pytest.param(["estimate", "SAMPLE", "--k", "2", "--truth", "CFG"], "[1]", 2,
-                 "CFG: truth spec must be a JSON object", id="truth-not-an-object"),
+                 "CFG: config must be a JSON object", id="truth-not-an-object"),
     pytest.param(_SIMULATE, b'{"noise": "\xff"}', 2,
                  "CFG: invalid JSON ('utf-8' codec can't decode byte 0xff in position 11: invalid start byte)",
                  id="config-not-utf-8"),
@@ -543,7 +545,7 @@ def test_estimate_with_truth_reports_risk(tmp_path, capsys):
     path = _sample_csv(tmp_path, s)
     truth_path = tmp_path / "truth.json"
     truth_path.write_text(
-        json.dumps({"coeffs": [1.0, 0.5], "smoothness": 1.0, "radius": 2.0})
+        json.dumps({"structural": {"coeffs": [1.0, 0.5], "smoothness": 1.0, "radius": 2.0}})
     )
     assert main(["estimate", path, "--k", "2", "--mode", "diagonal", "--truth", str(truth_path)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -582,7 +584,7 @@ def test_estimate_derivative_coeffs(tmp_path, capsys):
     from npiv.estimator import derivative_coeffs, diagonal_estimate
 
     s = Sample(np.array([1.0, 3.0]), pts, pts)
-    expected = derivative_coeffs(diagonal_estimate(s, 2), 1)
+    expected = derivative_coeffs(diagonal_estimate(s, 2).coeffs, 1)
     assert report["derivative_coeffs"] == [float(v) for v in expected]
 
 
@@ -623,12 +625,44 @@ def test_estimate_usage_errors(tmp_path, capsys):
 
     truth_path = tmp_path / "truth.json"
     for truth, message in (
-        ({"smoothness": "2"}, 'structural.smoothness must be a JSON number, got "2"'),
+        ({"structural": {"smoothness": "2"}}, 'structural.smoothness must be a JSON number, got "2"'),
         ({"structural": {"radius": 1.0, "shape": 3}}, "unknown keys: shape"),
     ):
         truth_path.write_text(json.dumps(truth))
         assert main(["estimate", path, "--k", "2", "--truth", str(truth_path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_a_simulate_config_is_a_truth(tmp_path, capsys):
+    # --truth reads a config: its structural section is the truth, its other sections are only checked
+    config = _write_config(tmp_path)
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({"structural": json.loads(Path(config).read_text())["structural"]}))
+    sample = str(tmp_path / "s.csv")
+    assert main(["simulate", config, "--out", sample, "--n", "200", "--seed", "3"]) == 0
+    reports = []
+    for i, truth in enumerate((config, nested)):
+        out = tmp_path / f"estimate{i}.json"
+        assert main(["estimate", sample, "--k", "3", "--truth", str(truth), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert b'"risk"' in reports[0]
+
+
+@pytest.mark.parametrize("truth, keys", [
+    pytest.param({"smoothness": 2.0, "radius": 1.0}, "radius, smoothness", id="bare-form"),
+    pytest.param({"structural": {"smoothness": 2.0}, "noize": {"sigma": 1}}, "noize", id="noize"),
+])
+def test_a_truth_outside_the_config_sections_exits_2(tmp_path, capsys, truth, keys):
+    u = np.linspace(0.0, 1.0, 20)
+    sample = _sample_csv(tmp_path, Sample(u, u, u))
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", sample, "--k", "2", "--truth", str(path)]) == 2
+    assert capsys.readouterr().err == f"npiv: error: {path}: unknown config sections: {keys}\n"
 
 
 # -- select ---------------------------------------------------------------
@@ -700,6 +734,27 @@ def test_select_non_finite_report_exits_2_without_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "select report holds a non-finite value" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_penalty_past_the_doubles_is_named(tmp_path, capsys):
+    # at 1e307 the penalty overflows where the effective dimension grows; at 1e306 it stays finite
+    cfg = _write_config(tmp_path, selection={"penalty_const": 1e307},
+                        study={"n_grid": [200, 400], "replications": 3, "seed": 1})
+    sample, out = str(tmp_path / "s.csv"), tmp_path / "select.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", cfg, "--out", sample, "--n", "500", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["select", sample, "--penalty-const", "1e306", "--out", str(out)]) == 0
+        out.unlink()
+        assert main(["select", sample, "--penalty-const", "1e307", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "npiv: error: --penalty-const 1e+307 overflows the selection penalty\n"
+        assert not out.exists()
+        # a study keeps only each replication's k, which an infinite penalty never selects
+        assert main(["rate-study", cfg, "--out", str(tmp_path / "study.json")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "study.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(row.split(",")[3] == "1" for row in rows)
 
 
 def test_select_usage_errors(tmp_path, capsys):
@@ -1366,6 +1421,20 @@ def test_a_study_holds_at_most_its_bound_per_cell(monkeypatch, draws, replicatio
     cells = 2 * (replications[1] - replications[0])
     assert 0 < (held[1] - held[0]) / cells <= cli._CELL_BYTES
     assert (peaks[1] - peaks[0]) / cells <= cli._CELL_BYTES
+
+
+def test_a_negative_study_risk_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    study_block = cli._study_block
+
+    def negative_first_risk(block):
+        rows = study_block(block)
+        return [rows[0]._replace(risk=-1.0), *rows[1:]]
+
+    monkeypatch.setattr(cli, "_study_block", negative_first_risk)
+    out = tmp_path / "o.json"
+    assert main(["rate-study", _study_config(tmp_path, replications=2), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "npiv: internal error: RuntimeError: negative risk in study results\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -107,6 +107,18 @@ def test_operator_scale_and_link_certificates():
         assert np.all(1.0 / ratios <= op.link_constant)
 
 
+def test_the_operator_scale_needs_no_step_down():
+    # c = fl(0.5 / tail) = (0.5 / tail)(1 + d), |d| <= 2**-53, and 2c is exact, so 2c * tail
+    # rounds 1 + d to at most 1 (or c = 1 and tail <= 0.5): the density floor is never negative
+    for decay in ("polynomial", "exponential"):
+        for a in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0):
+            for trunc in range(2, 301):
+                op = make_operator(decay, a, truncation=trunc)
+                tail = float(np.sum(np.sqrt(op.weights.values(trunc))[1:]))
+                assert 2.0 * op.scale * tail <= 1.0, (decay, a, trunc)
+                assert op.density_floor >= 0.0, (decay, a, trunc)
+
+
 def test_custom_operator():
     op = custom_operator((1.0, 0.0))
     assert op.density_floor == 1.0

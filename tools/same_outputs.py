@@ -19,8 +19,11 @@ the benchmark does, through ``npiv.cli.main``:
 - what the benchmark never runs: ``oracle`` at two weight specs, in csv and
   json; ``estimate --mode diagonal --k 5 --derivative-order 1..4`` on the
   third pipeline request's sample (n = 1000), whose fit at k = 5 is not the
-  zero fallback; and ``select`` on that sample at its default
-  ``--penalty-const``, with ``--risk-weights const`` and ``derivative:1``.
+  zero fallback; ``select`` on that sample at its default
+  ``--penalty-const``, with ``--risk-weights const`` and ``derivative:1``;
+  and ``estimate --k 12 --truth`` on that sample with the pipeline's whole
+  ``simulate`` config, ``operator`` and ``noise`` sections included, as the
+  truth.
 
 ``--smoke`` runs the benchmark's reduced workloads instead.  Every output
 file is compared byte for byte, together with each operation's outcome.  The
@@ -83,7 +86,7 @@ def write_outputs(out: str, smoke: bool) -> None:
             files = {**paths, **{key: os.path.join(request, os.path.basename(paths[key]))
                                  for key in ("csv", "select", "estimate")}}
             outcomes[request] = wl.run_request(cli, pipe, files, n, seed).error
-    for name in ("oracle", "estimate-derivative", "select-default"):
+    for name in ("oracle", "estimate-derivative", "select-default", "estimate-config-truth"):
         os.makedirs(os.path.join(out, name))
     for i, weights in enumerate(ORACLE_WEIGHTS):
         for fmt in ("csv", "json"):
@@ -99,6 +102,9 @@ def write_outputs(out: str, smoke: bool) -> None:
     for weights in SELECT_WEIGHTS:
         path = os.path.join(out, "select-default", f"{weights.replace(':', '')}.json")
         outcomes[path] = wl._quiet_main(cli, ["select", sample, "--risk-weights", weights, "--out", path])
+    config = os.path.join(out, "cli-pipeline", f"slot{PIPELINE_SLOTS[0]}", "pipeline.json")
+    path = os.path.join(out, "estimate-config-truth", "estimate.json")
+    outcomes[path] = wl._quiet_main(cli, ["estimate", sample, "--k", "12", "--truth", config, "--out", path])
     with open(os.path.join(out, "outcomes.json"), "w") as fh:
         json.dump({os.path.relpath(k, out): v for k, v in outcomes.items()}, fh, indent=1, sort_keys=True)
 
