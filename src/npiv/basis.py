@@ -26,12 +26,12 @@ def frequency(j: int) -> int:
     return j // 2
 
 
-def _checked_points(points) -> np.ndarray:
+def _checked_points(points, name: str = "evaluation points") -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be one-dimensional")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):  # NaN fails both
+        raise ValueError(f"{name} must lie in [0, 1]")
     return pts
 
 

@@ -214,10 +214,6 @@ def sigma_from_config(cfg: dict, phi: StructuralSpec) -> float:
 # -- small helpers --------------------------------------------------------
 
 
-def _floats(arr) -> list[float]:
-    return [float(v) for v in np.asarray(arr).ravel()]
-
-
 def _emit_json(obj: dict, out: str | None) -> None:
     try:
         text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
@@ -248,7 +244,7 @@ def _operator_echo(op: OperatorSpec) -> dict:
         "a": op.a,
         "truncation": int(op.truncation),
         "scale": float(op.scale),
-        "diag": _floats(op.diag),
+        "diag": op.diag.tolist(),
         "density_floor": float(op.density_floor),
         "link_constant": float(op.link_constant),
     }
@@ -259,7 +255,7 @@ def _structural_echo(phi: StructuralSpec) -> dict:
         "smoothness": float(phi.smoothness),
         "radius": float(phi.radius),
         "truncation": int(phi.truncation),
-        "coeffs": _floats(phi.coeffs),
+        "coeffs": phi.coeffs.tolist(),
     }
 
 
@@ -310,13 +306,13 @@ def cmd_estimate(args) -> int:
         "k": int(fit.k),
         "mode": args.mode,
         "thresholded": bool(fit.thresholded),
-        "coeffs": _floats(fit.coeffs),
+        "coeffs": fit.coeffs.tolist(),
         "derivative_order": int(args.derivative_order),
     }
     if args.derivative_order >= 1:
         try:
             with np.errstate(over="raise"):
-                report["derivative_coeffs"] = _floats(derivative_coeffs(fit.coeffs, args.derivative_order))
+                report["derivative_coeffs"] = derivative_coeffs(fit.coeffs, args.derivative_order).tolist()
         except (OverflowError, FloatingPointError):
             raise ValueError(
                 f"--derivative-order {args.derivative_order} overflows the derivative coefficients"
@@ -324,6 +320,8 @@ def cmd_estimate(args) -> int:
     if args.truth is not None:
         truth = structural_from_config(load_config(args.truth))
         report["risk"] = float(risks_weighted([fit.coeffs], truth.coeffs, weights)[0])
+        if not math.isfinite(report["risk"]):
+            raise ValueError(f"--risk-weights {args.risk_weights} overflows the risk")
         report["risk_weights"] = args.risk_weights
     _emit_json(report, args.out)
     return 0
@@ -340,7 +338,10 @@ def cmd_select(args) -> int:
     sample = load_csv(args.sample)
     weights = parse_weights(args.risk_weights)
     trace = penalized_select(sample, weights, _in_range("--penalty-const", args.penalty_const, "> 0"))
-    if np.isfinite(trace.y_second_moment) and not np.isfinite(trace.penalty).all():
+    unit = trace.y_second_moment * float(trace.effective_dim.max())  # the penalty at constant n, no warning
+    if not (math.isfinite(unit) and np.isfinite(trace.contrast).all()):  # y's bound: finite unless a w_j > n
+        raise ValueError(f"--risk-weights {args.risk_weights} overflows the selection criterion")
+    if not np.isfinite(trace.penalty).all():
         raise ValueError(f"--penalty-const {args.penalty_const} overflows the selection penalty")
     probe = min(trace.cutoff, 10)
     if probe >= 2:
@@ -361,13 +362,13 @@ def cmd_select(args) -> int:
         "cutoff": int(trace.cutoff),
         "penalty_const": float(args.penalty_const),
         "y_second_moment": float(trace.y_second_moment),
-        "contrast": _floats(trace.contrast),
-        "penalty": _floats(trace.penalty),
-        "effective_dim": _floats(trace.effective_dim),
-        "criterion": _floats(trace.criterion),
+        "contrast": trace.contrast.tolist(),
+        "penalty": trace.penalty.tolist(),
+        "effective_dim": trace.effective_dim.tolist(),
+        "criterion": trace.criterion.tolist(),
         "k_selected": int(trace.k_selected),
         "thresholded": bool(trace.estimate.thresholded),
-        "coeffs": _floats(trace.estimate.coeffs),
+        "coeffs": trace.estimate.coeffs.tolist(),
         "risk_weights": args.risk_weights,
     }
     _emit_json(report, args.out)

@@ -21,18 +21,24 @@ import numpy as np
 
 from .basis import (
     WeightSequence,
+    _checked_points,
     frequency,
     trig_columns,
     trig_design,
     weighted_norm_sq,
 )
 
+# The largest |y| a sample may hold.  With n <= 2**27 rows (1 GiB of doubles), n * y**2 stays below
+# 2**827 and each g_j below 2**401; fits inside a cutoff (t_j**2 >= 1/n) stay below 2**415, so with
+# w_j <= n for j >= 2 select's contrast and y2 * delta_k (delta_k < 2**87) stay below 2**890.
+_Y_MAX = 2.0 ** 400
+
 
 @dataclass(frozen=True)
 class Sample:
     """Immutable container for observations of (response, regressor, instrument).
 
-    ``z`` and ``w`` must lie in [0, 1]; all three arrays share one length.
+    ``y`` must lie in [-2**400, 2**400], ``z`` and ``w`` in [0, 1]; all three share one length.
     """
 
     y: np.ndarray
@@ -51,12 +57,10 @@ class Sample:
             raise ValueError("y, z, w must have equal length")
         if self.y.size == 0:
             raise ValueError("sample must contain at least one row")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("y contains non-finite values")
-        for name in ("z", "w"):
-            arr = getattr(self, name)
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise ValueError(f"{name} values must lie in [0, 1]")
+        if not np.all(np.abs(self.y) <= _Y_MAX):  # NaN fails too
+            raise ValueError("y contains non-finite values or values outside [-2**400, 2**400]")
+        for name in "zw":
+            _checked_points(getattr(self, name), f"{name} values")
 
     @property
     def n(self) -> int:
@@ -109,10 +113,11 @@ def load_csv(path) -> Sample:
                     raise ValueError(f"{path}, row {row_no}: non-numeric field") from None
                 if not math.isfinite(y):
                     raise ValueError(f"{path}, row {row_no}: y={y!r} is not finite")
-                if not 0.0 <= z <= 1.0:
-                    raise ValueError(f"{path}, row {row_no}: z={z!r} outside [0, 1]")
-                if not 0.0 <= w <= 1.0:
-                    raise ValueError(f"{path}, row {row_no}: w={w!r} outside [0, 1]")
+                if abs(y) > _Y_MAX:
+                    raise ValueError(f"{path}, row {row_no}: y={y!r} outside [-2**400, 2**400]")
+                for name, v in (("z", z), ("w", w)):
+                    if not 0.0 <= v <= 1.0:
+                        raise ValueError(f"{path}, row {row_no}: {name}={v!r} outside [0, 1]")
                 ys.append(y)
                 zs.append(z)
                 ws.append(w)
@@ -291,15 +296,17 @@ def derivative_coeffs(coeffs: np.ndarray, s: int) -> np.ndarray:
 
 def risks_weighted(estimates, truth: np.ndarray, weights: WeightSequence) -> np.ndarray:
     """Exact weighted squared distance of each coefficient vector to the truth, the shorter
-    of the two zero-padded to the longer; the weights are read once for all of them."""
+    of the two zero-padded to the longer; the weights are read once for all of them.  A zero
+    difference adds nothing, whatever its weight, and a risk past the doubles is inf."""
     b = np.asarray(truth, dtype=float)
     if b.ndim != 1:
         raise ValueError("truth coefficients must be one-dimensional")
     w = weights.values(max(max(c.size for c in estimates), b.size))
     out = np.empty(len(estimates))
-    for r, c in enumerate(estimates):
-        diff = np.zeros(max(c.size, b.size))
-        diff[: b.size] = b
-        diff[: c.size] = c - diff[: c.size]
-        out[r] = weighted_norm_sq(diff, w)
+    with np.errstate(over="ignore"):
+        for r, c in enumerate(estimates):
+            diff = np.zeros(max(c.size, b.size))
+            diff[: b.size] = b
+            diff[: c.size] = c - diff[: c.size]
+            out[r] = weighted_norm_sq(diff, np.where(diff == 0.0, 0.0, w[: diff.size]))
     return out

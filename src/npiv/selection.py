@@ -192,14 +192,14 @@ def select_block(samples, risk_weights: WeightSequence, penalty_const: float) ->
     w = risk_weights.values(tdiag.shape[1])
     y2 = np.mean(np.square(np.stack([s.y for s in samples])), axis=1)
     eff = _effective_dim(w, tdiag * tdiag)
-    # only padding can be inf or nan; a penalty past the doubles is inf, and its k is never chosen
+    # only padding, or a risk weight past n, makes inf or nan; an infinite penalty's k is never chosen
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coeffs = ghat / tdiag
         penalty = penalty_const * y2[:, None] * eff / samples[0].n
-    contrast = np.zeros_like(tdiag)
-    for r, cut in enumerate(cutoff):
-        contrast[r, :cut] = [-weighted_norm_sq(coeffs[r, :k], w) for k in range(1, cut + 1)]
-    criterion = np.where(np.arange(w.size) < cutoff[:, None], contrast + penalty, np.inf)
+        contrast = np.zeros_like(tdiag)
+        for r, cut in enumerate(cutoff):
+            contrast[r, :cut] = [-weighted_norm_sq(coeffs[r, :k], w) for k in range(1, cut + 1)]
+        criterion = np.where(np.arange(w.size) < cutoff[:, None], contrast + penalty, np.inf)
     return BlockSelection(cutoff, np.argmin(criterion, axis=1) + 1, y2, coeffs, contrast, penalty, eff,
                           criterion)
 

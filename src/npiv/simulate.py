@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import WeightSequence, _checked_points, evaluate_coeffs, weighted_norm_sq
-from .estimator import Sample, _share_diagonal
+from .basis import SQRT2, WeightSequence, _checked_points, evaluate_coeffs, weighted_norm_sq
+from .estimator import _Y_MAX, Sample, _share_diagonal
 
 # Independent random streams per seed.
 STREAM_JOINT = 0
@@ -290,6 +290,8 @@ def make_structural(smoothness: float, radius: float, truncation: int, coeffs=No
             raise ValueError(
                 f"coefficients lie outside the ellipsoid: weighted norm {norm} > radius {radius}"
             )
+    if (bound := SQRT2 * float(np.abs(b).sum())) > _Y_MAX:  # bounds |phi|; finite, as the norm is
+        raise ValueError(f"coefficients too large for the response bound 2**400: sqrt(2) * sum |b_j| = {bound:.3g}")
     return StructuralSpec(coeffs=b, smoothness=float(smoothness), radius=float(radius))
 
 
@@ -317,8 +319,8 @@ def generate_samples(
     """Draw a sample y = phi(z) + u with (z, w) from the joint density for each seed.
 
     The noise is Gaussian with standard deviation sigma / 3**(1/4), which
-    pins its fourth moment to exactly sigma**4; a response it takes past the
-    doubles raises OverflowError.  The joint draw and the noise use separate
+    pins its fourth moment to exactly sigma**4; a response it takes past
+    2**400 raises OverflowError.  The joint draw and the noise use separate
     streams of the same seed.  One ``sample_joint`` call draws every (z, w)
     and the truth is evaluated once on their concatenated z, so sample r
     equals, bit for bit, the one drawn for ``seeds[r]`` alone.  The samples
@@ -333,7 +335,7 @@ def generate_samples(
     for seed, y, z_r, w_r in zip(seeds, signal, z, w):
         if sigma > 0:
             y = y + stream_rng(seed, STREAM_NOISE).normal(0.0, sigma / 3.0 ** 0.25, n)
-            if not np.all(np.isfinite(y)):
+            if np.abs(y).max() > _Y_MAX:  # inf included
                 raise OverflowError(f"noise level sigma={sigma!r} overflows the response y")
         samples.append(Sample(y=y, z=z_r, w=w_r))
     _share_diagonal(samples)

@@ -76,7 +76,7 @@ def trig_columns_loop(points, indices) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be one-dimensional")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("evaluation points must lie in [0, 1]")
     idx = np.asarray(indices, dtype=int)
     out = np.empty((pts.size, idx.size))
@@ -134,6 +134,8 @@ def read_sample_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     raise ValueError(f"{where}: non-numeric field") from None
                 if not math.isfinite(y):
                     raise ValueError(f"{where}: y={y!r} is not finite")
+                if abs(y) > 2.0 ** 400:
+                    raise ValueError(f"{where}: y={y!r} outside [-2**400, 2**400]")
                 for name, v in (("z", z), ("w", w)):
                     if not 0.0 <= v <= 1.0:
                         raise ValueError(f"{where}: {name}={v!r} outside [0, 1]")

@@ -1,10 +1,11 @@
 """Acceptance suite: convergence rates, exactness oracles and determinism.
 
 Each criterion is one test that prints a single PASS/FAIL line straight to
-the terminal (bypassing capture) with the measured quantity.  The Monte
-Carlo studies take a few minutes combined; fixtures cache them per module.
+the terminal (bypassing capture) with the measured quantity.  The three Monte
+Carlo studies are set once, in ``STUDIES``, and ``study`` runs each once a session.
 """
 
+import functools
 import json
 import math
 import os
@@ -46,45 +47,33 @@ def check(capfd):
     return report
 
 
-def _structural():
-    return make_structural(2.0, 1.0, truncation=200)
+# Every setting in which the three studies differ, each stated once, as name: (operator
+# decay, a, operator truncation, derivative order, penalty constant, replications).  All
+# three share the truth (smoothness 2, radius 1, truncation 200), signal-to-noise 2, GRID,
+# MASTER_SEED and k_max 200.  The small operator truncations keep the design close to the
+# diagonal model the selection rule assumes; the penalty constants are practical rather than
+# the conservative default; is has more replications because log-rate risks have heavier
+# relative spread.
+STUDIES = {
+    "fs": ("polynomial", 1.0, 5, 0, 0.75, 50),
+    "derivative": ("polynomial", 1.0, 5, 1, 0.75, 50),
+    "is": ("exponential", 0.5, 8, 0, 0.3, 150),
+}
 
 
-@pytest.fixture(scope="module")
-def fs_study():
-    # smoothness 2, polynomial decay 1, signal-to-noise 2; the small
-    # operator truncation keeps the design close to the diagonal model the
-    # selection rule assumes, and the penalty constant is practical rather
-    # than the conservative default
-    phi = _structural()
-    op = make_operator("polynomial", 1.0, truncation=5)
-    sigma = noise_sigma_for_snr(phi, 2.0)
-    report, _ = run_rate_study(phi, op, sigma, 0, 0.75, GRID, 50, MASTER_SEED, 200, _JOBS)
+@functools.cache
+def study(name: str) -> dict:
+    """The report of study ``name``, run once per session."""
+    decay, a, truncation, order, penalty_const, reps = STUDIES[name]
+    phi = make_structural(2.0, 1.0, truncation=200)
+    op = make_operator(decay, a, truncation=truncation)
+    report, _ = run_rate_study(phi, op, noise_sigma_for_snr(phi, 2.0), order, penalty_const, GRID, reps,
+                               MASTER_SEED, 200, _JOBS)
     return report
 
 
-@pytest.fixture(scope="module")
-def derivative_study():
-    phi = _structural()
-    op = make_operator("polynomial", 1.0, truncation=5)
-    sigma = noise_sigma_for_snr(phi, 2.0)
-    report, _ = run_rate_study(phi, op, sigma, 1, 0.75, GRID, 50, MASTER_SEED, 200, _JOBS)
-    return report
-
-
-@pytest.fixture(scope="module")
-def is_study():
-    # exponential decay 1/2; more replications because log-rate risks have
-    # heavier relative spread
-    phi = _structural()
-    op = make_operator("exponential", 0.5, truncation=8)
-    sigma = noise_sigma_for_snr(phi, 2.0)
-    report, _ = run_rate_study(phi, op, sigma, 0, 0.3, GRID, 150, MASTER_SEED, 200, _JOBS)
-    return report
-
-
-def test_criterion_1_polynomial_rate(fs_study, check):
-    slope = fs_study["fitted_slope"]
+def test_criterion_1_polynomial_rate(check):
+    slope = study("fs")["fitted_slope"]
     target = -4.0 / 7.0
     check(
         1,
@@ -94,8 +83,8 @@ def test_criterion_1_polynomial_rate(fs_study, check):
     )
 
 
-def test_criterion_2_exponential_rate(is_study, check):
-    meds = [row["risk_median"] for row in is_study["per_n"]]
+def test_criterion_2_exponential_rate(check):
+    meds = [row["risk_median"] for row in study("is")["per_n"]]
     monotone = all(b < a for a, b in zip(meds, meds[1:]))
     # risk should track (log n)**(-p/a) = (log n)**(-4); the compensated
     # sequence must stay within a factor of 5 across the grid
@@ -109,8 +98,8 @@ def test_criterion_2_exponential_rate(is_study, check):
     )
 
 
-def test_criterion_3_derivative_rate(derivative_study, check):
-    slope = derivative_study["fitted_slope"]
+def test_criterion_3_derivative_rate(check):
+    slope = study("derivative")["fitted_slope"]
     target = -2.0 / 7.0
     check(
         3,
@@ -120,8 +109,8 @@ def test_criterion_3_derivative_rate(derivative_study, check):
     )
 
 
-def test_criterion_4_adaptive_vs_oracle(fs_study, check):
-    ratios = [row["risk_median"] / row["oracle_risk_median"] for row in fs_study["per_n"]]
+def test_criterion_4_adaptive_vs_oracle(check):
+    ratios = [row["risk_median"] / row["oracle_risk_median"] for row in study("fs")["per_n"]]
     worst = max(ratios)
     check(4, "adaptive vs oracle", worst <= 3.0, f"max ratio {worst:.3f} <= 3")
 

@@ -63,6 +63,15 @@ def test_trig_columns_matches_scalar():
     assert np.all(np.abs(cols - ref) <= trig_error_bound(idx))
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.01, 1.01])
+def test_a_point_outside_the_unit_interval_or_nan_is_rejected(bad):
+    pts = np.array([0.5, bad])
+    for call in (lambda: trig_design(pts, 3), lambda: trig_columns(pts, 2, 4),
+                 lambda: evaluate_coeffs(np.ones(3), pts), lambda: trig_columns_loop(pts, [1, 2])):
+        with pytest.raises(ValueError, match=r"^evaluation points must lie in \[0, 1\]$"):
+            call()
+
+
 def test_trig_columns_validation():
     with pytest.raises(ValueError, match="one-dimensional"):
         trig_columns(np.zeros((2, 2)), 1, 1)

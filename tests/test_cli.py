@@ -411,7 +411,6 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, st.sampled_from(["simulate", "rate-study"]))
 def test_every_config_runs_or_exits_2(target, value, command):
@@ -433,12 +432,15 @@ def test_every_config_runs_or_exits_2(target, value, command):
         with contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2), err.getvalue()
-    # the message or the echo is the last line, after any numpy warnings
+    # one line, the message or the echo, and no numpy warning before it
     lines = err.getvalue().splitlines()
     if code == 2:
-        assert lines[-1].startswith("npiv: error: ")
+        assert len(lines) == 1 and lines[0].startswith("npiv: error: ")
     elif command == "simulate":
-        _strict_json(lines[-1])
+        assert len(lines) == 1
+        _strict_json(lines[0])
+    else:
+        assert lines == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -724,16 +726,41 @@ def test_select_warns_when_far_from_diagonal(tmp_path, capsys):
     assert "far from diagonal" not in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_select_non_finite_report_exits_2_without_output(tmp_path, capsys):
-    # y**2 overflows, so the plug-in second moment and the criterion are inf
+    # y**2 would overflow, so the sample's bound rejects the first row before any moment is taken
     path = tmp_path / "huge.csv"
-    path.write_text("y,z,w\n1e200,0.1,0.2\n-1e200,0.5,0.4\n1e200,0.9,0.6\n")
     out = tmp_path / "trace.json"
-    assert main(["select", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "select report holds a non-finite value" in err and "Traceback" not in err
+    for y in ("1e200", "1e308"):
+        path.write_text(f"y,z,w\n{y},0.1,0.2\n-{y},0.5,0.4\n{y},0.9,0.6\n")
+        for argv in (["select"], ["estimate", "--k", "3"]):
+            assert main([*argv, str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"npiv: error: {path}, row 1: y={float(y)!r} outside [-2**400, 2**400]\n"
     assert not out.exists()
+
+
+def test_an_overflow_that_a_weight_causes_names_the_weights(tmp_path, capsys):
+    # w_1 = 1e308 makes the effective dimension inf; derivative:150 weights pass the doubles at j = 11
+    cfg = _write_config(tmp_path, structural={"smoothness": 2.0, "radius": 1.0, "truncation": 50})
+    sample, out = str(tmp_path / "s.csv"), tmp_path / "out.json"
+    # responses of 1000 take w_1 * c_1**2 past the doubles: the contrast is -inf, and -inf + inf is nan
+    big = tmp_path / "big.csv"
+    big.write_text("y,z,w\n1000,0.1,0.2\n1000,0.5,0.4\n1000,0.9,0.6\n")
+    finite_huge = "custom:" + ",".join(["1e308"] * 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", cfg, "--out", sample, "--n", "500", "--seed", "1"]) == 0
+        capsys.readouterr()
+        for csv, spec in ((sample, "custom:1e308,1e308,1e308"), (str(big), "custom:1e308")):
+            assert main(["select", csv, "--risk-weights", spec, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"npiv: error: --risk-weights {spec} overflows the selection criterion\n"
+        # finite weights whose weighted sum passes the doubles are named as well
+        for csv, k, spec in ((sample, "60", "derivative:150"), (sample, "5", "derivative:100"),
+                             (str(big), "1", finite_huge)):
+            assert main(["estimate", csv, "--k", k, "--truth", cfg, "--risk-weights", spec, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"npiv: error: --risk-weights {spec} overflows the risk\n"
+        # weights that stay finite leave the default constant's penalty finite too
+        assert main(["select", sample, "--risk-weights", "custom:1e300,1e300,1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_penalty_past_the_doubles_is_named(tmp_path, capsys):
@@ -984,6 +1011,15 @@ def test_oracle_at_extreme_magnitudes_runs_warning_free(capsys, flags, row):
         warnings.simplefilter("error")
         assert main(["oracle", "--smoothness-weights", "sobolev:2", "--n-grid", "2", *flags]) == 0
     assert capsys.readouterr() == ("n,k_best,rate,cutoff,cutoff_lower,effective_dim_at_k\n" + row + "\n", "")
+
+
+def test_a_json_report_that_would_hold_inf_exits_2_without_output(tmp_path, capsys):
+    # the last CSV row above holds inf, which strict JSON cannot
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", "--smoothness-weights", "sobolev:2", "--n-grid", "2", *_EXTREME_ORACLE[-1][0]]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "npiv: error: the oracle report holds a non-finite value\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1437,7 +1473,6 @@ def test_a_negative_study_risk_is_an_internal_error(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rate_study_usage_errors(tmp_path, capsys):
     nostudy = _write_config(tmp_path, "nostudy.json")
     out = str(tmp_path / "o.json")
@@ -1466,12 +1501,16 @@ def test_rate_study_usage_errors(tmp_path, capsys):
     assert main(["rate-study", nokmax, "--out", out]) == 2
     assert "study.k_max must be >= 1, got 0" in capsys.readouterr().err
 
-    # risks beyond the double range are a usage error, not an internal one
-    for sections in ({"selection": {"derivative_order": 538}}, {"noise": {"snr": 1e-268}}):
+    # risks beyond the double range, and responses past 2**400, are usage errors, not internal ones
+    for sections, message in (
+        ({"selection": {"derivative_order": 538}}, "the risk at n=20 overflows"),
+        ({"noise": {"snr": 1e-268}}, "bad noise config: noise level sigma="),
+        ({"structural": {"radius": 1e300, "truncation": 30}}, "bad structural config: coefficients too large"),
+    ):
         study = {"n_grid": [20, 40], "replications": 2}
         huge = _write_config(tmp_path, "huge.json", study=study, **sections)
         assert main(["rate-study", huge, "--out", out]) == 2
-        assert "the risk at n=20 overflows" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     assert not (tmp_path / "o.json").exists()
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -48,6 +49,10 @@ def test_sample_validation():
         Sample(np.zeros(2), np.array([0.5, 1.2]), np.zeros(2))
     with pytest.raises(ValueError, match=r"w values must lie in \[0, 1\]"):
         Sample(np.zeros(2), np.zeros(2), np.array([-0.01, 0.5]))
+    for bad in ("z", "w"):  # NaN fails the check too
+        cols = {"y": np.zeros(2), "z": np.zeros(2), "w": np.zeros(2), bad: np.array([0.5, math.nan])}
+        with pytest.raises(ValueError, match=rf"^{bad} values must lie in \[0, 1\]$"):
+            Sample(**cols)
     with pytest.raises(ValueError, match="one-dimensional"):
         Sample(np.zeros((2, 1)), np.zeros(2), np.zeros(2))
     s = Sample(np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5]))
@@ -565,6 +570,27 @@ def test_risk_weighted_sums_only_the_coefficients_it_has():
     assert risk == float(np.dot(weights.values(3), (fit.coeffs - truth) ** 2))
 
 
+def test_a_zero_difference_adds_nothing_whatever_its_weight():
+    # derivative:150 weights j**300 are inf from j = 11 on, where fit and truth are both 0
+    weights = WeightSequence.derivative(150)
+    truth = np.zeros(12)
+    truth[:3] = [1.0, 0.5, 0.25]
+    fit = np.array([0.5, 0.5, 0.75])
+    expected = float(np.dot(weights.values(3), [0.25, 0.0, 0.25]))
+    assert risks_weighted([fit, np.append(fit, np.zeros(17))], truth, weights).tolist() == [expected] * 2
+    assert risks_weighted([np.zeros(1)], np.ones(12), weights)[0] == math.inf  # nonzero meets inf
+    # a finite risk keeps its bits: the masked terms were w_j * 0 = 0 in the same places
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        truth, fit = rng.normal(size=9), rng.normal(size=int(rng.integers(1, 15)))
+        fit[rng.random(fit.size) < 0.3] = 0.0
+        w = WeightSequence.derivative(float(rng.uniform(0.0, 3.0)))
+        diff = np.zeros(max(fit.size, truth.size))
+        diff[: truth.size] = truth
+        diff[: fit.size] = fit - diff[: fit.size]
+        assert risks_weighted([fit], truth, w)[0] == weighted_norm_sq(diff, w.values(diff.size))
+
+
 def test_risk_weighted_matches_quadrature():
     # for constant weights the weighted risk is the squared L2 distance,
     # by orthonormality; check against a midpoint rule.
@@ -612,8 +638,22 @@ def test_csv_round_trip(tmp_path):
 _UNIT = st.floats(0.0, 1.0)
 
 
+def test_sample_holds_y_within_2_to_the_400(tmp_path):
+    # y**2 and n * y**2 then stay finite for every n an array may have
+    edge, past = 2.0 ** 400, math.nextafter(2.0 ** 400, math.inf)
+    assert Sample(np.array([edge, -edge]), np.zeros(2), np.ones(2)).n == 2
+    for y in (past, -past, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^y contains non-finite values or values outside \[-2\*\*400, 2\*\*400\]$"):
+            Sample(np.array([0.0, y]), np.zeros(2), np.zeros(2))
+    path = tmp_path / "s.csv"
+    path.write_text(f"y,z,w\n{edge!r},0.5,0.5\n{-past!r},0.5,0.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"row 2: y={-past!r} outside [-2**400, 2**400]")):
+        load_csv(path)
+    assert _outcome(_columns, path) == _outcome(read_sample_csv, path)
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _UNIT, _UNIT), min_size=1, max_size=40))
+@given(st.lists(st.tuples(st.floats(-2.0 ** 400, 2.0 ** 400), _UNIT, _UNIT), min_size=1, max_size=40))
 def test_csv_round_trip_is_bitwise(rows):
     s = Sample(*(np.array(col) for col in zip(*rows)))
     with tempfile.TemporaryDirectory() as tmp:
@@ -637,7 +677,7 @@ def _outcome(read, path):
 
 
 # bodies where numpy's parser and float() might part, each column in turn
-_SPELLINGS = ["nan", "NaN", "-nan", "inf", "-INF", "Infinity", "-iNfInItY", "1e400", "-1e400", "5e-324",
+_SPELLINGS = ["nan", "NaN", "-nan", "inf", "-INF", "Infinity", "-iNfInItY", "1e400", "-1e400", "2.6e120", "5e-324",
               "2.2250738585072e-309", "0." + "1" * 60, "1_0", "0_5", "١", "٠.٥", "１", '"0.5"', "", " 0.5 ",
               "\t0.5\t", "\u00a00.5", "-0", "0x1p-1", ".5", "1.", "+.5e0"]
 _BODIES = {f"{s!r} in {c}": ",".join(s if i == c else "0.5" for i, c in enumerate("yzw")) + "\n" for s in _SPELLINGS

@@ -159,6 +159,9 @@ def test_joint_density_scalar_value():
         joint_density(op, 0.3, 0.7)
     with pytest.raises(ValueError, match="matching shapes"):
         joint_density(op, np.zeros(2), np.zeros(3))
+    for z, w in (([0.5, math.nan], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 0.5])):
+        with pytest.raises(ValueError, match=r"^evaluation points must lie in \[0, 1\]$"):
+            joint_density(op, np.array(z), np.array(w))
 
 
 @pytest.mark.parametrize("trunc", [2, 3, 5, 8, 10, 64])
@@ -472,6 +475,19 @@ def test_make_structural_rejects_norm_beyond_doubles():
     with pytest.raises(ValueError, match="smoothness 538.0 is too large for doubles"):
         make_structural(538.0, 1.0, 3, coeffs=[1.0, 0.0, 0.0])
     assert make_structural(538.0, 1.0, 200, coeffs=[0.5]).truncation == 1
+
+
+def test_a_truth_that_can_pass_the_response_bound_is_rejected():
+    # sqrt(2) * sum |b_j| bounds the truth's values, which a sample's y may not pass
+    with pytest.raises(ValueError, match=r"^coefficients too large for the response bound 2\*\*400: "):
+        make_structural(2.0, 1e300, truncation=30)
+    with pytest.raises(ValueError, match="response bound"):
+        make_structural(1.0, 1e300, 1, coeffs=[2.0 ** 400])
+    assert make_structural(2.0, 1e200, truncation=30).truncation == 30
+    # a noise level whose draws pass the bound, though finite, overflows the response
+    phi, op = make_structural(2.0, 1.0, truncation=30), make_operator("polynomial", 1.0, truncation=5)
+    with pytest.raises(OverflowError, match=r"sigma=1e\+150 overflows the response y"):
+        generate_samples(phi, op, 1e150, 20, [0])
 
 
 def test_make_structural_validation():
