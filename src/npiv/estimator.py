@@ -160,11 +160,11 @@ class GalerkinEstimate:
 # -- empirical moments ----------------------------------------------------
 
 
-def empirical_operator_matrix(sample: Sample, k: int) -> np.ndarray:
-    """k x k matrix with entry (l, j) = mean of psi_l(w_i) psi_j(z_i)."""
+def empirical_moments(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k x k operator matrix, entry (l, j) the mean of psi_l(w_i) psi_j(z_i), and the
+    k-vector of means of y_i psi_l(w_i), both from one instrument design."""
     pw = trig_design(sample.w, k)
-    pz = trig_design(sample.z, k)
-    return pw.T @ pz / sample.n
+    return pw.T @ trig_design(sample.z, k) / sample.n, pw.T @ sample.y / sample.n
 
 
 # Most points one fill call hands to ``trig_columns`` (a row of more goes alone).
@@ -248,9 +248,7 @@ def galerkin_estimate(sample: Sample, k: int) -> GalerkinEstimate:
     """
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    pw = trig_design(sample.w, k)
-    that = pw.T @ trig_design(sample.z, k) / sample.n
-    ghat = pw.T @ sample.y / sample.n
+    that, ghat = empirical_moments(sample, k)
     smin = np.linalg.svd(that, compute_uv=False)[-1]
     if smin < 1.0 / math.sqrt(sample.n):
         return GalerkinEstimate(np.zeros(k), thresholded=True)

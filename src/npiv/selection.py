@@ -26,7 +26,7 @@ def _effective_dim(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """delta_k = k * D_k * log(max(F_k, k + 2)) / log(k + 2), with D_k and F_k the
     running maxima of w_j / l_j and max(w_j, 1) / l_j, along the last axis of ``lam``."""
     k = np.arange(1, w.size + 1, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf / inf is nan
         ampl = np.maximum.accumulate(w / lam, axis=-1)
         floored = np.maximum.accumulate(np.maximum(w, 1.0) / lam, axis=-1)
         return k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
@@ -142,23 +142,6 @@ def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence, cap
 # -- selection ------------------------------------------------------------
 
 
-class SelectionTrace(NamedTuple):
-    """Full record of one penalised selection run.
-
-    Arrays are indexed by candidate dimension k = 1..cutoff; ``criterion``
-    is ``contrast + penalty`` and ``k_selected`` its first minimiser.
-    """
-
-    cutoff: int
-    y_second_moment: float
-    contrast: np.ndarray
-    penalty: np.ndarray
-    effective_dim: np.ndarray
-    criterion: np.ndarray
-    k_selected: int
-    estimate: GalerkinEstimate
-
-
 class BlockSelection(NamedTuple):
     """Selections of equal-size samples, a row each: the first three fields per row, the rest
     (rows, K) arrays for the largest cutoff K, where a row past its own cutoff is padding."""
@@ -171,6 +154,17 @@ class BlockSelection(NamedTuple):
     penalty: np.ndarray
     effective_dim: np.ndarray
     criterion: np.ndarray
+
+
+class SelectionTrace(BlockSelection):
+    """One penalised selection, the row of its sample in ``select_block``: arrays run over
+    k = 1..cutoff, ``criterion`` is ``contrast + penalty`` and ``k_selected`` its first minimiser."""
+
+    __slots__ = ()
+
+    @property
+    def estimate(self) -> GalerkinEstimate:
+        return GalerkinEstimate(self.coeffs[: self.k_selected], thresholded=False)
 
 
 def select_block(samples, risk_weights: WeightSequence, penalty_const: float) -> BlockSelection:
@@ -206,10 +200,7 @@ def select_block(samples, risk_weights: WeightSequence, penalty_const: float) ->
 
 def penalized_select(sample: Sample, risk_weights: WeightSequence, penalty_const: float) -> SelectionTrace:
     """``select_block`` of one sample, as a trace."""
-    sel = select_block([sample], risk_weights, penalty_const)
-    cut, k, y2, coeffs = (row[0] for row in sel[:4])
-    return SelectionTrace(int(cut), float(y2), *(a[0] for a in sel[4:]), int(k),
-                          GalerkinEstimate(coeffs[:k], thresholded=False))
+    return SelectionTrace(*(rows[0] for rows in select_block([sample], risk_weights, penalty_const)))
 
 
 # -- oracle ---------------------------------------------------------------
@@ -237,9 +228,10 @@ def oracle_dimension(
     w = risk_weights.values(k_max)
     g = smoothness_weights.values(k_max)
     lam = operator_weights.values(k_max)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bias = w / g
         variance = np.cumsum(w / lam) / n
-    objective = np.maximum(bias, variance)
+    objective = np.maximum(bias, variance, out=bias)
+    objective[np.isnan(objective)] = np.inf  # an inf / inf ratio never chooses k
     k_best = int(np.argmin(objective)) + 1
     return k_best, float(objective[k_best - 1])

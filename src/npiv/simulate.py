@@ -240,9 +240,6 @@ class StructuralSpec:
     def truncation(self) -> int:
         return self.coeffs.size
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_coeffs(self.coeffs, points)
-
 
 # Custom truths may sit exactly on the ellipsoid boundary; allow for the
 # rounding of the norm computation itself.
@@ -330,7 +327,7 @@ def generate_samples(
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     seeds = list(seeds)
     z, w = sample_joint(op, n, seeds)
-    signal = phi(z.ravel()).reshape(z.shape)
+    signal = evaluate_coeffs(phi.coeffs, z.ravel()).reshape(z.shape)
     samples = []
     for seed, y, z_r, w_r in zip(seeds, signal, z, w):
         if sigma > 0:

@@ -17,7 +17,7 @@ import scipy.stats as st
 
 from npiv.basis import WeightSequence, trig_design
 from npiv.cli import main, run_rate_study
-from npiv.estimator import Sample, diagonal_estimate, empirical_operator_matrix, risks_weighted
+from npiv.estimator import Sample, diagonal_estimate, empirical_moments, risks_weighted
 from npiv.selection import penalized_select
 from npiv.simulate import (
     joint_density,
@@ -144,7 +144,7 @@ def test_criterion_6_simulator_fidelity(check):
     for seed in range(20):
         zz, ww = sample_joint(op, n, 100 + seed)
         s = Sample(np.zeros(n), zz, ww)
-        mat = empirical_operator_matrix(s, 10)
+        mat = empirical_moments(s, 10)[0]
         target = np.diag(op.diag[:10])
         if np.abs(mat - target).max() <= 4.0 / math.sqrt(n):
             hits += 1

@@ -25,8 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npiv import cli, selection
-from npiv.basis import WeightSequence, parse_weights
+from npiv import cli, estimator, selection
+from npiv.basis import WeightSequence, parse_weights, trig_design
 from npiv.cli import StudyRow, main, run_rate_study
 from npiv.estimator import Sample, diagonal_estimate, load_csv, risks_weighted, write_csv
 from npiv.selection import (
@@ -726,6 +726,22 @@ def test_select_warns_when_far_from_diagonal(tmp_path, capsys):
     assert "far from diagonal" not in capsys.readouterr().err
 
 
+def test_select_builds_one_instrument_design_for_its_check(tmp_path, monkeypatch, capsys):
+    # the off-diagonal check reads the operator matrix of the Galerkin fit's moment builder
+    shapes = []
+
+    def counted(points, k):
+        shapes.append((points.size, k))
+        return trig_design(points, k)
+
+    monkeypatch.setattr(estimator, "trig_design", counted)
+    rng = np.random.default_rng(4)
+    u = rng.uniform(0, 1, 400)
+    assert main(["select", _sample_csv(tmp_path, Sample(rng.normal(0.0, 1.0, 400), u, u))]) == 0
+    cutoff = json.loads(capsys.readouterr().out)["cutoff"]
+    assert cutoff >= 2 and shapes == [(400, min(cutoff, 10))] * 2
+
+
 def test_select_non_finite_report_exits_2_without_output(tmp_path, capsys):
     # y**2 would overflow, so the sample's bound rejects the first row before any moment is taken
     path = tmp_path / "huge.csv"
@@ -1002,6 +1018,11 @@ _EXTREME_ORACLE = [
     (["--operator-weights", "custom:1e308,1e308", "--link-constant", "1e-300"], "2,2,0.0625,2,2,2e-308"),
     # 2016 * link / l_1 overflows
     (["--operator-weights", "custom:1e-308,1e-308"], "2,1,5e+307,1,1,inf"),
+    # inf / inf weight ratios from j = 3 on, in the bias and then in the variance, never choose k
+    (["--risk-weights", "sobolev:400", "--smoothness-weights", "sobolev:400", "--operator-weights", "poly:1",
+      "--n-grid", "100"], "100,1,1.0,1,1,1.0"),
+    (["--risk-weights", "sobolev:400", "--operator-weights", "sobolev:400", "--n-grid", "100"],
+     "100,1,1.0,2,2,1.0"),
 ]
 
 
@@ -1014,11 +1035,12 @@ def test_oracle_at_extreme_magnitudes_runs_warning_free(capsys, flags, row):
 
 
 def test_a_json_report_that_would_hold_inf_exits_2_without_output(tmp_path, capsys):
-    # the last CSV row above holds inf, which strict JSON cannot
+    # the third CSV row above holds inf, which strict JSON cannot
     out = tmp_path / "oracle.json"
-    argv = ["oracle", "--smoothness-weights", "sobolev:2", "--n-grid", "2", *_EXTREME_ORACLE[-1][0]]
+    argv = ["oracle", "--smoothness-weights", "sobolev:2", "--n-grid", "2", *_EXTREME_ORACLE[2][0]]
     assert main([*argv, "--format", "json", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "npiv: error: the oracle report holds a non-finite value\n"
+    assert capsys.readouterr().err == ("npiv: error: oracle row n=2: effective_dim_at_k is inf, which JSON "
+                                       "cannot hold; --format csv writes it\n")
     assert not out.exists()
 
 
@@ -1103,6 +1125,18 @@ def test_rate_study_with_exact_estimates_has_no_slope(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert [row["risk_median"] for row in report["per_n"]] == [0.0, 0.0]
     assert report["fitted_slope"] is None
+
+
+def test_rate_study_whose_oracle_weights_overflow_together_runs_warning_free(tmp_path, capsys):
+    # derivative order 99 against smoothness 100: w_j / g_j is inf / inf from j = 37 on
+    cfg = _write_config(tmp_path, structural={"smoothness": 100, "truncation": 3}, operator={"truncation": 5},
+                        selection={"derivative_order": 99}, study={"n_grid": [100, 200], "replications": 2})
+    out = tmp_path / "study.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rate-study", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row["oracle_k"] for row in json.loads(out.read_text())["per_n"]] == [1, 1]
 
 
 @pytest.mark.parametrize("command", [["simulate", "--n", "10"], ["rate-study"]])
@@ -1504,6 +1538,9 @@ def test_rate_study_usage_errors(tmp_path, capsys):
     # risks beyond the double range, and responses past 2**400, are usage errors, not internal ones
     for sections, message in (
         ({"selection": {"derivative_order": 538}}, "the risk at n=20 overflows"),
+        # each risk, about 1.5e308, is finite, and their mean's sum is not
+        ({"structural": {"coeffs": [0, 3800], "smoothness": 1, "radius": 1e10}, "noise": {"sigma": 0.1},
+          "selection": {"derivative_order": 500}}, "the risk at n=20 overflows"),
         ({"noise": {"snr": 1e-268}}, "bad noise config: noise level sigma="),
         ({"structural": {"radius": 1e300, "truncation": 30}}, "bad structural config: coefficients too large"),
     ):

@@ -20,7 +20,7 @@ from npiv.estimator import (
     diagonal_estimate,
     diagonal_estimates,
     empirical_diagonal,
-    empirical_operator_matrix,
+    empirical_moments,
     galerkin_estimate,
     load_csv,
     risks_weighted,
@@ -64,10 +64,19 @@ def test_sample_validation():
 # -- empirical moments ----------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [1, 3, 500])
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_empirical_moments_are_the_design_products_bitwise(n, k):
+    s = _random_sample(np.random.default_rng(n * k), n)
+    pw, pz = trig_design(s.w, k), trig_design(s.z, k)
+    for got, want in zip(empirical_moments(s, k), (pw.T @ pz / n, pw.T @ s.y / n)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_operator_matrix_constant_entry():
     rng = np.random.default_rng(0)
     s = _random_sample(rng, 37)
-    assert_array_equal(empirical_operator_matrix(s, 1), [[1.0]])
+    assert_array_equal(empirical_moments(s, 1)[0], [[1.0]])
 
 
 def test_operator_matrix_hand_values():
@@ -75,7 +84,7 @@ def test_operator_matrix_hand_values():
     # terms cancel exactly and the (2, 2) entry averages two squares.
     pts = np.array([0.0, 0.5])
     s = Sample(np.array([1.0, 3.0]), pts, pts)
-    mat = empirical_operator_matrix(s, 2)
+    mat = empirical_moments(s, 2)[0]
     assert mat[0, 0] == 1.0
     assert mat[0, 1] == 0.0
     assert mat[1, 0] == 0.0
@@ -97,7 +106,7 @@ def test_empirical_diagonal_matches_matrix_and_rhs():
     rng = np.random.default_rng(1)
     s = _random_sample(rng, 50)
     tdiag, ghat = empirical_diagonal(s, 6)
-    assert_allclose(tdiag, np.diag(empirical_operator_matrix(s, 6)), rtol=1e-12, atol=1e-15)
+    assert_allclose(tdiag, np.diag(empirical_moments(s, 6)[0]), rtol=1e-12, atol=1e-15)
     assert_allclose(ghat, trig_design(s.w, 6).T @ s.y / s.n, rtol=1e-12, atol=1e-15)
 
 
@@ -240,7 +249,7 @@ def test_galerkin_matches_closed_form_2x2():
     s = Sample(y, pts, pts)
     fit = galerkin_estimate(s, 2)
     assert not fit.thresholded
-    mat = empirical_operator_matrix(s, 2)
+    mat = empirical_moments(s, 2)[0]
     g = empirical_diagonal(s, 2)[1]
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     ref = [
@@ -300,7 +309,7 @@ def test_galerkin_norm_threshold_branch():
     for reps, expect_threshold in ((2, True), (20000, False)):
         pts = np.array([x1, x2] * reps)
         s = Sample(np.ones(2 * reps), pts, pts)
-        sv = np.linalg.svd(empirical_operator_matrix(s, 2), compute_uv=False)
+        sv = np.linalg.svd(empirical_moments(s, 2)[0], compute_uv=False)
         assert sv[-1] > np.finfo(float).eps * 2 * sv[0]  # not numerically singular
         assert galerkin_estimate(s, 2).thresholded == expect_threshold
 

@@ -1,15 +1,18 @@
-"""The README's "Command line" section names the config keys, defaults and flags the CLI has."""
+"""The README's "Command line" section names the config keys, defaults and flags the CLI has,
+and its "Library tour" calls only functions the package has."""
 
 import argparse
 import json
 import re
 from pathlib import Path
 
-from npiv import cli
+from npiv import basis, cli, estimator, selection, simulate
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
 SPAN = re.compile(r"`(?:npiv )?(simulate|estimate|select|oracle|rate-study)\b([^`]*)`")
+CALL = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\(")
+MODULES = (basis, estimator, selection, simulate, cli)
 
 
 def _section(title: str) -> str:
@@ -55,6 +58,13 @@ def named_flags(text: str) -> list:
     return named
 
 
+def called_names(text: str) -> set:
+    """Each bare name, not an attribute, written as a call inside an inline code span of
+    ``text``; fenced code blocks are left out."""
+    spans = re.findall(r"`([^`]*)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return {name for span in spans for name in CALL.findall(span)}
+
+
 def test_the_config_table_lists_each_key_with_its_default():
     expected = {section: {key: default for key, (_, default, _) in keys.items()}
                 for section, keys in cli._SECTION_KEYS.items()}
@@ -84,3 +94,15 @@ def test_a_stale_key_or_flag_is_caught():
                                  (None, "--jobs")]
     flags = command_flags()
     assert "--seed" not in flags["rate-study"] and "--n-grid" not in flags["rate-study"]
+
+
+def test_each_call_the_library_tour_writes_exists():
+    called = called_names(_section("Library tour"))
+    assert {"empirical_moments", "evaluate_coeffs", "select_block"} <= called
+    assert [name for name in sorted(called) if not any(hasattr(m, name) for m in MODULES)] == []
+
+
+def test_a_removed_call_is_caught():
+    text = "`empirical_operator_matrix(s, k)` and `seq.values(k)`, then\n```\nprint(x)\n```"
+    assert called_names(text) == {"empirical_operator_matrix"}
+    assert not any(hasattr(m, "empirical_operator_matrix") for m in MODULES)

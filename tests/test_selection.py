@@ -13,6 +13,8 @@ from npiv import estimator, selection
 from npiv.basis import WeightSequence
 from npiv.estimator import Sample, diagonal_estimate, empirical_diagonal
 from npiv.selection import (
+    BlockSelection,
+    SelectionTrace,
     dimension_cap,
     dimension_cutoffs,
     effective_dimension,
@@ -477,6 +479,20 @@ def test_select_block_rows_equal_lone_selections(rows, n, seed, operator, sigma,
         assert [float(v) for v in sel.contrast[r, :cut]] == contrast
         assert [float(v) for v in sel.penalty[r, :cut]] == penalty
         assert [float(v) for v in sel.criterion[r, :cut]] == criterion
+
+
+def test_a_selection_trace_is_row_0_of_its_block():
+    # the trace declares no field of its own, and each equals the block's row 0 bit for bit
+    assert SelectionTrace._fields == BlockSelection._fields
+    op = make_operator("polynomial", 1.0, 5)
+    for n, weights, const in ((2, CONST, 0.75), (400, WeightSequence.derivative(1), 0.75), (400, CONST, 540.0)):
+        s = generate_sample(_PHI, op, 0.3, n, 2)
+        trace = penalized_select(s, weights, const)
+        block = select_block([Sample(s.y, s.z, s.w)], weights, const)
+        for name, mine, rows in zip(SelectionTrace._fields, trace, block):
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (rows.dtype, rows[0].shape, rows[0].tobytes()), name
+        assert trace.estimate.coeffs.tobytes() == trace.coeffs[: trace.k_selected].tobytes()
+        assert not trace.estimate.thresholded
 
 
 def test_select_block_examples_reach_the_cap_and_mix_cutoffs():
