@@ -36,6 +36,7 @@ from .estimator import (
     write_csv,
 )
 from .selection import (
+    _never_grows,
     dimension_cutoffs,
     effective_dimension,
     oracle_dimension,
@@ -67,6 +68,10 @@ _MAX_BYTES = 1 << 30
 _CELL_BYTES = 512
 # Bytes ``oracle_dimension`` holds per candidate k: six arrays of doubles at its peak.
 _ORACLE_K_BYTES = 48
+# Bytes ``dimension_cutoffs`` holds per weight at its peak (tracemalloc: eight arrays of doubles and a
+# few KB), rounded up so that the largest n accepted stays under 1 GiB.  Its walk reads all n weights
+# when the risk weights do not grow and the operator weights do not decay.
+_WALK_BYTES = 65
 # Proposals one block of study replications (of one n) may draw together, each replication
 # counted at ``proposal_batch(op, n)``; a block shares its sampler's and truth's calls.
 _BLOCK_PROPOSALS = 1 << 16
@@ -382,6 +387,9 @@ def cmd_oracle(args) -> int:
     _in_range("--k-max", args.k_max, ">= 1")
     grid = _parse_n_grid(args.n_grid)
     _check_size(f"--n-grid {_size(grid[-1])}", grid[-1])
+    if _never_grows(risk_w) and op_w.kind == "power" and op_w.param >= 0:
+        _check_size(f"--n-grid {_size(grid[-1])} with --risk-weights {args.risk_weights} and "
+                    f"--operator-weights {args.operator_weights}", grid[-1], _WALK_BYTES)
     _check_size(f"--k-max {_size(args.k_max)} at n={_size(grid[-1])}", min(grid[-1], args.k_max), _ORACLE_K_BYTES)
     rows = []
     for n in grid:
@@ -437,10 +445,9 @@ def _study_worker(block: tuple, rep: int, seed: int, k_selected, cutoff, risk, o
 
 def _study_block(block: tuple) -> list[StudyRow]:
     """Rows of a block of replications of one n, drawn, selected and scored together."""
-    phi, op, sigma, order, penalty_const, oracle_k, n, reps, master = block
+    phi, op, sigma, weights, penalty_const, oracle_k, n, reps, master = block
     seeds = [task_seed(master, n, rep) for rep in reps]
     samples = generate_samples(phi, op, sigma, n, seeds)
-    weights = WeightSequence.derivative(order)
     sel = select_block(samples, weights, penalty_const)
     risks = risks_weighted([c[:k] for c, k in zip(sel.coeffs, sel.k_selected)], phi.coeffs, weights)
     fixed = risks_weighted(diagonal_estimates(samples, oracle_k)[0], phi.coeffs, weights)
@@ -471,15 +478,15 @@ def run_rate_study(
     weights = WeightSequence.derivative(order)
     smooth_w = WeightSequence.sobolev(phi.smoothness)
 
-    known, blocks = {}, []
+    known, blocks = [], []  # per n: the oracle k and rate, and the known-weights cutoffs
     for n in grid:
         k_best, rate = oracle_dimension(weights, smooth_w, op.weights, n, min(n, k_max))
-        known[n] = (k_best, rate, *dimension_cutoffs(weights, op.weights, op.link_constant, n))
+        known.append((k_best, rate, *dimension_cutoffs(weights, op.weights, op.link_constant, n)))
         # the fewest near-equal blocks under the cap
         size = max(1, _BLOCK_PROPOSALS // proposal_batch(op, n))
         count = -(-reps // size)
         blocks += [
-            (phi, op, sigma, order, penalty_const, k_best, n,
+            (phi, op, sigma, weights, penalty_const, k_best, n,
              range(reps * i // count, reps * (i + 1) // count), master)
             for i in range(count)
         ]
@@ -502,34 +509,25 @@ def run_rate_study(
         theoretical = -(p - s) / a
         slope_axis = "log_log_n"
 
-    per_n = []
-    for i, n in enumerate(grid):
-        cells = rows[i * reps:(i + 1) * reps]
-        risks = np.array([r.risk for r in cells])
-        with np.errstate(over="ignore"):  # finite risks may still sum past the doubles
-            risk_mean = float(risks.mean())
-        if not math.isfinite(risk_mean):  # an inf or nan risk makes the mean so too
-            raise ValueError(f"the risk at n={n} overflows; lower the noise or the derivative order")
-        if risks.min() < 0:
-            raise RuntimeError("negative risk in study results")
-        fixed_risks = np.array([r.oracle_risk for r in cells])
-        ks = np.array([r.k_selected for r in cells])
-        k_best, rate, cutoff, lower = known[n]
-        q25, q50, q75 = (float(np.quantile(risks, q)) for q in (0.25, 0.5, 0.75))
-        per_n.append(
-            {
-                "n": int(n),
-                "risk_median": q50,
-                "risk_mean": risk_mean,
-                "risk_iqr": q75 - q25,
-                "k_median": float(np.median(ks)),
-                "oracle_k": int(k_best),
-                "oracle_rate": float(rate),
-                "oracle_risk_median": float(np.median(fixed_risks)),
-                "cutoff_known": int(cutoff),
-                "cutoff_lower": int(lower),
-            }
-        )
+    # the study as (n, replication) tables, each statistic taken along a row
+    risk, fixed, ks = (np.reshape(col, (len(grid), reps))
+                       for col in zip(*((r.risk, r.oracle_risk, r.k_selected) for r in rows)))
+    with np.errstate(over="ignore"):  # finite risks may still sum past the doubles
+        means = risk.mean(axis=1)
+    if not np.isfinite(means).all():  # an inf or nan risk makes its mean so too
+        n = grid[np.argmin(np.isfinite(means))]
+        raise ValueError(f"the risk at n={n} overflows; lower the noise or the derivative order")
+    if risk.min() < 0:
+        raise RuntimeError("negative risk in study results")
+    q25, q50, q75 = np.quantile(risk, (0.25, 0.5, 0.75), axis=1).tolist()
+    stats = zip(grid, known, means.tolist(), q25, q50, q75, np.median(ks, axis=1).tolist(),
+                np.median(fixed, axis=1).tolist())
+    per_n = [
+        {"n": int(n), "risk_median": med, "risk_mean": mean, "risk_iqr": hi - lo, "k_median": k_med,
+         "oracle_k": int(k_best), "oracle_rate": float(rate), "oracle_risk_median": fixed_med,
+         "cutoff_known": int(cutoff), "cutoff_lower": int(lower)}
+        for n, (k_best, rate, cutoff, lower), mean, lo, med, hi, k_med, fixed_med in stats
+    ]
     xs = np.log(np.array(grid, dtype=float))
     if slope_axis == "log_log_n":
         xs = np.log(xs)

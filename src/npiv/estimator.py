@@ -132,8 +132,8 @@ def write_csv(sample: Sample, path) -> None:
     """Write a sample as CSV with shortest-roundtrip float formatting."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for y, z, w in zip(sample.y, sample.z, sample.w):
-            fh.write(f"{float(y)!r},{float(z)!r},{float(w)!r}\n")
+        for y, z, w in zip(sample.y.tolist(), sample.z.tolist(), sample.w.tolist()):
+            fh.write(f"{y!r},{z!r},{w!r}\n")
 
 
 @dataclass(frozen=True)

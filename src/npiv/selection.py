@@ -108,12 +108,17 @@ def dimension_cutoffs(
     return cutoff, _last_hit(_estimable(lam[:cutoff], n, risk_weights, 4.0 * link_constant))
 
 
+def _never_grows(w: WeightSequence) -> bool:
+    """Whether every weight is at most w_1 = 1 by its kind: exponential, or power of exponent <= 0."""
+    return w.kind == "exponential" or (w.kind == "power" and w.param <= 0)
+
+
 def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
     """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1);
     the walk reads at most max(8, 2 * (N + 1)) weights."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if risk_weights.kind == "exponential" or (risk_weights.kind == "power" and risk_weights.param <= 0):
+    if _never_grows(risk_weights):
         return n  # every weight is at most w_1 = 1 <= n
     return _prefix_end(lambda k: risk_weights.values(k) <= n, _limit(n, risk_weights))
 

@@ -50,7 +50,8 @@ class OperatorSpec:
     the common factor applied to the square roots of the operator weights;
     ``density_floor`` is a certified lower bound for the joint density and
     ``link_constant`` the largest ratio between squared diagonal coefficients
-    and operator weights in either direction.
+    and operator weights in either direction.  ``envelope``, derived once from
+    ``diag``, is the rejection sampler's bound 1 + 2 * sum_{j>=2} |t_j| on the density.
     """
 
     decay: str
@@ -67,6 +68,7 @@ class OperatorSpec:
         object.__setattr__(self, "diag", t)
         if t.ndim != 1 or t.size < 1 or t[0] != 1.0:
             raise ValueError("diag must be a vector starting with t_1 = 1")
+        object.__setattr__(self, "envelope", 1.0 + 2.0 * float(np.sum(np.abs(t[1:]))))
 
     @property
     def truncation(self) -> int:
@@ -148,13 +150,9 @@ def joint_density(op: OperatorSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _envelope(op: OperatorSpec) -> float:
-    return 1.0 + 2.0 * float(np.sum(np.abs(op.diag[1:])))
-
-
 def proposal_batch(op: OperatorSpec, n: int) -> int:
     """Proposals ``sample_joint`` draws in one batch while n pairs are missing."""
-    return max(1024, int(math.ceil(n * _envelope(op) * 1.2)))
+    return max(1024, int(math.ceil(n * op.envelope * 1.2)))
 
 
 def sampler_doubles(op: OperatorSpec, n: int) -> int:
@@ -185,14 +183,13 @@ def sample_joint(op: OperatorSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray
     single = isinstance(seed, (int, np.integer))
     seeds = [seed] if single else list(seed)  # not an array: one past 2**63 makes it float64
     rngs = [stream_rng(s, STREAM_JOINT) for s in seeds]
-    envelope = _envelope(op)
     rest = [np.empty((3, 0))] * len(seeds)  # each row's unjudged z, w and u
     have = [0] * len(seeds)
     out = None
     while rows := [r for r, h in enumerate(have) if h < n]:
         batch = [proposal_batch(op, n - have[r]) if rest[r].size == 0 else 0 for r in rows]
         ends = list(itertools.accumulate(
-            min(m or rest[r].shape[1], math.ceil((n - have[r]) * envelope) + 16)
+            min(m or rest[r].shape[1], math.ceil((n - have[r]) * op.envelope) + 16)
             for r, m in zip(rows, batch)
         ))
         part = np.empty((3, ends[-1]))
@@ -209,7 +206,7 @@ def sample_joint(op: OperatorSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray
         if out is None:  # only now, with the density's scratch rows freed
             out = np.empty((2, len(seeds), n))
         for r, a, b in zip(rows, [0] + ends, ends):
-            keep = density[a:b] >= part[2, a:b] * envelope
+            keep = density[a:b] >= part[2, a:b] * op.envelope
             got = part[:2, a:b][:, keep][:, : n - have[r]]
             out[:, r, have[r] : have[r] + got.shape[1]] = got
             have[r] += got.shape[1]

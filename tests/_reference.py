@@ -18,6 +18,8 @@ degenerate fixtures; no command builds one.
 ``csv.reader`` and ``float()``, the spelling rules the vectorised reader
 must keep.  ``derivative_coeffs_loop`` differentiates a series one
 frequency at a time, choosing the quarter turn for each.
+``study_stats_loop`` takes a rate study's per-n statistics one sample size
+at a time, from a slice of the rows, as 1-D numpy calls.
 """
 
 from __future__ import annotations
@@ -214,6 +216,23 @@ def sample_joint_full_batch(op, n, seed):
         ws.append(w[keep])
         have += int(keep.sum())
     return np.concatenate(zs)[:n], np.concatenate(ws)[:n]
+
+
+def study_stats_loop(rows, grid, reps) -> list[dict]:
+    """The statistics of each n of a rate study from its slice of ``rows``, one n at a time."""
+    stats = []
+    for i in range(len(grid)):
+        cells = rows[i * reps:(i + 1) * reps]
+        risks = np.array([r.risk for r in cells])
+        q25, q50, q75 = (float(np.quantile(risks, q)) for q in (0.25, 0.5, 0.75))
+        stats.append({
+            "risk_median": q50,
+            "risk_mean": float(risks.mean()),
+            "risk_iqr": q75 - q25,
+            "k_median": float(np.median(np.array([r.k_selected for r in cells]))),
+            "oracle_risk_median": float(np.median(np.array([r.oracle_risk for r in cells]))),
+        })
+    return stats
 
 
 def regression_coeffs(phi, op) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Tests of the A/B report of tools/ab_bench.py on synthetic benchmark results."""
 
+import contextlib
 import importlib.util
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -118,3 +123,54 @@ def test_main_rejects_a_claim_outside_the_run(tmp_path, capsys, claim):
         ab_bench.main(["--parent-dir", str(tmp_path), "--workload", "study-fs", "--claim", claim])
     assert exc.value.code == 2
     assert f"--claim {claim}: expected WORKLOAD:METRIC" in capsys.readouterr().err
+
+
+# A parent checkout whose benchmark starts one sleeping child, writes both pids and sleeps.
+_STUB_RUN = """
+import os, subprocess, sys, time
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open("pids.tmp", "w") as fh:
+    fh.write(f"{os.getpid()} {child.pid}")
+os.replace("pids.tmp", "pids.txt")
+time.sleep(60)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie, killed but not yet reaped by its new parent, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_until(done, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not done() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return done()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+def test_sigterm_leaves_no_benchmark_process_running(tmp_path):
+    # three processes in all: ab_bench.py, the stub run.py and its sleeping child
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text(_STUB_RUN)
+    pids_file = tmp_path / "pids.txt"
+    proc = subprocess.Popen([sys.executable, _PATH, "--parent-dir", str(tmp_path), "--pairs", "1"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pids = []
+    try:
+        assert _wait_until(lambda: pids_file.exists() or proc.poll() is not None, 30) and pids_file.exists()
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert all(map(_alive, pids))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+        assert _wait_until(lambda: not any(map(_alive, pids)), 5)
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()

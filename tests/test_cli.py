@@ -38,7 +38,7 @@ from npiv.selection import (
 )
 from npiv.simulate import generate_sample, make_operator, make_structural, sampler_doubles, task_seed
 
-from _reference import rebuild_trace, trig_columns_loop
+from _reference import rebuild_trace, study_stats_loop, trig_columns_loop
 
 CONST = WeightSequence.constant()
 
@@ -1012,6 +1012,61 @@ def test_oracle_k_max_beyond_the_bound_exits_2_before_the_oracle_runs(monkeypatc
         assert capsys.readouterr().err == f"npiv: error: --k-max {cli._size(k_max)} at n={n} {_TOO_LARGE}\n"
 
 
+@pytest.mark.parametrize("risk, operator", [("const", "const"), ("poly:1", "sobolev:1")])
+def test_a_walk_over_every_weight_holds_eight_doubles_per_weight(risk, operator):
+    # the bytes per weight at which oracle --n-grid is bounded when the walk reads all n weights
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        assert dimension_cutoffs(parse_weights(risk), parse_weights(operator), 1.0, n)[0] == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cli._WALK_BYTES - 8) * n < peak <= cli._WALK_BYTES * n
+
+
+@pytest.mark.parametrize("risk", ["const", "poly:1", "exp:1"])
+@pytest.mark.parametrize("operator", ["const", "sobolev:1"])
+def test_oracle_n_grid_exits_2_before_a_walk_over_every_weight_past_the_bound(monkeypatch, capsys, risk, operator):
+    def reached(*args):
+        raise RuntimeError("the walk ran")
+
+    monkeypatch.setattr(cli, "dimension_cutoffs", reached)
+    fits = cli._MAX_BYTES // cli._WALK_BYTES
+    base = ["oracle", "--risk-weights", risk, "--smoothness-weights", "sobolev:2", "--operator-weights", operator]
+    assert main(base + ["--n-grid", str(fits)]) == 4
+    assert capsys.readouterr().err == "npiv: internal error: RuntimeError: the walk ran\n"
+    for n in (fits + 1, cli._MAX_BYTES // 8):
+        assert main(base + ["--n-grid", f"100,{n}"]) == 2
+        flags = f"--n-grid {n} with --risk-weights {risk} and --operator-weights {operator}"
+        assert capsys.readouterr().err == f"npiv: error: {flags} {_TOO_LARGE}\n"
+
+
+@pytest.mark.parametrize("risk, operator", [
+    ("sobolev:1", "const"), ("const", "poly:1"), ("poly:1", "poly:0.5"), ("exp:1", "exp:1"),
+    ("custom:1,1", "const"), ("const", "custom:1,1,1"),
+])
+def test_oracle_n_grid_keeps_its_array_bound_for_walks_that_stop_early(monkeypatch, capsys, risk, operator):
+    # growing risk weights, decaying operator weights and custom tables end the walk early
+    def reached(*args):
+        raise RuntimeError("the walk ran")
+
+    monkeypatch.setattr(cli, "dimension_cutoffs", reached)
+    base = ["oracle", "--risk-weights", risk, "--smoothness-weights", "sobolev:2", "--operator-weights", operator,
+            "--k-max", "2"]
+    assert main(base + ["--n-grid", str(cli._MAX_BYTES // 8)]) == 4
+    assert capsys.readouterr().err == "npiv: internal error: RuntimeError: the walk ran\n"
+
+
+def test_oracle_with_decaying_operator_weights_runs_at_n_1e8(capsys):
+    # poly:1 stops the walk after a few dozen weights, so n = 10**8 stays within the array bound
+    argv = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1", "--n-grid", "100000000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("100000000,")
+
+
 _EXTREME_ORACLE = [
     # n * l_j / link overflows, and 2016 * link / l_1 underflows with the small constant
     (["--operator-weights", "custom:1e308,1e308"], "2,2,0.0625,2,2,2e-308"),
@@ -1272,11 +1327,62 @@ def test_study_block_rows_equal_rows_built_one_sample_at_a_time(reps, n, operato
             risks_weighted([trace.estimate.coeffs], phi.coeffs, weights)[0], oracle_k,
             risks_weighted([fixed.coeffs], phi.coeffs, weights)[0],
         ))
-    rows = cli._study_block((phi, op, 0.3, order, 0.75, oracle_k, n, range(reps), master))
+    rows = cli._study_block((phi, op, 0.3, weights, 0.75, oracle_k, n, range(reps), master))
     assert rows == expected
     assert all(type(v) in (int, float) for row in rows for v in row)
     if (reps, n, operator, order, oracle_k, master) == (5, 20, ("polynomial", 1.0), 0, 2, 0):
         assert fallbacks == [False, True, True, False, False]
+
+
+def _assert_stats_equal_the_loop(report, rows):
+    # bit for bit: each statistic of each n, compared as float.hex
+    expected = study_stats_loop(rows, report["n_grid"], report["replications"])
+    assert len(report["per_n"]) == len(expected)
+    for row, ref in zip(report["per_n"], expected):
+        assert {key: row[key].hex() for key in ref} == {key: v.hex() for key, v in ref.items()}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_study_statistics_along_the_table_equal_the_per_n_loop(monkeypatch, seed):
+    # random rows: zeros and magnitudes from 1e-300 to 1e300, up to 300 replications
+    rng = np.random.default_rng(seed)
+    grid = sorted(rng.choice(np.arange(2, 80), size=int(rng.integers(1, 5)), replace=False).tolist())
+    reps = int(rng.integers(1, 301))
+
+    def random_block(block):
+        n, cells = block[6], block[7]
+        risks = 10.0 ** rng.uniform(-300.0, 300.0, (len(cells), 2))
+        risks[rng.random(risks.shape) < 0.2] = 0.0
+        return [StudyRow(n, rep, 0, int(rng.integers(1, 40)), 1, 0, float(r), 1, float(f))
+                for rep, (r, f) in zip(cells, risks)]
+
+    monkeypatch.setattr(cli, "_study_block", random_block)
+    phi = make_structural(2.0, 1.0, truncation=30)
+    op = make_operator("polynomial", 1.0, truncation=4)
+    _assert_stats_equal_the_loop(*run_rate_study(phi, op, 0.3, 0, 0.75, grid, reps, 1, 200, 1))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_study_statistics_of_a_real_study_equal_the_per_n_loop(jobs):
+    phi = make_structural(2.0, 1.0, truncation=30)
+    op = make_operator("polynomial", 1.0, truncation=4)
+    _assert_stats_equal_the_loop(*run_rate_study(phi, op, 0.3, 1, 0.75, [50, 100, 200], 7, 2, 200, jobs))
+
+
+def test_a_serial_study_builds_its_risk_weights_once(monkeypatch):
+    built, blocks = [], []
+    derivative, study_block = WeightSequence.derivative, cli._study_block
+    monkeypatch.setattr(WeightSequence, "derivative", staticmethod(lambda s: built.append(s) or derivative(s)))
+    monkeypatch.setattr(cli, "_study_block", lambda block: blocks.append(block) or study_block(block))
+    monkeypatch.setattr(cli, "_BLOCK_PROPOSALS", 1)  # a block per replication
+    phi = make_structural(2.0, 1.0, truncation=30)
+    run_rate_study(phi, make_operator("polynomial", 1.0, truncation=4), 0.3, 1, 0.75, [20, 40], 5, 1, 200, 1)
+    assert len(blocks) == 10 and built == [1]
+    # index 3 of each block carries the run's weights, and index 5 still the oracle k
+    assert all(block[3] is blocks[0][3] for block in blocks) and blocks[0][3] == derivative(1)
+    sobolev, poly = WeightSequence.sobolev(2.0), WeightSequence.polynomial_decay(1.0)
+    oracle_k = [oracle_dimension(derivative(1), sobolev, poly, n, n)[0] for n in (20, 40)]
+    assert [block[5] for block in blocks] == [k for k in oracle_k for _ in range(5)]
 
 
 def test_rate_study_bytes_do_not_depend_on_blocks(tmp_path, capsys, monkeypatch):

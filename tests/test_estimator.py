@@ -644,6 +644,15 @@ def test_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "y,z,w"
 
 
+def test_write_csv_writes_the_bytes_of_a_float_per_value_loop(tmp_path):
+    y = np.array([-0.0, 5e-324, 1e-300, 0.1, 2.0 ** 400, -(2.0 ** 400)])
+    z = np.array([-0.0, 5e-324, 1e-300, 0.1, 1.0, 0.0])
+    s = Sample(y, z, z[::-1])
+    write_csv(s, tmp_path / "s.csv")
+    loop = "".join(f"{float(a)!r},{float(b)!r},{float(c)!r}\n" for a, b, c in zip(s.y, s.z, s.w))
+    assert (tmp_path / "s.csv").read_bytes() == ("y,z,w\n" + loop).encode()
+
+
 _UNIT = st.floats(0.0, 1.0)
 
 

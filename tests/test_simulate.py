@@ -132,6 +132,21 @@ def test_custom_operator():
         custom_operator(())
 
 
+def _summed_envelope(op):
+    return 1.0 + 2.0 * float(np.sum(np.abs(op.diag[1:])))
+
+
+@pytest.mark.parametrize("op", [
+    make_operator("polynomial", 1.0, 2), make_operator("polynomial", 0.26, 64), make_operator("exponential", 0.5, 8),
+    custom_operator((1.0,)), custom_operator((1.0, -0.3, 0.1)), custom_operator((1.0, 0.7)),
+])
+def test_operator_envelope_is_derived_once_from_the_diagonal(op):
+    assert op.envelope == _summed_envelope(op)
+    # proposal_batch reads it: the batch sizes of the sum taken again on every call
+    for n in (1, 7, 100, 853, 1000, 10**4, 123_457, 10**6, 2**27):
+        assert simulate.proposal_batch(op, n) == max(1024, int(math.ceil(n * _summed_envelope(op) * 1.2)))
+
+
 def test_custom_operator_of_truncation_one():
     # T = 1 has no ratio to bound: link 1, density 1, and every proposal is kept
     op = custom_operator((1.0,))

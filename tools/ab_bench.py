@@ -21,6 +21,9 @@ every change run beats every parent run.  A closing verdict line follows;
 the exit status is 1 when some metric is worse than its bound or the change
 failed more operations than the parent.
 
+Each run starts in a session of its own.  Interrupting the comparison (Ctrl-C
+or SIGTERM) kills the running benchmark with all its processes before exiting.
+
 ``--claim WORKLOAD:METRIC`` (repeatable) names a gain claimed before
 measuring.  The verdict then also requires, for each claim, that the change
 won at least 9 of every 10 pairs and that the medians differ, in the better
@@ -33,8 +36,10 @@ direction, by more than the parent's interquartile range:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -43,13 +48,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_benchmark(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``checkout``; returns its result object."""
+    """One untraced benchmark run in ``checkout``; returns its result object.
+
+    The run gets a session of its own.  On an interruption (Ctrl-C, SIGTERM, which the
+    script raises as SystemExit, or any exception) its whole process group, pool workers
+    included, is killed and the run reaped before the interruption passes on.
+    """
     cmd = [sys.executable, os.path.join("benchmarks", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
+    with subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    lines = out.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {err[-2000:]}")
     return json.loads(lines[-1])
 
 
@@ -200,4 +218,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM unwinds like Ctrl-C, so a running benchmark is killed on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
