@@ -168,8 +168,8 @@ class WeightSequence:
 
     # -- evaluation -------------------------------------------------------
 
-    def values(self, k: int) -> np.ndarray:
-        """The first ``k`` weights as an array."""
+    def values(self, k: int, lo: int = 1) -> np.ndarray:
+        """The weights w_lo..w_k as an array, each with the bits of its entry in ``values(k)``."""
         if k < 0:
             raise ValueError(f"requested length must be >= 0, got {k}")
         if self.kind == "custom":
@@ -177,12 +177,13 @@ class WeightSequence:
                 raise ValueError(
                     f"custom weight table has {len(self.table)} entries, index {k} requested"
                 )
-            return np.array(self.table[:k], dtype=float)
+            return np.array(self.table[lo - 1:k], dtype=float)
         # Growth weights past the double range become inf, a handled case.
         with np.errstate(over="ignore"):
-            powers = np.arange(1, k + 1, dtype=float) ** (2.0 * self.param)
+            powers = np.arange(lo, k + 1, dtype=float) ** (2.0 * self.param)
             w = np.maximum(powers if self.kind == "power" else np.exp(-powers), _TINY)
-        w[:1] = 1.0
+        if lo == 1:
+            w[:1] = 1.0
         return w
 
 

@@ -36,7 +36,6 @@ from .estimator import (
     write_csv,
 )
 from .selection import (
-    _never_grows,
     dimension_cutoffs,
     effective_dimension,
     oracle_dimension,
@@ -68,10 +67,6 @@ _MAX_BYTES = 1 << 30
 _CELL_BYTES = 512
 # Bytes ``oracle_dimension`` holds per candidate k: six arrays of doubles at its peak.
 _ORACLE_K_BYTES = 48
-# Bytes ``dimension_cutoffs`` holds per weight at its peak (tracemalloc: eight arrays of doubles and a
-# few KB), rounded up so that the largest n accepted stays under 1 GiB.  Its walk reads all n weights
-# when the risk weights do not grow and the operator weights do not decay.
-_WALK_BYTES = 65
 # Proposals one block of study replications (of one n) may draw together, each replication
 # counted at ``proposal_batch(op, n)``; a block shares its sampler's and truth's calls.
 _BLOCK_PROPOSALS = 1 << 16
@@ -235,7 +230,7 @@ def _parse_n_grid(text: str) -> list[int]:
     try:
         grid = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ValueError(f"bad sample-size grid {text!r}") from None
+        raise ValueError(f"--n-grid must list integers >= 1, got {text!r}") from None
     return _check_n_grid(grid, "--n-grid")
 
 
@@ -386,10 +381,7 @@ def cmd_oracle(args) -> int:
     _in_range("--link-constant", args.link_constant, "> 0")
     _in_range("--k-max", args.k_max, ">= 1")
     grid = _parse_n_grid(args.n_grid)
-    _check_size(f"--n-grid {_size(grid[-1])}", grid[-1])
-    if _never_grows(risk_w) and op_w.kind == "power" and op_w.param >= 0:
-        _check_size(f"--n-grid {_size(grid[-1])} with --risk-weights {args.risk_weights} and "
-                    f"--operator-weights {args.operator_weights}", grid[-1], _WALK_BYTES)
+    _check_size(f"--n-grid sizes summing to {_size(sum(grid))}", sum(grid))  # each size walks up to n weights
     _check_size(f"--k-max {_size(args.k_max)} at n={_size(grid[-1])}", min(grid[-1], args.k_max), _ORACLE_K_BYTES)
     rows = []
     for n in grid:

@@ -20,16 +20,18 @@ from .basis import WeightSequence, weighted_norm_sq
 from .estimator import GalerkinEstimate, Sample, empirical_diagonal, empirical_diagonals
 
 _SCAN_START = 8
+_BLOCK = 1 << 14  # past it, a walk block is _BLOCK indices long, so a walk holds a few such arrays at a time
 
 
-def _effective_dim(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """delta_k = k * D_k * log(max(F_k, k + 2)) / log(k + 2), with D_k and F_k the
-    running maxima of w_j / l_j and max(w_j, 1) / l_j, along the last axis of ``lam``."""
-    k = np.arange(1, w.size + 1, dtype=float)
+def _effective_dim(w: np.ndarray, lam: np.ndarray, lo: int = 1, maxima=(-np.inf, -np.inf)):
+    """delta_k = k * D_k * log(max(F_k, k + 2)) / log(k + 2) for k = lo, lo + 1, ..., with D_k
+    and F_k the running maxima of w_j / l_j and max(w_j, 1) / l_j along the last axis of
+    ``lam``, started from ``maxima``, those of j < lo; and the maxima (D, F) at the last k."""
+    k = np.arange(lo, lo + w.size, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf / inf is nan
-        ampl = np.maximum.accumulate(w / lam, axis=-1)
-        floored = np.maximum.accumulate(np.maximum(w, 1.0) / lam, axis=-1)
-        return k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2)
+        ampl = np.maximum(np.maximum.accumulate(w / lam, axis=-1), maxima[0])
+        floored = np.maximum(np.maximum.accumulate(np.maximum(w, 1.0) / lam, axis=-1), maxima[1])
+        return k * ampl * np.log(np.maximum(floored, k + 2)) / np.log(k + 2), (ampl[..., -1], floored[..., -1])
 
 
 def effective_dimension(
@@ -38,7 +40,7 @@ def effective_dimension(
     """Effective dimensions delta_1..delta_k_max for a known operator weight sequence."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return _effective_dim(risk_weights.values(k_max), operator_weights.values(k_max))
+    return _effective_dim(risk_weights.values(k_max), operator_weights.values(k_max))[0]
 
 
 # -- dimension cutoffs ----------------------------------------------------
@@ -49,28 +51,35 @@ def _limit(n: int, *weights: WeightSequence) -> int:
     return min([n] + [len(w.table) for w in weights if w.table is not None])
 
 
+def _blocks(limit: int):
+    """Index blocks (lo, hi) covering 1..limit in order, hi = 8, 16, 32, ..., _BLOCK, then every _BLOCK."""
+    lo, hi = 1, min(_SCAN_START, limit)
+    while lo <= limit:
+        yield lo, hi
+        lo, hi = hi + 1, min(hi + min(hi, _BLOCK), limit)
+
+
 def _prefix_end(ok, limit: int) -> int:
     """Length of the prefix of indices on which ``ok`` holds, in 1..limit.
 
-    ``ok(k)`` gives the predicate at indices 1..k and agrees with itself on
-    shared prefixes.  It is read at k = 8, 16, 32, ... (capped at ``limit``)
-    until a read holds a failing index, so the walk reads at most
-    max(8, 2 * (end + 1)) entries, whatever ``limit`` is.
+    ``ok(lo, hi)`` gives the predicate at indices lo..hi.  It is read on the
+    ``_blocks`` in order until a block holds a failing index, so the walk reads
+    at most min(max(8, 2 * (end + 1)), end + _BLOCK) entries, whatever ``limit`` is.
     """
-    k = min(_SCAN_START, limit)
-    while True:
-        bad = np.flatnonzero(~ok(k))
+    for lo, hi in _blocks(limit):
+        bad = np.flatnonzero(~ok(lo, hi))
         if bad.size:
-            return max(1, int(bad[0]))
-        if k == limit:
-            return k
-        k = min(2 * k, limit)
+            return max(1, lo - 1 + int(bad[0]))
+    return limit
 
 
-def _last_hit(ok: np.ndarray) -> int:
-    """1-based index of the last entry of ``ok`` that holds, else 1."""
-    hits = np.flatnonzero(ok)
-    return int(hits[-1]) + 1 if hits.size else 1
+def _last_hit(ok, limit: int) -> int:
+    """The last index in 1..limit at which ``ok(lo, hi)``, read on the ``_blocks``, holds, else 1."""
+    last = 1
+    for lo, hi in _blocks(limit):
+        hits = np.flatnonzero(ok(lo, hi))
+        last = lo + int(hits[-1]) if hits.size else last
+    return last
 
 
 def dimension_cutoffs(
@@ -86,6 +95,7 @@ def dimension_cutoffs(
     exponentially small relative to n (checked in log domain); 1 when no N
     qualifies.  The effective dimension is nondecreasing, so the first
     condition holds on a prefix, found by a walk whose cost follows its end.
+    Each walk reads the weights a block at a time, in bounded memory.
     The lower cutoff, a diagnostic for how far the data-driven cutoff can
     reach, is the largest j up to it (at least 1) with
     l_j / (j * max(w_j, 1)) >= 4 * link_constant * log(n) / n.
@@ -94,39 +104,41 @@ def dimension_cutoffs(
         raise ValueError(f"sample size must be >= 1, got {n}")
     if not link_constant > 0:
         raise ValueError(f"link constant must be positive, got {link_constant}")
-    end = _prefix_end(
-        lambda k: effective_dimension(risk_weights, operator_weights, k) / n <= 1.0,
-        _limit(n, risk_weights, operator_weights),
-    )
-    lam = operator_weights.values(end)
-    with np.errstate(over="ignore"):  # an n * l_j / link past the doubles admits j, as -inf lhs
-        lhs = 7.0 * math.log(n) - n * lam / (288.0 * link_constant)
+    maxima = (-np.inf, -np.inf)
+
+    def small(lo: int, hi: int) -> np.ndarray:  # read on the blocks in order, each from the last one's maxima
+        nonlocal maxima
+        delta, maxima = _effective_dim(risk_weights.values(hi, lo), operator_weights.values(hi, lo), lo, maxima)
+        return delta / n <= 1.0
+
+    end = _prefix_end(small, _limit(n, risk_weights, operator_weights))
+    lam_1, seven_log_n, scale = operator_weights.values(1)[0], 7.0 * math.log(n), 288.0 * link_constant
     # a Python float, 0 or inf past the doubles without a warning; 0 is taken in logs instead
-    ratio = 2016.0 * link_constant / float(lam[0])
-    rhs = 7.0 * (math.log(ratio) if ratio > 0 else math.log(2016.0 * link_constant) - math.log(lam[0]))
-    cutoff = _last_hit(lhs <= rhs)
-    return cutoff, _last_hit(_estimable(lam[:cutoff], n, risk_weights, 4.0 * link_constant))
-
-
-def _never_grows(w: WeightSequence) -> bool:
-    """Whether every weight is at most w_1 = 1 by its kind: exponential, or power of exponent <= 0."""
-    return w.kind == "exponential" or (w.kind == "power" and w.param <= 0)
+    ratio = 2016.0 * link_constant / float(lam_1)
+    rhs = 7.0 * (math.log(ratio) if ratio > 0 else math.log(2016.0 * link_constant) - math.log(lam_1))
+    # an n * l_j / link past the doubles admits j, as -inf lhs, and inf / inf (nan) admits none; no j
+    # whose j * w_j passes the doubles is estimable
+    with np.errstate(over="ignore", invalid="ignore"):
+        cutoff = _last_hit(lambda lo, hi: seven_log_n - n * operator_weights.values(hi, lo) / scale <= rhs, end)
+        return cutoff, _last_hit(
+            lambda lo, hi: _estimable(operator_weights.values(hi, lo), n, risk_weights, 4.0 * link_constant, lo),
+            cutoff)
 
 
 def dimension_cap(risk_weights: WeightSequence, n: int) -> int:
     """Largest N <= n, and within a custom table, whose risk weights stay below n (at least 1);
-    the walk reads at most max(8, 2 * (N + 1)) weights."""
+    the walk reads at most min(max(8, 2 * (N + 1)), N + _BLOCK) weights."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if _never_grows(risk_weights):
+    if risk_weights.kind == "exponential" or (risk_weights.kind == "power" and risk_weights.param <= 0):
         return n  # every weight is at most w_1 = 1 <= n
-    return _prefix_end(lambda k: risk_weights.values(k) <= n, _limit(n, risk_weights))
+    return _prefix_end(lambda lo, hi: risk_weights.values(hi, lo) <= n, _limit(n, risk_weights))
 
 
-def _estimable(lam: np.ndarray, n: int, risk_weights: WeightSequence, c: float) -> np.ndarray:
-    """Whether l_j / (j * max(w_j, 1)) >= c * log(n) / n, for each entry of ``lam``."""
-    j = np.arange(1, lam.size + 1, dtype=float)
-    return lam / (j * np.maximum(risk_weights.values(lam.size), 1.0)) >= c * math.log(n) / n
+def _estimable(lam: np.ndarray, n: int, risk_weights: WeightSequence, c: float, lo: int) -> np.ndarray:
+    """Whether l_j / (j * max(w_j, 1)) >= c * log(n) / n, for j = lo, lo + 1, ... along ``lam``."""
+    j = np.arange(lo, lo + lam.size, dtype=float)
+    return lam / (j * np.maximum(risk_weights.values(lo + lam.size - 1, lo), 1.0)) >= c * math.log(n) / n
 
 
 def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence, cap: int) -> int:
@@ -138,10 +150,8 @@ def empirical_dimension_cutoff(sample: Sample, risk_weights: WeightSequence, cap
     sample's shared diagonal prefix, so later fits of the same sample reuse
     what it read.
     """
-    n = sample.n
-    return _prefix_end(
-        lambda k: _estimable(np.square(empirical_diagonal(sample, k)[0]), n, risk_weights, 1.0), cap
-    )
+    return _prefix_end(lambda lo, hi: _estimable(np.square(empirical_diagonal(sample, hi)[0][lo - 1:]), sample.n,
+                                                 risk_weights, 1.0, lo), cap)
 
 
 # -- selection ------------------------------------------------------------
@@ -190,7 +200,7 @@ def select_block(samples, risk_weights: WeightSequence, penalty_const: float) ->
     tdiag, ghat = empirical_diagonals(samples, int(cutoff.max()))
     w = risk_weights.values(tdiag.shape[1])
     y2 = np.mean(np.square(np.stack([s.y for s in samples])), axis=1)
-    eff = _effective_dim(w, tdiag * tdiag)
+    eff = _effective_dim(w, tdiag * tdiag)[0]
     # only padding, or a risk weight past n, makes inf or nan; an infinite penalty's k is never chosen
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coeffs = ghat / tdiag

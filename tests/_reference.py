@@ -323,7 +323,7 @@ def walk_cutoff_from_diagonal(tdiag, n, risk_weights):
     """The library's cutoff walk over an explicit diagonal, capped at its length."""
     t = np.asarray(tdiag, dtype=float)
     cap = min(dimension_cap(risk_weights, n), t.size)
-    return _prefix_end(lambda k: _estimable(t[:k] * t[:k], n, risk_weights, 1.0), cap)
+    return _prefix_end(lambda lo, hi: _estimable(t[lo - 1:hi] * t[lo - 1:hi], n, risk_weights, 1.0, lo), cap)
 
 
 def scan_cutoffs(risk_weights, operator_weights, link_constant, n):

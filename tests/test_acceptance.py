@@ -2,7 +2,8 @@
 
 Each criterion is one test that prints a single PASS/FAIL line straight to
 the terminal (bypassing capture) with the measured quantity.  The three Monte
-Carlo studies are set once, in ``STUDIES``, and ``study`` runs each once a session.
+Carlo studies are set once, in ``STUDIES``; ``run_study`` runs one, and ``study`` runs
+each once a session.
 """
 
 import functools
@@ -61,15 +62,20 @@ STUDIES = {
 }
 
 
-@functools.cache
-def study(name: str) -> dict:
-    """The report of study ``name``, run once per session."""
+def run_study(name: str, jobs: int, grid=GRID) -> dict:
+    """The report of study ``name`` over ``grid``, at ``jobs`` worker processes."""
     decay, a, truncation, order, penalty_const, reps = STUDIES[name]
     phi = make_structural(2.0, 1.0, truncation=200)
     op = make_operator(decay, a, truncation=truncation)
-    report, _ = run_rate_study(phi, op, noise_sigma_for_snr(phi, 2.0), order, penalty_const, GRID, reps,
-                               MASTER_SEED, 200, _JOBS)
+    report, _ = run_rate_study(phi, op, noise_sigma_for_snr(phi, 2.0), order, penalty_const, grid, reps,
+                               MASTER_SEED, 200, jobs)
     return report
+
+
+@functools.cache
+def study(name: str) -> dict:
+    """The report of study ``name``, run once per session."""
+    return run_study(name, _JOBS)
 
 
 def test_criterion_1_polynomial_rate(check):

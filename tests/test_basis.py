@@ -288,6 +288,19 @@ def test_polynomial_weights_underflow_saturates():
     assert_array_equal(WeightSequence.polynomial_decay(538.0).values(4), [1.0, tiny, tiny, tiny])
 
 
+@pytest.mark.parametrize("weights", [
+    *(WeightSequence("power", param=p) for p in (-538.0, -1.0, 0.0, 1e-9, 2.0, 400.0)),
+    WeightSequence.exponential_decay(0.5),
+    WeightSequence.custom(np.linspace(0.5, 7.0, 40000)),
+])
+def test_a_weight_block_has_the_bits_of_the_prefix_it_slices(weights):
+    # the cutoff walks read w_lo..w_hi a block at a time and must see the prefix's bits
+    hi = 40000
+    full = weights.values(hi)
+    for lo in (1, 2, 8, 9, 16384, 16385, 32769, hi, hi + 1):
+        assert weights.values(hi, lo).tobytes() == full[lo - 1:].tobytes(), lo
+
+
 def test_power_weights_pinned():
     # constant, Sobolev, derivative and polynomial decay weights are one
     # power law j**(2p), floored at the smallest positive double, w_1 = 1

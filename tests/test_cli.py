@@ -981,7 +981,7 @@ def test_oracle_usage_errors(capsys):
     assert main(base + ["--n-grid", "100", "--k-max", "0"]) == 2
     assert "--k-max must be >= 1, got 0" in capsys.readouterr().err
     assert main(base + ["--n-grid", f"10,{10**12}"]) == 2
-    assert f"--n-grid {10**12} {_TOO_LARGE}" in capsys.readouterr().err
+    assert f"--n-grid sizes summing to {10**12 + 10} {_TOO_LARGE}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("operator", ["const", "poly:1"])
@@ -1012,50 +1012,106 @@ def test_oracle_k_max_beyond_the_bound_exits_2_before_the_oracle_runs(monkeypatc
         assert capsys.readouterr().err == f"npiv: error: --k-max {cli._size(k_max)} at n={n} {_TOO_LARGE}\n"
 
 
-@pytest.mark.parametrize("risk, operator", [("const", "const"), ("poly:1", "sobolev:1")])
-def test_a_walk_over_every_weight_holds_eight_doubles_per_weight(risk, operator):
-    # the bytes per weight at which oracle --n-grid is bounded when the walk reads all n weights
+# the cutoffs at n = 2**20 of one n-long read of the weights
+_LONG_WALK_CUTOFFS = {
+    ("const", "const"): (1 << 20, 18909), ("const", "poly:1e-9"): (1048575, 18909),
+    ("sobolev:1e-9", "const"): (1048575, 18909), ("const", "poly:0.01"): (799003, 15589),
+    ("poly:1", "sobolev:1"): (1 << 20, 1 << 20),
+}
+
+
+@pytest.mark.parametrize("risk, operator", list(_LONG_WALK_CUTOFFS))
+def test_a_cutoff_walk_over_nearly_every_weight_holds_a_few_blocks(risk, operator):
+    # these pairs read nearly all n weights; a block at a time, that takes a fixed few MiB, not 64 bytes a weight
     n = 1 << 20
     tracemalloc.start()
     try:
-        assert dimension_cutoffs(parse_weights(risk), parse_weights(operator), 1.0, n)[0] == n
+        found = dimension_cutoffs(parse_weights(risk), parse_weights(operator), 1.0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (cli._WALK_BYTES - 8) * n < peak <= cli._WALK_BYTES * n
-
-
-@pytest.mark.parametrize("risk", ["const", "poly:1", "exp:1"])
-@pytest.mark.parametrize("operator", ["const", "sobolev:1"])
-def test_oracle_n_grid_exits_2_before_a_walk_over_every_weight_past_the_bound(monkeypatch, capsys, risk, operator):
-    def reached(*args):
-        raise RuntimeError("the walk ran")
-
-    monkeypatch.setattr(cli, "dimension_cutoffs", reached)
-    fits = cli._MAX_BYTES // cli._WALK_BYTES
-    base = ["oracle", "--risk-weights", risk, "--smoothness-weights", "sobolev:2", "--operator-weights", operator]
-    assert main(base + ["--n-grid", str(fits)]) == 4
-    assert capsys.readouterr().err == "npiv: internal error: RuntimeError: the walk ran\n"
-    for n in (fits + 1, cli._MAX_BYTES // 8):
-        assert main(base + ["--n-grid", f"100,{n}"]) == 2
-        flags = f"--n-grid {n} with --risk-weights {risk} and --operator-weights {operator}"
-        assert capsys.readouterr().err == f"npiv: error: {flags} {_TOO_LARGE}\n"
+    assert found == _LONG_WALK_CUTOFFS[risk, operator]
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("risk, operator", [
     ("sobolev:1", "const"), ("const", "poly:1"), ("poly:1", "poly:0.5"), ("exp:1", "exp:1"),
-    ("custom:1,1", "const"), ("const", "custom:1,1,1"),
+    ("custom:1,1", "const"), ("const", "custom:1,1,1"), ("const", "const"), ("exp:1", "const"),
+    ("const", "poly:1e-9"),
 ])
-def test_oracle_n_grid_keeps_its_array_bound_for_walks_that_stop_early(monkeypatch, capsys, risk, operator):
-    # growing risk weights, decaying operator weights and custom tables end the walk early
+def test_oracle_n_grid_keeps_its_array_bound_for_every_weight_pair(monkeypatch, capsys, risk, operator):
+    # the cutoff walk holds a few blocks whatever the weights, so the array bound is the only one
     def reached(*args):
         raise RuntimeError("the walk ran")
 
     monkeypatch.setattr(cli, "dimension_cutoffs", reached)
     base = ["oracle", "--risk-weights", risk, "--smoothness-weights", "sobolev:2", "--operator-weights", operator,
             "--k-max", "2"]
-    assert main(base + ["--n-grid", str(cli._MAX_BYTES // 8)]) == 4
+    fits = cli._MAX_BYTES // 8
+    assert main(base + ["--n-grid", str(fits)]) == 4
     assert capsys.readouterr().err == "npiv: internal error: RuntimeError: the walk ran\n"
+    assert main(base + ["--n-grid", f"100,{fits + 1}"]) == 2
+    assert capsys.readouterr().err == f"npiv: error: --n-grid sizes summing to {fits + 101} {_TOO_LARGE}\n"
+
+
+def test_oracle_n_grid_bounds_the_sum_of_a_long_grid(monkeypatch, capsys):
+    # each size walks up to n weights, so many sizes near the array bound would each take seconds
+    def reached(*args):
+        raise RuntimeError("the walk ran")
+
+    monkeypatch.setattr(cli, "dimension_cutoffs", reached)
+    base = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "const", "--k-max", "2"]
+    fits = cli._MAX_BYTES // 8
+    grid = list(range(1, 1000)) + [fits - 999 * 1000 // 2]
+    assert main(base + ["--n-grid", ",".join(map(str, grid))]) == 4
+    assert capsys.readouterr().err == "npiv: internal error: RuntimeError: the walk ran\n"
+    for longer in (grid[:-1] + [grid[-1] + 1], [fits // 2, fits // 2 + 1], [fits - 2, fits - 1, fits]):
+        assert main(base + ["--n-grid", ",".join(map(str, longer))]) == 2
+        assert capsys.readouterr().err == f"npiv: error: --n-grid sizes summing to {sum(longer)} {_TOO_LARGE}\n"
+
+
+_ORACLE_FLAG = re.compile(r"--(?:risk-weights|smoothness-weights|operator-weights|link-constant|k-max|format|n-grid)\b")
+_EXTREME_PARAMS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-9, 0.01, 0.5, 1.0, 2.0, 400.0, 538.0, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+)
+_WEIGHT_SPECS = st.one_of(
+    st.just("const"),
+    st.builds("{}:{!r}".format, st.sampled_from(["sobolev", "derivative", "poly", "exp"]), _EXTREME_PARAMS),
+    st.builds("{}:{!r}".format, st.sampled_from(["sobolev", "derivative"]), st.just(0.0)),
+    st.builds(lambda t: "custom:" + ",".join(map(repr, t)),
+              st.lists(st.sampled_from([5e-324, 1e-308, 1e-9, 1.0, 2.0, 1e9, 1e308]) | _EXTREME_PARAMS,
+                       min_size=1, max_size=12)),
+)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@example(("const", "const", "const"), "-1", -1, "json", "-1,0")
+@given(
+    st.tuples(_WEIGHT_SPECS, _WEIGHT_SPECS, _WEIGHT_SPECS),
+    st.sampled_from(["1", "1e-300", "5e-324", "1e300", "1.7976931348623157e308", "0", "-1", "inf", "nan"])
+    | st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    st.sampled_from([1, 2, 200]) | st.integers(-1, 10**6),
+    st.sampled_from(["csv", "json"]),
+    st.lists(st.integers(-1, 10**5), min_size=0, max_size=4).map(lambda grid: ",".join(map(str, grid)))
+    | st.sampled_from(["1", "2", "100000", "1,2,3", "x", "1.5", "1e3", "100,,200", "2,x"]),
+)
+def test_every_oracle_argv_runs_or_exits_2_naming_a_flag(weights, link, k_max, fmt, grid):
+    # flag=value, since argparse reads a value that starts with "-" and is no number as a flag
+    argv = ["oracle", f"--risk-weights={weights[0]}", f"--smoothness-weights={weights[1]}",
+            f"--operator-weights={weights[2]}", f"--link-constant={link}", f"--k-max={k_max}",
+            f"--format={fmt}", f"--n-grid={grid}"]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("npiv: error: "), (argv, lines)
+        assert _ORACLE_FLAG.search(lines[0]), (argv, lines)
+    else:
+        assert lines == [], argv
 
 
 def test_oracle_with_decaying_operator_weights_runs_at_n_1e8(capsys):
@@ -1078,6 +1134,12 @@ _EXTREME_ORACLE = [
       "--n-grid", "100"], "100,1,1.0,1,1,1.0"),
     (["--risk-weights", "sobolev:400", "--operator-weights", "sobolev:400", "--n-grid", "100"],
      "100,1,1.0,2,2,1.0"),
+    # n * l_2 / (288 * link) is inf / inf, which admits no j
+    (["--operator-weights", "sobolev:538", "--link-constant", "1.7976931348623157e308"], "2,2,0.5,1,1,2.0"),
+    # 2 * w_2 passes the doubles, so j = 2 is not estimable, with l_2 = 1e308 or inf
+    (["--risk-weights", "custom:1e308,1e308", "--operator-weights", "custom:1e308,1e308", "--n-grid", "100"],
+     "100,2,6.25e+306,2,1,2.0"),
+    (["--risk-weights", "custom:5e-324,1e308", "--operator-weights", "sobolev:512"], "2,1,5e-324,2,1,5e-324"),
 ]
 
 

@@ -162,15 +162,16 @@ _GROWING = [WeightSequence.sobolev(p) for p in (0.25, 0.5, 1.0, 2.0, 5.0, 200.0)
 
 @pytest.mark.parametrize("weights", _GROWING)
 def test_dimension_cap_walk_equals_the_full_read(weights, monkeypatch):
-    # the walk reads weights at k = 8, 16, 32, ... until one exceeds n, so it reads at
-    # most max(8, 2 * (cap + 1)) of them, and finds the cap of reading all n
+    # the walk reads weights in blocks ending at 8, 16, 32, ... and then every _BLOCK, until one
+    # exceeds n, so it reads at most min(max(8, 2 * (cap + 1)), cap + _BLOCK) of them, and finds
+    # the cap of reading all n
     reads = []
     real_values = WeightSequence.values
-    monkeypatch.setattr(WeightSequence, "values", lambda self, k: reads.append(k) or real_values(self, k))
+    monkeypatch.setattr(WeightSequence, "values", lambda self, k, lo=1: reads.append(k) or real_values(self, k, lo))
     for n in [*range(1, 70), 100, 1000, 12345, 10**6]:
         reads.clear()
         cap = dimension_cap(weights, n)
-        assert max(reads) <= max(8, 2 * (cap + 1))
+        assert max(reads) <= min(max(8, 2 * (cap + 1)), cap + selection._BLOCK)
         assert cap == ref.full_read_dimension_cap(weights, n)
 
 
@@ -178,7 +179,7 @@ def test_dimension_cap_of_derivative_weights_reads_past_its_cap_only_to_the_next
     # j**2 <= 10**7 up to j = 3162, found by reading 4,096 weights instead of 10**7
     reads = []
     real_values = WeightSequence.values
-    monkeypatch.setattr(WeightSequence, "values", lambda self, k: reads.append(k) or real_values(self, k))
+    monkeypatch.setattr(WeightSequence, "values", lambda self, k, lo=1: reads.append(k) or real_values(self, k, lo))
     assert dimension_cap(WeightSequence.derivative(1), 10**7) == 3162
     assert max(reads) == 4096
 
@@ -186,7 +187,7 @@ def test_dimension_cap_of_derivative_weights_reads_past_its_cap_only_to_the_next
 @pytest.mark.parametrize("weights", _CAP_WEIGHTS[:6])
 def test_dimension_cap_reads_no_weights_when_none_exceeds_one(weights, monkeypatch):
     # power weights with p <= 0 and exponential weights never exceed w_1 = 1 <= n
-    def no_reads(self, k):
+    def no_reads(self, k, lo=1):
         raise AssertionError(f"read {k} weights")
 
     monkeypatch.setattr(WeightSequence, "values", no_reads)
@@ -334,7 +335,9 @@ _OPERATOR = (
 
 def test_known_cutoff_walk_matches_full_scans():
     # constant and growing operator weights walk to n itself, decaying ones stop early
-    grid = (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 1000, 5000, 10**5)
+    # past 2**14 the walk steps a block of _BLOCK indices at a time
+    grid = (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 1000, 5000, 16383, 16384, 16385, 32769, 10**5)
+    assert selection._BLOCK == 16384
     for rw in _RISK:
         for ow in _OPERATOR:
             for i, n in enumerate(grid):
@@ -345,6 +348,18 @@ def test_known_cutoff_walk_matches_full_scans():
         n = 2 * 10**6
         got = dimension_cutoffs(rw, ow, 1.0, n)
         assert got == ref.scan_cutoffs(rw, ow, 1.0, n), (rw, ow)
+
+
+def test_effective_dimension_in_blocks_has_the_bits_of_one_pass():
+    # the running maxima carried from block to block are exact, so each delta keeps its bits
+    k = 40000
+    for rw, ow in [*zip(_RISK[:4], _OPERATOR[:4]), (CONST, CONST),
+                   (WeightSequence.sobolev(400.0), WeightSequence.sobolev(400.0))]:
+        parts, maxima = [], (-np.inf, -np.inf)
+        for lo, hi in selection._blocks(k):
+            delta, maxima = selection._effective_dim(rw.values(hi, lo), ow.values(hi, lo), lo, maxima)
+            parts.append(delta)
+        assert np.concatenate(parts).tobytes() == effective_dimension(rw, ow, k).tobytes(), (rw, ow)
 
 
 def test_known_cutoff_walk_with_the_effective_dimension_bound_on_a_walk_step():
