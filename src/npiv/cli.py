@@ -19,7 +19,9 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -315,6 +317,10 @@ def cmd_estimate(args) -> int:
             ) from None
     if args.truth is not None:
         truth = structural_from_config(load_config(args.truth))
+        length = max(fit.coeffs.size, truth.coeffs.size)
+        if weights.kind == "custom" and len(weights.table) < length:
+            raise ValueError(f"--risk-weights {args.risk_weights} holds {len(weights.table)} weights; "
+                             f"the risk against --truth needs {length}")
         report["risk"] = float(risks_weighted([fit.coeffs], truth.coeffs, weights)[0])
         if not math.isfinite(report["risk"]):
             raise ValueError(f"--risk-weights {args.risk_weights} overflows the risk")
@@ -334,7 +340,7 @@ def cmd_select(args) -> int:
     sample = load_csv(args.sample)
     weights = parse_weights(args.risk_weights)
     trace = penalized_select(sample, weights, _in_range("--penalty-const", args.penalty_const, "> 0"))
-    unit = trace.y_second_moment * float(trace.effective_dim.max())  # the penalty at constant n, no warning
+    unit = float(trace.y_second_moment) * float(trace.effective_dim.max())  # the penalty at constant n, no warning
     if not (math.isfinite(unit) and np.isfinite(trace.contrast).all()):  # y's bound: finite unless a w_j > n
         raise ValueError(f"--risk-weights {args.risk_weights} overflows the selection criterion")
     if not np.isfinite(trace.penalty).all():
@@ -447,6 +453,36 @@ def _study_block(block: tuple) -> list[StudyRow]:
     return [_study_worker(block, *row) for row in scores]
 
 
+def _pooled_rows(blocks: list[tuple], workers: int) -> list[StudyRow]:
+    """The rows of ``blocks``, in block order, from a pool of ``workers`` processes.
+
+    SIGTERM unwinds the pool and exits 128 + signum: the queued blocks are cancelled and the
+    workers joined, where the default action would leave them blocked on the call queue.  The
+    signal is held while the pool forks its workers, starts its threads and queues the blocks, so
+    it never lands part-way through those and the pool's threads never take it; the workers unblock
+    it again.  Only the main thread may set a handler, and a caller's own handler stays in place.
+    """
+    own = (threading.current_thread() is threading.main_thread() and hasattr(signal, "pthread_sigmask")
+           and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+    unblock = ({"initializer": signal.pthread_sigmask, "initargs": (signal.SIG_UNBLOCK, [signal.SIGTERM])}
+               if own else {})
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, **unblock)
+    if own:
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])
+    try:
+        try:
+            cells = pool.map(_study_block, blocks)
+        finally:
+            if own:  # a SIGTERM held till now raises here
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
+        return [row for cell in cells for row in cell]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if own:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def run_rate_study(
     phi: StructuralSpec,
     op: OperatorSpec,
@@ -487,8 +523,7 @@ def run_rate_study(
     if workers == 1:
         rows = [row for block in blocks for row in _study_block(block)]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for cells in pool.map(_study_block, blocks) for row in cells]
+        rows = _pooled_rows(blocks, workers)
     if [(r.n, r.replication) for r in rows] != [(n, rep) for n in grid for rep in range(reps)]:
         raise RuntimeError("study rows are not one per (n, replication) cell in grid order")
 
@@ -508,7 +543,7 @@ def run_rate_study(
         means = risk.mean(axis=1)
     if not np.isfinite(means).all():  # an inf or nan risk makes its mean so too
         n = grid[np.argmin(np.isfinite(means))]
-        raise ValueError(f"the risk at n={n} overflows; lower the noise or the derivative order")
+        raise ValueError(f"the risk at n={n} overflows; lower the noise or selection.derivative_order")
     if risk.min() < 0:
         raise RuntimeError("negative risk in study results")
     q25, q50, q75 = np.quantile(risk, (0.25, 0.5, 0.75), axis=1).tolist()

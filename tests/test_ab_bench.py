@@ -1,4 +1,5 @@
-"""Tests of the A/B report of tools/ab_bench.py on synthetic benchmark results."""
+"""Tests of the A/B report of tools/ab_bench.py on synthetic benchmark results, and of its child runner,
+which tools/same_outputs.py and tools/trajectory.py share."""
 
 import contextlib
 import importlib.util
@@ -77,7 +78,7 @@ def test_main_exit_status_follows_the_verdict(tmp_path, monkeypatch, capsys, cha
     (tmp_path / "benchmarks").mkdir()
     (tmp_path / "benchmarks" / "run.py").write_text("")
     monkeypatch.setattr(ab_bench, "compare", lambda *args: _report(change_p50))
-    assert ab_bench.main(["--parent-dir", str(tmp_path), "--pairs", "2"]) == status
+    assert ab_bench.main(["--parent-dir", str(tmp_path)]) == status
     assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: ")
 
 
@@ -110,7 +111,7 @@ def test_main_exit_status_follows_the_claim(tmp_path, monkeypatch, capsys, chang
     (tmp_path / "benchmarks").mkdir()
     (tmp_path / "benchmarks" / "run.py").write_text("")
     monkeypatch.setattr(ab_bench, "compare", lambda *args: _report(change_p50))
-    argv = ["--parent-dir", str(tmp_path), "--pairs", "2", "--claim", "study-fs:latency_p50_ms"]
+    argv = ["--parent-dir", str(tmp_path), "--claim", "study-fs:latency_p50_ms"]
     assert ab_bench.main(argv) == status
     assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: ")
 
@@ -125,13 +126,14 @@ def test_main_rejects_a_claim_outside_the_run(tmp_path, capsys, claim):
     assert f"--claim {claim}: expected WORKLOAD:METRIC" in capsys.readouterr().err
 
 
-# A parent checkout whose benchmark starts one sleeping child, writes both pids and sleeps.
-_STUB_RUN = """
+# A parent checkout's stand-in, run as its benchmark or as its npiv package: it starts one sleeping
+# child, writes both pids to PIDS and sleeps.
+_STUB = """
 import os, subprocess, sys, time
 child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-with open("pids.tmp", "w") as fh:
+with open(PIDS + ".tmp", "w") as fh:
     fh.write(f"{os.getpid()} {child.pid}")
-os.replace("pids.tmp", "pids.txt")
+os.replace(PIDS + ".tmp", PIDS)
 time.sleep(60)
 """
 
@@ -152,13 +154,14 @@ def _wait_until(done, seconds: float) -> bool:
     return done()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
-def test_sigterm_leaves_no_benchmark_process_running(tmp_path):
-    # three processes in all: ab_bench.py, the stub run.py and its sleeping child
-    (tmp_path / "benchmarks").mkdir()
-    (tmp_path / "benchmarks" / "run.py").write_text(_STUB_RUN)
+def _assert_sigterm_kills_the_stub(tmp_path, tool: str, stub: str) -> None:
+    """SIGTERM to ``tool`` run against a parent checkout whose ``stub`` file is ``_STUB`` exits 143 and
+    leaves none of the three processes (the tool, the stub and its child) running."""
     pids_file = tmp_path / "pids.txt"
-    proc = subprocess.Popen([sys.executable, _PATH, "--parent-dir", str(tmp_path), "--pairs", "1"],
+    (tmp_path / stub).parent.mkdir(parents=True)
+    (tmp_path / stub).write_text(f"PIDS = {str(pids_file)!r}\n" + _STUB)
+    tool_path = os.path.join(os.path.dirname(_PATH), tool)
+    proc = subprocess.Popen([sys.executable, tool_path, "--parent-dir", str(tmp_path)],
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     pids = []
     try:
@@ -174,3 +177,14 @@ def test_sigterm_leaves_no_benchmark_process_running(tmp_path):
                 os.kill(pid, signal.SIGKILL)
         proc.kill()
         proc.wait()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+def test_sigterm_leaves_no_benchmark_process_running(tmp_path):
+    _assert_sigterm_kills_the_stub(tmp_path, "ab_bench.py", os.path.join("benchmarks", "run.py"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+def test_sigterm_to_same_outputs_leaves_no_side_running(tmp_path):
+    # the side's interpreter imports npiv from the parent's src/, so the stub runs as that package
+    _assert_sigterm_kills_the_stub(tmp_path, "same_outputs.py", os.path.join("src", "npiv", "__init__.py"))

@@ -12,9 +12,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -39,6 +41,7 @@ from npiv.selection import (
 from npiv.simulate import generate_sample, make_operator, make_structural, sampler_doubles, task_seed
 
 from _reference import rebuild_trace, study_stats_loop, trig_columns_loop
+from test_ab_bench import _alive
 
 CONST = WeightSequence.constant()
 
@@ -1114,6 +1117,95 @@ def test_every_oracle_argv_runs_or_exits_2_naming_a_flag(weights, link, k_max, f
         assert lines == [], argv
 
 
+# Small samples at extreme magnitudes, rows out of range included, and the flags of the other commands.
+_CSV_Y = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0, 1e300, -1e300, 2.0**400, -2.0**400,
+                          2.0**401, 1e308, -1e308, math.inf, math.nan]) | st.floats(-2.0**400, 2.0**400)
+_CSV_UNIT = st.sampled_from([0.0, 5e-324, 0.5, 1 - 2**-53, 1.0, -5e-324, 1 + 2**-52, math.nan]) | st.floats(0.0, 1.0)
+_CSV_ROWS = st.lists(st.tuples(_CSV_Y, _CSV_UNIT, _CSV_UNIT), min_size=1, max_size=6)
+_PENALTIES = (st.sampled_from(["0", "-1", "5e-324", "1e-300", "0.75", "540", "1e300", "1.7976931348623157e308",
+                               "inf", "nan"])
+              | st.floats(1e-300, 1e300).map(repr))
+# each size either runs on the small sample or lies past the array bound, so no case allocates much
+_SIZES = st.sampled_from([-1, 0, 1, 2, 5, 60, 10**5, 10**9, 10**30]) | st.integers(1, 12)
+_ORDERS = st.sampled_from([-1, 0, 1, 2, 4, 150, 200, 10**6, 10**30]) | st.integers(0, 8)
+
+
+def _flags(**values) -> list[str]:
+    """``--name=value`` for each value given, ``_`` in a name read as ``-``; None leaves its flag out."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items() if value is not None]
+
+
+def _study_sections(decay, n_grid, replications, derivative_order, penalty_const) -> dict:
+    return {"operator": {"decay": decay, "truncation": 5},
+            "study": {"n_grid": n_grid, "replications": replications, "k_max": 20},
+            "selection": {"derivative_order": derivative_order, "penalty_const": penalty_const}}
+
+
+# (command, its input: CSV rows, config sections or None, its flags)
+_ARGV_CASES = st.one_of(
+    st.tuples(st.just("simulate"), st.none(),
+              st.builds(_flags, n=st.sampled_from([-1, 0, 1, 2, 20, 10**9, 10**30]) | st.integers(1, 200),
+                        seed=st.sampled_from([-1, 0, 2**32, 2**63, 2**64, 10**30]) | st.integers(0, 10**6))),
+    st.tuples(st.just("select"), _CSV_ROWS, st.builds(_flags, risk_weights=_WEIGHT_SPECS, penalty_const=_PENALTIES)),
+    st.tuples(st.just("estimate"), _CSV_ROWS,
+              st.builds(_flags, k=_SIZES, mode=st.sampled_from(["diagonal", "general"]), derivative_order=_ORDERS,
+                        risk_weights=_WEIGHT_SPECS, truth=st.sampled_from([None, "CONFIG"]))),
+    st.tuples(st.just("rate-study"),
+              st.builds(_study_sections, st.sampled_from(["polynomial", "exponential"]),
+                        st.sampled_from([[20], [1, 20], [2, 40], [20, 40]]), st.integers(1, 2),
+                        st.sampled_from([0, 1, 2, 150, 400]) | st.integers(0, 5),
+                        st.sampled_from([5e-324, 1e-300, 0.75, 540.0, 1e300, 1.7976931348623157e308])),
+              st.builds(_flags, jobs=st.integers(-1, 1))),
+)
+# What a message may name: the command's flags, its files and the config's keys.
+_ARGV_NAMES = {
+    "simulate": r"--n\b|--seed\b",
+    "select": r"--risk-weights\b|--penalty-const\b|sample\.csv",
+    "estimate": r"--k\b|--mode\b|--derivative-order\b|--risk-weights\b|--truth\b|sample\.csv",
+    "rate-study": r"--jobs\b|\b(?:operator|study|selection)\.\w+",
+}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+# a zero response times an infinite effective dimension, a custom table shorter than the truth,
+# and a derivative order whose risk overflows
+@example(("select", [(0.0, 0.5, 0.5)], ["--risk-weights=custom:1e308", "--penalty-const=5e-324"]))
+@example(("estimate", [(0.0, 0.5, 0.5)], ["--k=1", "--risk-weights=custom:1.0", "--truth=CONFIG"]))
+@example(("rate-study", {"selection": {"derivative_order": 150}}, ["--jobs=1"]))
+@given(_ARGV_CASES)
+def test_every_argv_of_the_other_commands_runs_or_exits_naming_its_input(case):
+    command, data, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = f"{tmp}/config.json"
+        cfg = copy.deepcopy(_FUZZ_BASE)
+        for section, keys in (data if command == "rate-study" else {}).items():
+            cfg[section].update(keys)
+        with open(config, "w") as fh:
+            fh.write(json.dumps(cfg))
+        source = config
+        if command in ("select", "estimate"):
+            source = f"{tmp}/sample.csv"
+            with open(source, "w") as fh:
+                fh.write("y,z,w\n" + "".join(f"{y!r},{z!r},{w!r}\n" for y, z, w in data))
+        out = f"{tmp}/out.{'csv' if command == 'simulate' else 'json'}"
+        argv = [command, source, *(f.replace("CONFIG", config) for f in flags), f"--out={out}"]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    lines = err.getvalue().splitlines()
+    if code != 0:
+        assert len(lines) == 1 and lines[0].startswith(("npiv: error: ", "npiv: i/o error: ")), (argv, lines)
+        assert re.search(_ARGV_NAMES[command], lines[0]), (argv, lines)
+    elif command == "simulate":  # the echo
+        assert len(lines) == 1, (argv, lines)
+        _strict_json(lines[0])
+    else:  # select may warn that the operator looks far from diagonal
+        assert lines == [] or (command == "select" and len(lines) == 1 and lines[0].startswith("warning: ")), \
+            (argv, lines)
+
+
 def test_oracle_with_decaying_operator_weights_runs_at_n_1e8(capsys):
     # poly:1 stops the walk after a few dozen weights, so n = 10**8 stays within the array bound
     argv = ["oracle", "--smoothness-weights", "sobolev:2", "--operator-weights", "poly:1", "--n-grid", "100000000"]
@@ -1307,17 +1399,14 @@ def test_rate_study_workers_are_capped_by_blocks_and_cpus(tmp_path, capsys, monk
     class Pool:
         """Runs the blocks in this process and records the pool size asked for."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, items):
             return map(fn, items)
+
+        def shutdown(self, **options):
+            pass
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -1793,3 +1882,42 @@ def test_rate_study_bytes_at_operator_truncation_64_do_not_depend_on_jobs(tmp_pa
     for ext in ("json", "csv"):
         one, two = ((tmp_path / f"study{jobs}.{ext}").read_bytes() for jobs in (1, 2))
         assert one and one == two
+
+
+def _children(pid: int) -> list[int]:
+    """Pids of the live processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        with contextlib.suppress(OSError):
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rpartition(")")[2].split()[:2]
+            if entry.isdigit() and int(ppid) == pid and state != "Z":
+                found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pooled study needs 2 CPUs")
+def test_sigterm_to_a_pooled_rate_study_exits_143_and_leaves_no_worker(tmp_path):
+    # 4,000 replications run for seconds: the signal comes long before the study ends
+    cfg = _write_config(tmp_path, study={"n_grid": [2000, 4000], "replications": 2000})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "npiv.cli", "rate-study", str(cfg), "--jobs", "2",
+                             "--out", str(tmp_path / "study.json")], env=env, stderr=subprocess.PIPE)
+    workers = []
+    try:
+        deadline = time.monotonic() + 2
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            workers = _children(proc.pid)
+        assert len(workers) == 2 and proc.poll() is None
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=2) == 128 + signal.SIGTERM
+        assert not any(map(_alive, workers))  # before reading stderr, which a live worker holds open
+        assert proc.stderr.read() == b""
+    finally:
+        for pid in [proc.pid, *workers]:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
+        proc.stderr.close()

@@ -5,24 +5,28 @@ Check the parent out first, then point ``--parent-dir`` at it (from the
 repository root):
 
     git worktree add --detach ../npiv-parent HEAD~1
-    python3 tools/ab_bench.py --parent-dir ../npiv-parent --workload study-fs --pairs 10
+    python3 tools/ab_bench.py --parent-dir ../npiv-parent
     git worktree remove ../npiv-parent
 
-Any checkout works as the parent, a ``git clone`` included.  Each pair runs
-``benchmarks/run.py --trace 0`` once on each side with the same seed,
-alternating which side goes first.  For every workload and end-to-end metric
-in BENCHMARK.json the report gives each side's median and quartiles, how many
-pairs the change won (ties count for neither side), whether the medians
-differ by more than the parent's interquartile range, and whether the
-change's median is worse than the parent's by more than the metric's bound.
+Any checkout works as the parent, a ``git clone`` included.  Each of ``PAIRS``
+pairs runs ``benchmarks/run.py --trace 0`` for BENCHMARK.json's ``run_seconds``
+once on each side with the same seed, alternating which side goes first, for
+every workload of BENCHMARK.json or those given to ``--workload``.  For each
+workload and end-to-end metric the report gives each side's median and
+quartiles, how many pairs the change won (ties count for neither side),
+whether the medians differ by more than the parent's interquartile range, and
+whether the change's median is worse than the parent's by more than the
+metric's bound.
 That last column reads ``unresolved`` instead of ``no`` when the parent's
 interquartile range is wider than the bound relative to its median, unless
 every change run beats every parent run.  A closing verdict line follows;
 the exit status is 1 when some metric is worse than its bound or the change
 failed more operations than the parent.
 
-Each run starts in a session of its own.  Interrupting the comparison (Ctrl-C
-or SIGTERM) kills the running benchmark with all its processes before exiting.
+Each run starts in a session of its own, through ``run_in_session``, the
+child runner of every tool here.  Interrupting the comparison (Ctrl-C or
+SIGTERM) kills the running benchmark with all its processes; SIGTERM exits
+143.
 
 ``--claim WORKLOAD:METRIC`` (repeatable) names a gain claimed before
 measuring.  The verdict then also requires, for each claim, that the change
@@ -30,13 +34,14 @@ won at least 9 of every 10 pairs and that the medians differ, in the better
 direction, by more than the parent's interquartile range:
 
     python3 tools/ab_bench.py --parent-dir ../npiv-parent --workload study-small-n \
-        --pairs 10 --claim study-small-n:latency_p50_ms
+        --claim study-small-n:latency_p50_ms
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import signal
@@ -45,18 +50,29 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10  # the gain rule's floor: a claim must win 9 of every 10 pairs
 
 
-def run_benchmark(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``checkout``; returns its result object.
+@functools.cache
+def benchmark() -> dict:
+    """BENCHMARK.json of this tree, read on first use; every tool here shares the one copy."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
 
-    The run gets a session of its own.  On an interruption (Ctrl-C, SIGTERM, which the
-    script raises as SystemExit, or any exception) its whole process group, pool workers
-    included, is killed and the run reaped before the interruption passes on.
+
+def exit_on_sigterm() -> None:
+    """Make SIGTERM unwind like Ctrl-C, exiting 128 + signum, so a running child is killed on the way out."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
+def run_in_session(cmd: list[str], cwd: str | None = None, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``cmd`` to its end in a session of its own; returns it with its output as text.
+
+    On an interruption (Ctrl-C, SIGTERM raised as SystemExit by ``exit_on_sigterm``, or any
+    exception) its whole process group, pool workers included, is killed and reaped before the
+    interruption passes on.
     """
-    cmd = [sys.executable, os.path.join("benchmarks", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    with subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           start_new_session=True) as proc:
         try:
             out, err = proc.communicate()
@@ -65,9 +81,17 @@ def run_benchmark(checkout: str, workload: str, seed: int, seconds: float) -> di
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             raise
-    lines = out.strip().splitlines()
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
+
+
+def run_benchmark(checkout: str, workload: str, seed: int) -> dict:
+    """The result object of one untraced benchmark run in ``checkout`` for ``run_seconds``."""
+    cmd = [sys.executable, os.path.join("benchmarks", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(benchmark()["run_seconds"]), "--trace", "0"]
+    proc = run_in_session(cmd, cwd=checkout)
+    lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {err[-2000:]}")
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(lines[-1])
 
 
@@ -106,30 +130,24 @@ def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
-def compare(parent_dir: str, workloads: list[str], pairs: int, seed0: int, seconds: float, log) -> dict:
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+def compare(parent_dir: str, workloads: list[str], seed0: int) -> dict:
     report = {}
     for workload in workloads:
         runs = {"parent": [], "change": []}
-        for i in range(pairs):
+        for i in range(PAIRS):
             seed = seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_benchmark(parent_dir if side == "parent" else ROOT, workload, seed, seconds)
+                result = run_benchmark(parent_dir if side == "parent" else ROOT, workload, seed)
                 runs[side].append(result)
-                log(f"{workload} pair {i + 1}/{pairs} seed {seed} {side}: failed={result['failed']} "
-                    + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()))
+                print(f"{workload} pair {i + 1}/{PAIRS} seed {seed} {side}: failed={result['failed']} "
+                      + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
+                      file=sys.stderr, flush=True)
         report[workload] = {
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-            "metrics": [
-                summarise(
-                    m,
-                    [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
-                    [r["metrics"][m["name"]]["value"] for r in runs["change"]],
-                )
-                for m in metrics
-            ],
+            "metrics": [summarise(m, *([r["metrics"][m["name"]]["value"] for r in runs[side]]
+                                       for side in ("parent", "change")))
+                        for m in benchmark()["end_to_end"]],
         }
     return report
 
@@ -167,17 +185,10 @@ def claim_problems(report: dict, claims: list[tuple[str, str]]) -> list[str]:
 
 def verdict(report: dict, claims: list[tuple[str, str]] = ()) -> tuple[bool, str]:
     """Whether the change passes, and one line that says why."""
-    problems = [
-        f"{workload} {s['metric']} is worse than its bound"
-        for workload, entry in report.items()
-        for s in entry["metrics"]
-        if s["over_bound"]
-    ]
-    problems += [
-        f"{workload} failed {entry['failed']['change']} operations (parent {entry['failed']['parent']})"
-        for workload, entry in report.items()
-        if entry["failed"]["change"] > entry["failed"]["parent"]
-    ]
+    problems = [f"{workload} {s['metric']} is worse than its bound"
+                for workload, entry in report.items() for s in entry["metrics"] if s["over_bound"]]
+    problems += [f"{workload} failed {entry['failed']['change']} operations (parent {entry['failed']['parent']})"
+                 for workload, entry in report.items() if entry["failed"]["change"] > entry["failed"]["parent"]]
     problems += claim_problems(report, claims)
     if problems:
         return False, "verdict: FAIL: " + "; ".join(problems)
@@ -188,29 +199,22 @@ def verdict(report: dict, claims: list[tuple[str, str]] = ()) -> tuple[bool, str
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent-dir", required=True, help="checkout of the parent commit")
-    parser.add_argument("--workload", nargs="+", default=["study-fs"])
-    parser.add_argument("--pairs", type=int, default=10)
+    names = [w["name"] for w in benchmark()["workloads"]]
+    parser.add_argument("--workload", nargs="+", choices=names, default=names)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair; pair i uses seed + i")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                         help="a claimed gain the verdict also tests (9/10 pairs won, beyond the parent's IQR)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1, --seed >= 0 and --seconds > 0")
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = {m["name"] for m in json.load(fh)["end_to_end"]}
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     claims = [tuple(c.partition(":")[::2]) for c in args.claim]
     for (workload, metric), text in zip(claims, args.claim):
-        if workload not in args.workload or metric not in metrics:
+        if workload not in args.workload or metric not in {m["name"] for m in benchmark()["end_to_end"]}:
             parser.error(f"--claim {text}: expected WORKLOAD:METRIC with a workload given to --workload "
                          f"and an end-to-end metric of BENCHMARK.json")
     if not os.path.isfile(os.path.join(args.parent_dir, "benchmarks", "run.py")):
         parser.error(f"--parent-dir {args.parent_dir} has no benchmarks/run.py")
-
-    def log(msg: str) -> None:
-        print(msg, file=sys.stderr, flush=True)
-
-    report = compare(os.path.abspath(args.parent_dir), args.workload, args.pairs, args.seed, args.seconds, log)
+    report = compare(os.path.abspath(args.parent_dir), args.workload, args.seed)
     ok, line = verdict(report, claims)
     print(format_report(report))
     print(line)
@@ -218,6 +222,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # SIGTERM unwinds like Ctrl-C, so a running benchmark is killed on the way out
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    exit_on_sigterm()
     sys.exit(main())

@@ -28,7 +28,9 @@ the benchmark does, through ``npiv.cli.main``:
 ``--smoke`` runs the benchmark's reduced workloads instead.  Every output
 file is compared byte for byte, together with each operation's outcome.  The
 first differing file and line are printed; the exit status is 1 on any
-difference and 0 otherwise.
+difference and 0 otherwise.  Each side starts through
+``ab_bench.run_in_session``, so Ctrl-C or SIGTERM kills the running side with
+all its processes; SIGTERM exits 143.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import ab_bench  # noqa: E402  tools/ab_bench.py, beside this file
+
+ROOT = ab_bench.ROOT
 BENCH_DIR = os.path.join(ROOT, "benchmarks")
 STUDY_SLOTS = (0, 5)
 STUDY_JOBS = (1, 2)
@@ -115,7 +119,7 @@ def run_side(checkout: str, out: str, smoke: bool) -> None:
            "PYTHONWARNINGS": "error::RuntimeWarning"}
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     cmd = [sys.executable, os.path.abspath(__file__), "--write", out] + (["--smoke"] if smoke else [])
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
+    proc = ab_bench.run_in_session(cmd, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"outputs of {checkout} exited {proc.returncode}: {proc.stderr[-2000:]}")
 
@@ -170,4 +174,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    ab_bench.exit_on_sigterm()
     raise SystemExit(main())

@@ -9,10 +9,10 @@ The file holds:
 
 - ``environment``: the environment record of ``benchmarks/run.py``;
 - ``workloads``: for each workload in BENCHMARK.json, the result object of
-  one untraced ``benchmarks/run.py`` run (``run.run(..., trace=0)``) at
-  seed ``SEED`` for BENCHMARK.json's ``run_seconds``, each in a fresh
-  process started before this one imports numpy: a child's peak RSS counts
-  the pages it was forked with, so only a small parent leaves the run's
+  one untraced ``benchmarks/run.py`` run at seed ``SEED`` for BENCHMARK.json's
+  ``run_seconds``, made by ``ab_bench.run_benchmark`` as an A/B pair's side
+  is, each before this process imports numpy: a child's peak RSS counts the
+  pages it was forked with, so only a small parent leaves the run's
   ``peak_rss_mb`` its own;
 - ``headline``: the acceptance Monte Carlo.  Every study of ``STUDIES`` in
   ``tests/test_acceptance.py`` runs through that file's ``run_study``,
@@ -22,11 +22,12 @@ The file holds:
 - ``src_lines``: the lines of each module under ``src/npiv``.
 
 The headline pins OpenBLAS to one thread per process, as the benchmark
-does; the benchmark and tier-1 runs get the caller's environment.  The
-seed, run length and passes are fixed, so that files of successive trees
-compare; the file records them.  ``--grid``, ``--workloads`` with no names
-and ``--no-tier1`` shrink a run to a smoke test; the file records the grid
-it used.
+does; the benchmark and tier-1 runs get the caller's environment and start
+through ``ab_bench.run_in_session``, so Ctrl-C or SIGTERM kills the running
+one with all its processes (SIGTERM exits 143).  The seed, run length and
+passes are fixed, so that files of successive trees compare; the file
+records them.  ``--grid``, ``--workloads`` with no names and ``--no-tier1``
+shrink a run to a smoke test; the file records the grid it used.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
 
@@ -43,18 +43,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [os.path.join(ROOT, "benchmarks"), os.path.join(ROOT, "tests")]
 
+import ab_bench  # noqa: E402  tools/ab_bench.py, beside this file
 import run  # noqa: E402  benchmarks/run.py, as its own tests import it
 
 SEED = 0  # benchmark seed of every workload run
 PASSES = 3  # headline passes at each jobs value
-
-
-def workload_result(name: str, seconds: float, env: dict) -> dict:
-    """The result object of one untraced benchmark run of ``name`` at ``SEED`` in a fresh process."""
-    cmd = [sys.executable, run.__file__, "--workload", name, "--seed", str(SEED), "--seconds", str(seconds),
-           "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def headline(acc, grid: list[int]) -> dict:
@@ -81,7 +74,7 @@ def tier1(env: dict) -> dict:
     env = {**env, "PYTHONPATH": os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)}
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = ab_bench.run_in_session(cmd, cwd=ROOT, env=env)
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start, "exit_status": proc.returncode,
             "summary": lines[-1] if lines else ""}
@@ -99,9 +92,7 @@ def src_lines() -> dict:
 
 
 def main(argv=None) -> int:
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        declared = json.load(fh)
-    names = [w["name"] for w in declared["workloads"]]
+    names = [w["name"] for w in ab_bench.benchmark()["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="N of BENCH_<N>.json")
     parser.add_argument("--out", help="output path (default: BENCH_<N>.json at the repository root)")
@@ -109,10 +100,9 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", help="comma-separated sample sizes of the headline (default: the acceptance grid)")
     parser.add_argument("--no-tier1", action="store_true", help="skip the tier-1 run")
     args = parser.parse_args(argv)
-    seconds = declared["run_seconds"]
     caller_env = dict(os.environ)
-    workloads = {name: {"seed": SEED, "seconds": seconds, "result": workload_result(name, seconds, caller_env)}
-                 for name in args.workloads}
+    workloads = {name: {"seed": SEED, "seconds": ab_bench.benchmark()["run_seconds"],
+                        "result": ab_bench.run_benchmark(ROOT, name, SEED)} for name in args.workloads}
     pinned = run.pin_blas_threads()
     run.load_npiv()
     import test_acceptance as acc  # after npiv, from src/, and after the pin, which precedes numpy
@@ -135,4 +125,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    ab_bench.exit_on_sigterm()
     sys.exit(main())
