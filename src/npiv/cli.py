@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import os
-import signal
 import sys
 import threading
 from typing import NamedTuple
@@ -453,34 +452,23 @@ def _study_block(block: tuple) -> list[StudyRow]:
     return [_study_worker(block, *row) for row in scores]
 
 
-def _pooled_rows(blocks: list[tuple], workers: int) -> list[StudyRow]:
-    """The rows of ``blocks``, in block order, from a pool of ``workers`` processes.
+def _end_with_parent() -> None:
+    """Pool initializer: a daemon thread ends this worker when its parent ends, however it ends.  Its read of
+    the parent's sentinel returns at EOF, once each write end of that pipe is closed: the parent's and, under
+    fork, those of the workers started after this one, which end first."""
+    import multiprocessing  # loaded in a pool worker already; imported here, no command without a pool loads it
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: os.read(sentinel, 1) or os._exit(1), daemon=True).start()
 
-    SIGTERM unwinds the pool and exits 128 + signum: the queued blocks are cancelled and the
-    workers joined, where the default action would leave them blocked on the call queue.  The
-    signal is held while the pool forks its workers, starts its threads and queues the blocks, so
-    it never lands part-way through those and the pool's threads never take it; the workers unblock
-    it again.  Only the main thread may set a handler, and a caller's own handler stays in place.
-    """
-    own = (threading.current_thread() is threading.main_thread() and hasattr(signal, "pthread_sigmask")
-           and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
-    unblock = ({"initializer": signal.pthread_sigmask, "initargs": (signal.SIG_UNBLOCK, [signal.SIGTERM])}
-               if own else {})
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, **unblock)
-    if own:
-        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])
+
+def _pooled_rows(blocks: list[tuple], workers: int) -> list[StudyRow]:
+    """The rows of ``blocks``, in block order, from a pool of ``workers`` processes that end with
+    this one: however this process ends, each worker exits within milliseconds."""
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent)
     try:
-        try:
-            cells = pool.map(_study_block, blocks)
-        finally:
-            if own:  # a SIGTERM held till now raises here
-                signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
-        return [row for cell in cells for row in cell]
+        return [row for cell in pool.map(_study_block, blocks) for row in cell]
     finally:
         pool.shutdown(cancel_futures=True)
-        if own:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def run_rate_study(
@@ -518,12 +506,11 @@ def run_rate_study(
              range(reps * i // count, reps * (i + 1) // count), master)
             for i in range(count)
         ]
-    # the pool starts all its workers at once: no more than there are blocks and CPUs
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
-    if workers == 1:
-        rows = [row for block in blocks for row in _study_block(block)]
-    else:
-        rows = _pooled_rows(blocks, workers)
+    # the pool starts all its workers at once: no more than there are blocks and CPUs this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(blocks), cpus)
+    rows = (_pooled_rows(blocks, workers) if workers > 1
+            else [row for block in blocks for row in _study_block(block)])
     if [(r.n, r.replication) for r in rows] != [(n, rep) for n in grid for rep in range(reps)]:
         raise RuntimeError("study rows are not one per (n, replication) cell in grid order")
 
@@ -684,5 +671,6 @@ def main(argv=None) -> int:
         return 4
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # npiv.cli's main, whose pool pickles npiv.cli's functions, also under runpy
+    from npiv.cli import main
     raise SystemExit(main())

@@ -41,7 +41,7 @@ from npiv.selection import (
 from npiv.simulate import generate_sample, make_operator, make_structural, sampler_doubles, task_seed
 
 from _reference import rebuild_trace, study_stats_loop, trig_columns_loop
-from test_ab_bench import _alive
+from test_ab_bench import _alive, _wait_until
 
 CONST = WeightSequence.constant()
 
@@ -1385,13 +1385,9 @@ def test_study_reads_the_selection_cap_once_per_block(tmp_path, capsys, monkeypa
     assert caps == blocks and len(blocks) < 16
 
 
-@pytest.mark.parametrize("jobs, cpus, grid, workers", [
-    (10**30, 64, "20,40", 2),  # one block per n
-    (3, 64, "20,40,60,80,100", 3),
-    (5000, 1, "20,40", None),  # None: the blocks run in this process
-    (5000, None, "20,40", None),  # os.cpu_count() cannot tell
-])
-def test_rate_study_workers_are_capped_by_blocks_and_cpus(tmp_path, capsys, monkeypatch, jobs, cpus, grid, workers):
+def _pool_sizes(tmp_path, capsys, monkeypatch, jobs, grid, mask, cpus) -> list[int]:
+    """Pool sizes a study at ``--jobs jobs`` asks for when its affinity mask holds ``mask`` CPUs (None: the
+    platform has no ``sched_getaffinity``) and ``os.cpu_count()`` reads ``cpus``; its bytes are those of one job."""
     argv = ["rate-study", _study_config(tmp_path, n_grid=[int(n) for n in grid.split(",")], replications=1)]
     assert main(argv + ["--out", str(tmp_path / "serial.json")]) == 0
     started = []
@@ -1409,12 +1405,32 @@ def test_rate_study_workers_are_capped_by_blocks_and_cpus(tmp_path, capsys, monk
             pass
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    if mask is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(mask)), raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path / "pooled.json")]) == 0
     capsys.readouterr()
-    assert started == ([] if workers is None else [workers])
     for ext in ("json", "csv"):
         assert (tmp_path / f"serial.{ext}").read_bytes() == (tmp_path / f"pooled.{ext}").read_bytes()
+    return started
+
+
+@pytest.mark.parametrize("jobs, cpus, grid, workers", [
+    (10**30, 64, "20,40", 2),  # one block per n
+    (3, 64, "20,40,60,80,100", 3),
+    (5000, 1, "20,40", None),  # None: the blocks run in this process
+    (5000, None, "20,40", None),  # no affinity mask, and os.cpu_count() cannot tell
+])
+def test_rate_study_workers_are_capped_by_blocks_and_cpus(tmp_path, capsys, monkeypatch, jobs, cpus, grid, workers):
+    # cpus is the affinity mask's count, which caps the pool where os.cpu_count() counts 64
+    started = _pool_sizes(tmp_path, capsys, monkeypatch, jobs, grid, cpus, None if cpus is None else 64)
+    assert started == ([] if workers is None else [workers])
+
+
+def test_rate_study_workers_are_capped_by_os_cpu_count_without_an_affinity_mask(tmp_path, capsys, monkeypatch):
+    assert _pool_sizes(tmp_path, capsys, monkeypatch, 5000, "20,40,60,80,100", None, 3) == [3]
 
 
 def test_rate_study_deterministic_across_jobs(tmp_path, capsys):
@@ -1896,9 +1912,14 @@ def _children(pid: int) -> list[int]:
     return found
 
 
+# the CPUs this process may use, which bound a study's pool
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pooled study needs 2 CPUs")
-def test_sigterm_to_a_pooled_rate_study_exits_143_and_leaves_no_worker(tmp_path):
+@pytest.mark.skipif(_CPUS < 2, reason="a pooled study needs 2 usable CPUs")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_a_pooled_rate_study_killed_by_a_signal_leaves_no_worker(tmp_path, sig):
     # 4,000 replications run for seconds: the signal comes long before the study ends
     cfg = _write_config(tmp_path, study={"n_grid": [2000, 4000], "replications": 2000})
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
@@ -1911,9 +1932,10 @@ def test_sigterm_to_a_pooled_rate_study_exits_143_and_leaves_no_worker(tmp_path)
             time.sleep(0.01)
             workers = _children(proc.pid)
         assert len(workers) == 2 and proc.poll() is None
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=2) == 128 + signal.SIGTERM
-        assert not any(map(_alive, workers))  # before reading stderr, which a live worker holds open
+        proc.send_signal(sig)
+        assert proc.wait(timeout=2) == -sig  # the signal's default action: no handler runs
+        # every worker is gone, however the study's process ended, before stderr is read: a live worker holds it open
+        assert _wait_until(lambda: not any(map(_alive, workers)), 1)
         assert proc.stderr.read() == b""
     finally:
         for pid in [proc.pid, *workers]:
@@ -1921,3 +1943,18 @@ def test_sigterm_to_a_pooled_rate_study_exits_143_and_leaves_no_worker(tmp_path)
                 os.kill(pid, signal.SIGKILL)
         proc.wait()
         proc.stderr.close()
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="a pooled study needs 2 usable CPUs")
+def test_a_pooled_rate_study_run_by_runpy_writes_the_bytes_of_one_job(tmp_path, capsys):
+    # npiv.cli runs as the __main__ of runpy under the -c script, which holds none of its functions
+    cfg = _study_config(tmp_path)
+    script = (f"import runpy, sys; sys.argv = ['npiv', 'rate-study', {cfg!r}, '--jobs', '2', '--out', 'pooled.json']; "
+              "runpy.run_module('npiv.cli', run_name='__main__')")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert main(["rate-study", cfg, "--jobs", "1", "--out", str(tmp_path / "serial.json")]) == 0
+    capsys.readouterr()
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"serial.{ext}").read_bytes() == (tmp_path / f"pooled.{ext}").read_bytes()
